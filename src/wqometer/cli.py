@@ -215,6 +215,10 @@ def _cmd_oracle(args) -> int:
         p = _load_poset(args.poset)
         heading = args.poset
     elif args.random is not None:
+        if args.random < 0:
+            raise ParseError(str(args.random), 0, "a non-negative --random size")
+        if args.random > oracle.SIZE_LIMIT:
+            raise TooLargeError("random quasi-order", args.random, oracle.SIZE_LIMIT)
         seed = _resolve_seed(args)
         p = oracle.random_quasi_order(random.Random(seed), args.random)
         heading = f"random(n={args.random}, seed={seed})"
@@ -285,20 +289,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # each error's message begins with its kind, so it is printed as is
     try:
         _resolve_seed(args)  # validated up front so a bad env var fails loudly
         return _COMMANDS[args.cmd](args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except HypothesisNotMet as exc:
-        print(f"hypothesis not met: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_HYPOTHESIS
     except UnsupportedComputation as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except TooLargeError as exc:
-        print(f"too large: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_TOO_LARGE
 
 

@@ -12,6 +12,16 @@ instances - re-derive them through the residual recursions
 
 as a cross-check.  `check_engine` compares the symbolic engine's report
 against these numbers.
+
+All three work on the quotient, computed once per poset and cached: the
+classes are the groups of equal rows, since i ~ j exactly when their
+up-sets are equal.  `mot` counts them, `height` assigns levels by a
+dynamic program over bitsets, and `width` takes the quotient's size minus
+a maximum matching of its strict comparabilities (Dilworth, Koenig),
+found greedily and completed by breadth-first augmenting-path searches
+over bitset rows, without recursion.  The `Pf` builder ANDs per-point
+membership masks, and the `Mn` builder tests Hall's condition with one
+cached mask of multisets per union of up-sets and threshold.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ _AUTO_CHECK_CAP = 10  # rerun the residual recursion silently below this
 class FinitePoset:
     """Finite quasi-order on {0..n-1}; rows[i] bit j set iff i <= j."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_quot")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if len(rows) != n:
@@ -80,6 +90,7 @@ class FinitePoset:
                 raise ValueError(f"row {i} has bits beyond n")
         self.n = n
         self.rows = tuple(rows)
+        self._quot = None  # cached by `quotient`
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "FinitePoset":
@@ -289,7 +300,8 @@ def _pf(p: FinitePoset, include_empty: bool) -> FinitePoset:
     # Under domination S <= T iff S is contained in the down-closure of T,
     # so subsets with equal down-closure are equivalent and Pf(p) is the
     # lattice of down-closed sets ordered by inclusion.  Enumerate the
-    # closures of all 2^n subsets, dedupe, and compare by inclusion.
+    # closures of all 2^n subsets and dedupe; the row of d is then the AND,
+    # over the points x of d, of the mask of closures that contain x.
     cols = p.cols()
     total = 1 << p.n
     down = [0] * total
@@ -298,47 +310,61 @@ def _pf(p: FinitePoset, include_empty: bool) -> FinitePoset:
         down[s] = down[s ^ low] | cols[low.bit_length() - 1]
     start = 0 if include_empty else 1
     elems = sorted(set(down[start:]))
+    n = len(elems)
+    contains = [0] * p.n
+    for j, d in enumerate(elems):
+        bit = 1 << j
+        for x in _bits(d):
+            contains[x] |= bit
+    full = (1 << n) - 1
     rows = []
     for d in elems:
-        m = 0
-        for j, d2 in enumerate(elems):
-            if d & ~d2 == 0:
-                m |= 1 << j
-        rows.append(m)
-    return FinitePoset(len(elems), tuple(rows))
-
-
-def _multisets_n(p: FinitePoset, k: int) -> FinitePoset:
-    elems = list(itertools.combinations_with_replacement(range(p.n), k))
-    n = len(elems)
-    rows = []
-    for xs in elems:
-        m = 0
-        for j, ys in enumerate(elems):
-            if _embeds_multiset(p, xs, ys):
-                m |= 1 << j
+        m = full
+        for x in _bits(d):
+            m &= contains[x]
         rows.append(m)
     return FinitePoset(n, tuple(rows))
 
 
-def _embeds_multiset(p: FinitePoset, xs, ys) -> bool:
-    """Perfect matching xs[i] <= ys[j] (Kuhn's augmenting paths)."""
-    k = len(xs)
-    if k == 0:
-        return True
-    adj = [[j for j in range(k) if p.rows[xs[i]] >> ys[j] & 1] for i in range(k)]
-    match_to = [-1] * k
+def _multisets_n(p: FinitePoset, k: int) -> FinitePoset:
+    # Hall's condition: xs <= ys iff for every non-empty set S of positions
+    # of xs, ys has at least |S| entries in U_S, the union of the up-sets
+    # of xs[S].  For each union U keep at[U][t], the mask of multisets with
+    # at least t entries in U; a row is the AND of at[U_S][|S|] over S.
+    elems = list(itertools.combinations_with_replacement(range(p.n), k))
+    n = len(elems)
+    at: dict[int, list[int]] = {}
 
-    def try_aug(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_to[j] < 0 or try_aug(match_to[j], seen):
-                    match_to[j] = i
-                    return True
-        return False
+    def at_least(u: int) -> list[int]:
+        got = at.get(u)
+        if got is None:
+            got = [0] * (k + 1)
+            for j, ys in enumerate(elems):
+                got[sum(u >> y & 1 for y in ys)] |= 1 << j
+            for t in range(k - 1, -1, -1):
+                got[t] |= got[t + 1]
+            at[u] = got
+        return got
 
-    return all(try_aug(i, [False] * k) for i in range(k))
+    rows = []
+    for xs in elems:
+        # the largest |S| for each union U_S: S ranges over the sets of
+        # distinct values of xs, taken with all their repeats
+        need: dict[int, int] = {}
+        values = sorted(set(xs))
+        for r in range(1, len(values) + 1):
+            for vs in itertools.combinations(values, r):
+                u = 0
+                for v in vs:
+                    u |= p.rows[v]
+                t = sum(xs.count(v) for v in vs)
+                if need.get(u, 0) < t:
+                    need[u] = t
+        m = (1 << n) - 1
+        for u, t in need.items():
+            m &= at_least(u)[t]
+        rows.append(m)
+    return FinitePoset(n, tuple(rows))
 
 
 def _words(p: FinitePoset, cap: int) -> FinitePoset:
@@ -375,81 +401,131 @@ def _embeds_word(p: FinitePoset, u, v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _classes(p: FinitePoset) -> list[list[int]]:
-    reps: list[int] = []
-    groups: list[list[int]] = []
-    for i in range(p.n):
-        for gi, r in enumerate(reps):
-            if p.rows[i] >> r & 1 and p.rows[r] >> i & 1:
-                groups[gi].append(i)
-                break
-        else:
-            reps.append(i)
-            groups.append([i])
-    return groups
-
-
 def quotient(p: FinitePoset) -> FinitePoset:
-    """Collapse mutually-related elements; the result is a partial order."""
-    groups = _classes(p)
-    reps = [g[0] for g in groups]
-    n = len(reps)
-    rows = []
-    for r in reps:
-        m = 0
-        for j, r2 in enumerate(reps):
-            if p.rows[r] >> r2 & 1:
-                m |= 1 << j
-        rows.append(m)
-    return FinitePoset(n, tuple(rows))
+    """Collapse mutually-related elements; the result is a partial order.
+
+    In a quasi-order i ~ j exactly when their up-sets are equal, so the
+    classes are the groups of equal rows, each represented by its first
+    element.  The result is computed once and cached on `p`; when every
+    class is a singleton it is `p` itself."""
+    q = p._quot
+    if q is None:
+        first: dict[int, int] = {}
+        for i, r in enumerate(p.rows):
+            first.setdefault(r, i)
+        if len(first) == p.n:
+            # False marks a poset that is its own quotient: a reference to
+            # itself would be a cycle that only the garbage collector frees
+            p._quot = False
+            return p
+        reps = list(first.values())
+        index = {r: j for j, r in enumerate(reps)}
+        rows = []
+        for r in reps:
+            m = 0
+            for x in _bits(p.rows[r]):
+                j = index.get(x)
+                if j is not None:
+                    m |= 1 << j
+            rows.append(m)
+        q = p._quot = FinitePoset(len(reps), tuple(rows))
+        q._quot = False
+    return q or p
 
 
 def mot(p: FinitePoset) -> int:
     """Maximal order type: for a finite quasi-order, the number of
     equivalence classes."""
-    val = len(_classes(p))
+    val = quotient(p).n
     if p.n <= _AUTO_CHECK_CAP:
         assert residual_mot(p) == val
     return val
 
 
 def height(p: FinitePoset) -> int:
-    """Longest strictly increasing chain (Mirsky-style DP on the quotient)."""
+    """Longest strictly increasing chain, by a level DP over bitsets.
+
+    In the quotient a strict successor has a strictly smaller up-set, so
+    visiting elements by ascending up-set size puts each after its whole
+    strict up-set.  levels[k] is the mask of elements whose longest chain
+    upwards has k + 1 elements.  A strict up-set that meets levels[k]
+    also meets levels[k - 1] (the successor of a level-k member lies in
+    it too), so a binary search finds the first level it misses, which is
+    the element's own level."""
     q = quotient(p)
-    memo = [0] * q.n
-    order = sorted(range(q.n), key=lambda i: bin(q.rows[i]).count("1"))
-    # elements with big up-sets are low in the order; process top-down
-    for i in order:
-        up = q.rows[i] & ~(1 << i)
-        memo[i] = 1 + max((memo[j] for j in _bits(up)), default=0)
-    val = max(memo, default=0)
+    rows = q.rows
+    levels: list[int] = []
+    for i in sorted(range(q.n), key=lambda i: rows[i].bit_count()):
+        strict = rows[i] & ~(1 << i)
+        lo, hi = 0, len(levels)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if strict & levels[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(levels):
+            levels.append(0)
+        levels[lo] |= 1 << i
+    val = len(levels)
     if p.n <= _AUTO_CHECK_CAP:
         assert residual_height(p) == val
     return val
 
 
 def width(p: FinitePoset) -> int:
-    """Largest antichain via Dilworth + Koenig (max matching on the strict
-    comparability bipartite graph of the quotient)."""
+    """Largest antichain via Dilworth + Koenig: the quotient's size minus a
+    maximum matching on its strict comparability bipartite graph.
+
+    The matching starts greedy and is completed by one breadth-first
+    augmenting-path search per unmatched vertex, all over bitset rows and
+    without recursion.  A failed search leaves the matching as it was, so
+    the right vertices it saw cannot reach a free one and stay excluded
+    until the next augmentation."""
     q = quotient(p)
     n = q.n
-    adj = []
+    adj = [r & ~(1 << i) for i, r in enumerate(q.rows)]
+    mate_l = [-1] * n  # right vertex matched to each left vertex
+    mate_r = [-1] * n  # left vertex matched to each right vertex
+    free = (1 << n) - 1  # unmatched right vertices
     for i in range(n):
-        strict = q.rows[i] & ~(1 << i)
-        adj.append(list(_bits(strict)))
-    match_to = [-1] * n
-
-    def try_aug(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_to[j] < 0 or try_aug(match_to[j], seen):
-                    match_to[j] = i
-                    return True
-        return False
-
-    matching = sum(try_aug(i, [False] * n) for i in range(n))
-    val = n - matching
+        a = adj[i] & free
+        if a:
+            j = (a & -a).bit_length() - 1
+            mate_l[i], mate_r[j] = j, i
+            free ^= 1 << j
+    parent = [-1] * n  # left vertex whose edge reached each left's mate
+    seen = 0
+    for u in range(n):
+        if mate_l[u] >= 0:
+            continue
+        parent[u] = -1
+        queue = [u]
+        end = -1
+        for v in queue:
+            new = adj[v] & ~seen
+            if not new:
+                continue
+            hit = new & free
+            if hit:
+                end = v
+                j = (hit & -hit).bit_length() - 1
+                break
+            seen |= new
+            for j in _bits(new):
+                w = mate_r[j]
+                parent[w] = v
+                queue.append(w)
+        if end < 0:
+            continue
+        free ^= 1 << j
+        v = end
+        while v >= 0:
+            prev = mate_l[v]
+            mate_l[v], mate_r[j] = j, v
+            j, v = prev, parent[v]
+        seen = 0
+    val = mate_l.count(-1)  # n minus the size of the matching
     if p.n <= _AUTO_CHECK_CAP:
         assert residual_width(p) == val
     return val

@@ -225,3 +225,42 @@ def test_iso_command(capsys):
     code, out, _ = run(capsys, "iso", "--json", "G(2)", "o(2)")
     assert code == 0
     assert json.loads(out) == {"isomorphic": False}
+
+
+def test_oracle_random_negative_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "oracle", "--random", "-1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "parse error" in err
+
+
+def test_oracle_random_checks_size_limit_before_sampling(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("sampled despite the size limit")
+
+    monkeypatch.setattr(cli.oracle, "random_quasi_order", refuse)
+    n = cli.oracle.SIZE_LIMIT + 1
+    code, out, err = run(capsys, "oracle", "--random", str(n))
+    assert code == 5
+    assert out == ""
+    assert "too large" in err and str(n) in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (("invariants", "Pf("), 2, "parse error"),
+        (("invariants", "Sim(w^2)"), 3, "hypothesis not met"),
+        (("weakmot", "G(2)"), 4, "unsupported"),
+        (("oracle", "Pf(Pf(G(4)))"), 5, "too large"),
+    ],
+)
+def test_error_kind_printed_once(capsys, argv, code, kind):
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    lines = err.splitlines()
+    assert lines
+    for line in lines:
+        assert line.startswith(kind)
+        assert line.count(kind) == 1

@@ -1,9 +1,12 @@
 """Brute-force oracle: builders, invariants, residual recursion, iso."""
 
+import itertools
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqometer import (
     FinitePoset,
@@ -22,6 +25,8 @@ from wqometer import (
 from wqometer.oracle import (
     ISO_CAP,
     RESIDUAL_CAP,
+    _multisets_n,
+    _pf,
     est_size,
     residual_height,
     residual_mot,
@@ -242,3 +247,164 @@ def test_check_result_json_shape():
         set(entry) == {"invariant", "oracle", "engine", "status"}
         for entry in data["entries"]
     )
+
+
+def test_width_does_not_recurse():
+    # 600 elements need long augmenting paths; a recursive matching runs
+    # out of stack under a small recursion limit
+    q = random_quasi_order(random.Random(3), 600, 0.0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert width(q) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_quotient_is_cached():
+    cyc = FinitePoset.from_pairs(3, [(0, 1), (1, 0), (1, 2)])
+    q = quotient(cyc)
+    assert quotient(cyc) is q
+    assert quotient(q) is q  # a quotient is a partial order already
+    chain = p("o(3)")
+    assert quotient(chain) is chain
+    # the cache takes no part in equality or hashing
+    fresh = FinitePoset.from_pairs(3, [(0, 1), (1, 0), (1, 2)])
+    assert cyc == fresh and hash(cyc) == hash(fresh)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against pairwise reference implementations
+# ---------------------------------------------------------------------------
+
+
+def _ref_quotient(q):
+    """Pairwise scan for classes; the first member represents each."""
+    reps = []
+    for i in range(q.n):
+        if not any(q.le(i, r) and q.le(r, i) for r in reps):
+            reps.append(i)
+    rows = [
+        sum(1 << j for j, r2 in enumerate(reps) if q.le(r, r2)) for r in reps
+    ]
+    return FinitePoset(len(reps), tuple(rows))
+
+
+def _ref_height(q):
+    """Longest chain in a partial order, by recursion over successors."""
+    memo = {}
+
+    def up(i):
+        if i not in memo:
+            memo[i] = 1 + max(
+                (up(j) for j in range(q.n) if j != i and q.le(i, j)), default=0
+            )
+        return memo[i]
+
+    return max((up(i) for i in range(q.n)), default=0)
+
+
+def _ref_width(q):
+    """Size minus a maximum matching of a partial order's strict
+    comparabilities (Kuhn's recursive augmenting paths)."""
+    match_to = [-1] * q.n
+
+    def try_aug(i, seen):
+        for j in range(q.n):
+            if j != i and q.le(i, j) and not seen[j]:
+                seen[j] = True
+                if match_to[j] < 0 or try_aug(match_to[j], seen):
+                    match_to[j] = i
+                    return True
+        return False
+
+    return q.n - sum(try_aug(i, [False] * q.n) for i in range(q.n))
+
+
+@st.composite
+def _quasi_orders(draw, max_n=60):
+    n = draw(st.integers(0, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    glue = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return random_quasi_order(random.Random(seed), n, glue)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quasi_orders())
+def test_invariants_match_pairwise_references(q):
+    ref = _ref_quotient(q)
+    assert quotient(q).rows == ref.rows
+    assert quotient(q).cols() == ref.cols()
+    assert mot(q) == ref.n
+    assert height(q) == _ref_height(ref)
+    assert width(q) == _ref_width(ref)
+    if q.n <= RESIDUAL_CAP:
+        assert residual_mot(q) == mot(q)
+        assert residual_height(q) == height(q)
+        assert residual_width(q) == width(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quasi_orders(max_n=5), st.booleans())
+def test_pf_rows_match_subset_definition(base, include_empty):
+    # the elements are the distinct down-closures of subsets, in increasing
+    # order, and d <= d2 iff d is a subset of d2
+    down = set()
+    for s in range(0 if include_empty else 1, 1 << base.n):
+        down.add(
+            sum(
+                1 << x
+                for x in range(base.n)
+                if any(s >> y & 1 and base.le(x, y) for y in range(base.n))
+            )
+        )
+    elems = sorted(down)
+    got = _pf(base, include_empty)
+    assert got.n == len(elems)
+    for i, d in enumerate(elems):
+        assert got.rows[i] == sum(
+            1 << j for j, d2 in enumerate(elems) if d & ~d2 == 0
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quasi_orders(max_n=5), st.integers(0, 4))
+def test_multisets_rows_match_injection_search(base, k):
+    # xs <= ys iff some ordering of ys dominates xs position by position
+    elems = list(itertools.combinations_with_replacement(range(base.n), k))
+    got = _multisets_n(base, k)
+    assert got.n == len(elems)
+    for i, xs in enumerate(elems):
+        want = 0
+        for j, ys in enumerate(elems):
+            if any(
+                all(base.le(x, y) for x, y in zip(xs, perm))
+                for perm in itertools.permutations(ys)
+            ):
+                want |= 1 << j
+        assert got.rows[i] == want
+
+
+def test_width_matches_networkx_hopcroft_karp():
+    nx = pytest.importorskip("networkx")
+
+    def nx_width(q):
+        r = quotient(q)
+        g = nx.Graph()
+        left = [("l", i) for i in range(r.n)]
+        g.add_nodes_from(left)
+        g.add_nodes_from(("r", j) for j in range(r.n))
+        g.add_edges_from(
+            (("l", i), ("r", j))
+            for i in range(r.n)
+            for j in range(r.n)
+            if i != j and r.le(i, j)
+        )
+        matching = nx.bipartite.hopcroft_karp_matching(g, top_nodes=left)
+        return r.n - len(matching) // 2
+
+    rng = random.Random(11)
+    cases = [random_quasi_order(rng, rng.randint(30, 150), 0.5) for _ in range(20)]
+    cases += [p(src) for src in ("Pf(G(8))", "Mn(o(6),3)", "Pf(o(2)*o(3))", "o(9)*o(14)")]
+    for q in cases:
+        assert width(q) == nx_width(q)
