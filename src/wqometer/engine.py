@@ -24,14 +24,15 @@ The engine picks the strongest applicable strategy per subtree:
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
 
-The module also exposes the two bound-attaining families ``Phi`` (all
-three invariants prescribed by the index) and ``Sim`` (realising the
-powerset height bound) both as expression nodes and as direct helpers.
+The two bound-attaining families are expression nodes: ``Phi`` (all
+three invariants prescribed by the index, also under ``Pf``) is evaluated
+from its index, and ``Sim``/``SimExt`` (realising the powerset height
+bound) are desugared into plain expressions first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -51,8 +52,8 @@ from .expr import (
     SimExt,
     Words,
     WqoExpr,
+    elementary_kind,
     is_elementary,
-    is_omega_elementary,
     print_expr,
 )
 from .ordinal import (
@@ -62,7 +63,6 @@ from .ordinal import (
     Ordinal,
     add,
     cmp,
-    hat,
     hat_nat_sum,
     hstar,
     left_subtract,
@@ -220,10 +220,6 @@ _EMPTY: _Triple = _exact3(ZERO, ZERO, ZERO)
 _SINGLETON: _Triple = _exact3(ONE, ONE, ONE)
 
 
-def _omax(*xs: Ordinal) -> Ordinal:
-    return max(xs)
-
-
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     """Apply a monotone ordinal function componentwise to bound results."""
     for p in parts:
@@ -235,16 +231,6 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     if all(p.upper is not None and not p.finite_multiple for p in parts):
         return InvariantResult.interval(lo, fn(*(p.upper for p in parts)))
     return InvariantResult.lower_only(lo)
-
-
-def _dedup(notes: list[str]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for n in notes:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +251,19 @@ def _elem_eval(e: WqoExpr) -> tuple[Ordinal, Ordinal, Ordinal, Ordinal]:
     if isinstance(e, DisjUnion):
         o1, h1, w1, s1 = _elem_eval(e.left)
         o2, h2, w2, s2 = _elem_eval(e.right)
-        return nat_sum(o1, o2), _omax(h1, h2), nat_sum(w1, w2), _omax(s1, s2)
+        return nat_sum(o1, o2), max(h1, h2), nat_sum(w1, w2), max(s1, s2)
     if isinstance(e, CartProd):
         o1, h1, w1, s1 = _elem_eval(e.left)
         o2, h2, w2, s2 = _elem_eval(e.right)
         o = nat_prod(o1, o2)
-        return o, hat_nat_sum(h1, h2), o, _omax(s1, s2)
+        return o, hat_nat_sum(h1, h2), o, max(s1, s2)
     if isinstance(e, Words):
         o1, h1, w1, s1 = _elem_eval(e.arg)
         o = omega_pow(omega_pow(pm(o1)))
         return o, hstar(h1), o, s1
     if isinstance(e, Multisets):
         o1, h1, w1, s1 = _elem_eval(e.arg)
-        o = omega_pow(hat(o1))
+        o = omega_pow(o1)
         return o, hstar(h1), o, s1
     if isinstance(e, Pf):
         o1, h1, w1, s1 = _elem_eval(e.arg)
@@ -287,13 +273,21 @@ def _elem_eval(e: WqoExpr) -> tuple[Ordinal, Ordinal, Ordinal, Ordinal]:
     raise UnsupportedComputation("not-elementary", print_expr(e))
 
 
+def _eval_elementary(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal]:
+    """Exact (o, h, w) and the weakened o of an elementary expression, all
+    read off its one normal form."""
+    nf, _ = normalize_elementary(e)
+    o, h, w, wm = _elem_eval(nf)
+    notes.append("elementary-exact")
+    return _exact3(o, h, w), wm
+
+
 def weak_mot(e: WqoExpr) -> Ordinal:
     """The weakened maximal order type of an elementary expression (the
     invariant that equals the powerset height of the expression)."""
     if not is_elementary(e):
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
-    nf, _ = normalize_elementary(e)
-    return _elem_eval(nf)[3]
+    return _eval_elementary(e, [])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,66 +295,22 @@ def weak_mot(e: WqoExpr) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
-def phi_invariants(a: Ordinal) -> InvariantReport:
-    """Invariants of the family member with o = w = a and h = w^a1 where
-    a1 is the leading exponent of a (an ordinal-indexed lexicographic sum
-    of antichains)."""
-    if a.is_zero:
-        raise HypothesisNotMet("phi-family", "index must be >= 1")
-    h = omega_pow(a.leading_exponent)
-    return InvariantReport(
-        mot=InvariantResult.exact(a),
-        height=InvariantResult.exact(h),
-        width=InvariantResult.exact(a),
-        notes=("family:phi",),
-    )
-
-
-def pf_phi_invariants(a: Ordinal) -> InvariantReport:
-    """Invariants of the powerset of the Phi family member: both o and w
-    equal 2^a exactly (binomial at finite indices), while h is only known
-    inside the general powerset bounds."""
-    if a.is_zero:
-        raise HypothesisNotMet("phi-family", "index must be >= 1")
-    if a.is_finite:
-        k = a.nat
-        o = InvariantResult.exact(Ordinal.from_nat(2**k))
-        w = InvariantResult.exact(Ordinal.from_nat(comb(k, k // 2)))
-        h = InvariantResult.interval(_TWO, _TWO, finite_multiple=True)
-    else:
-        t = two_pow(a)
-        o = InvariantResult.exact(t)
-        w = InvariantResult.exact(t)
-        hl = omega_pow(a.leading_exponent)
-        h = InvariantResult.interval(hl, two_pow(hl))
-    return InvariantReport(mot=o, height=h, width=w, notes=("family:phi-powerset",))
-
-
-def _sim_desugar(a: Ordinal) -> WqoExpr:
+def _desugar(e: Sim | SimExt) -> WqoExpr:
     """The Sim family member as a plain expression, checking the index
-    precondition (a = w, or a >= w^w multiplicatively indecomposable)."""
+    precondition (a = w, or a >= w^w multiplicatively indecomposable);
+    SimExt(a, m) is (Sim(a) ++ 1) * G(m)."""
+    a = e.value
     if a == OMEGA:
-        return Ord(OMEGA)
-    if a.is_multiplicatively_indecomposable and cmp(a, omega_pow(OMEGA)) >= 0:
-        return Pf(Words(Ord(a)))
-    raise HypothesisNotMet(
-        "sim-family", "index must be w, or >= w^w and multiplicatively indecomposable"
-    )
-
-
-def sim_invariants(a: Ordinal, ext: int | None = None) -> InvariantReport:
-    """Invariants of the Sim family member with index ``a`` (height equals
-    ``a``); with ``ext=m`` the extended member with height exactly
-    ``a + 1`` and powerset height at least ``2^a * m``."""
-    base = _sim_desugar(a)
-    if ext is None:
-        return invariants(base)
-    if ext < 1:
-        raise ValueError("ext needs m >= 1")
-    rep = invariants(CartProd(LexSum(base, Ord(ONE)), Gamma(ext)))
-    bound = mul(two_pow(a), Ordinal.from_nat(ext))
-    extra = f"powerset-height-lower-bound: {bound}"
-    return replace(rep, notes=_dedup(list(rep.notes) + [extra]))
+        base = Ord(OMEGA)
+    elif a.is_multiplicatively_indecomposable and cmp(a, omega_pow(OMEGA)) >= 0:
+        base = Pf(Words(Ord(a)))
+    else:
+        raise HypothesisNotMet(
+            "sim-family", "index must be w, or >= w^w and multiplicatively indecomposable"
+        )
+    if isinstance(e, SimExt):
+        return CartProd(LexSum(base, Ord(ONE)), Gamma(e.copies))
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +380,7 @@ def pf_bounds(e: WqoExpr) -> InvariantReport:
     rep = invariants(e)
     notes: list[str] = []
     o, h, w = _pf_table_parts((rep.mot, rep.height, rep.width), notes)
-    return InvariantReport(mot=o, height=h, width=w, notes=_dedup(notes))
+    return InvariantReport(mot=o, height=h, width=w, notes=tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +395,14 @@ def invariants(e: WqoExpr) -> InvariantReport:
     notes: list[str] = []
     if e2 != e:
         notes.append("simplification-applied")
-    o, h, w = _eval(e2, notes)
-    wm = None
     if is_elementary(e2):
-        nf, _ = normalize_elementary(e2)
-        wm = _elem_eval(nf)[3]
+        (o, h, w), wm = _eval_elementary(e2, notes)
+    else:
+        (o, h, w), wm = _eval(e2, notes), None
     _sanity(o, h, w)
-    return InvariantReport(mot=o, height=h, width=w, weak_mot=wm, notes=_dedup(notes))
+    return InvariantReport(
+        mot=o, height=h, width=w, weak_mot=wm, notes=tuple(dict.fromkeys(notes))
+    )
 
 
 def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
@@ -464,12 +415,10 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
 
 
 def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
-    if is_elementary(e):
-        nf, _ = normalize_elementary(e)
-        o, h, w, _wm = _elem_eval(nf)
-        notes.append("elementary-exact")
-        return _exact3(o, h, w)
-    if is_omega_elementary(e):
+    kind = elementary_kind(e)
+    if kind == "elementary":
+        return _eval_elementary(e, notes)[0]
+    if kind == "omega":
         o, h, w = _eval_general(e, notes)
         if h.kind == "exact":
             assert h.value == OMEGA, "height rule disagrees on an omega-elementary term"
@@ -498,25 +447,22 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
         )
 
     if isinstance(e, Phi):
-        rep = phi_invariants(e.value)
+        # o = w = a and h = w^a1, a1 the leading exponent of a (an
+        # ordinal-indexed lexicographic sum of antichains)
         notes.append("family:phi")
-        return rep.mot, rep.height, rep.width
+        a = e.value
+        return _exact3(a, omega_pow(a.leading_exponent), a)
 
-    if isinstance(e, Sim):
-        notes.append("family:sim")
-        return _eval(_sim_desugar(e.value), notes)
-
-    if isinstance(e, SimExt):
-        notes.append("family:sim-extended")
-        desugared = CartProd(LexSum(_sim_desugar(e.value), Ord(ONE)), Gamma(e.copies))
-        return _eval(desugared, notes)
+    if isinstance(e, (Sim, SimExt)):
+        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
+        return _eval(_desugar(e), notes)
 
     if isinstance(e, DisjUnion):
         lo, lh, lw = _eval(e.left, notes)
         ro, rh, rw = _eval(e.right, notes)
         return (
             _lift(nat_sum, lo, ro),
-            _lift(_omax, lh, rh),
+            _lift(max, lh, rh),
             _lift(nat_sum, lw, rw),
         )
 
@@ -526,7 +472,7 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
         return (
             _lift(add, lo, ro),
             _lift(add, lh, rh),
-            _lift(_omax, lw, rw),
+            _lift(max, lw, rw),
         )
 
     if isinstance(e, CartProd):
@@ -695,7 +641,7 @@ def _multisets_parts(e: Multisets, notes: list[str]) -> _Triple:
                 InvariantResult.exact(OMEGA),
                 InvariantResult.exact(ONE),
             )
-    o = _lift(lambda x: omega_pow(hat(x)), bo)
+    o = _lift(omega_pow, bo)
     h = _lift(hstar, bh)
     if o.reason is not None:
         w = InvariantResult.unsupported(o.reason)
@@ -720,19 +666,26 @@ def _multisets_parts(e: Multisets, notes: list[str]) -> _Triple:
 def _pf_parts(e: Pf, notes: list[str]) -> _Triple:
     x = e.arg
     if isinstance(x, Phi):
-        rep = pf_phi_invariants(x.value)
+        # both o and w equal 2^a exactly (binomial at finite indices),
+        # while h is only known inside the general powerset bounds
         notes.append("family:phi-powerset")
-        return rep.mot, rep.height, rep.width
+        a = x.value
+        if a.is_finite:
+            k = a.nat
+            return (
+                InvariantResult.exact(Ordinal.from_nat(2**k)),
+                InvariantResult.interval(_TWO, _TWO, finite_multiple=True),
+                InvariantResult.exact(Ordinal.from_nat(comb(k, k // 2))),
+            )
+        t = InvariantResult.exact(two_pow(a))
+        hl = omega_pow(a.leading_exponent)
+        return t, InvariantResult.interval(hl, two_pow(hl)), t
     if isinstance(x, Sim):
         notes.append("family:sim-powerset")
-        return _eval(eliminate_pf(Pf(_sim_desugar(x.value))), notes)
+        return _eval(eliminate_pf(Pf(_desugar(x))), notes)
     if isinstance(x, SimExt):
         notes.append("family:sim-extended-powerset")
-        desugared = CartProd(
-            LexSum(_sim_desugar(x.value), Ord(ONE)), Gamma(x.copies)
-        )
-        base = _eval(desugared, notes)
-        o, h, w = _pf_table_parts(base, notes)
+        o, h, w = _pf_table_parts(_eval(_desugar(x), notes), notes)
         # this family attains the powerset height bound: h >= 2^a * m
         bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
         h = InvariantResult.lower_only(bound)

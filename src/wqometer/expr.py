@@ -53,6 +53,7 @@ __all__ = [
     "SimExt",
     "parse_expr",
     "print_expr",
+    "elementary_kind",
     "is_elementary",
     "is_omega_elementary",
     "is_finite_expr",
@@ -202,28 +203,42 @@ class SimExt(WqoExpr):
 # ---------------------------------------------------------------------------
 
 
-def is_elementary(e: WqoExpr) -> bool:
-    """True when `e` is built from union, Cartesian product, words,
-    multisets and powersets over multiplicatively indecomposable ordinal
-    leaves >= w^w (the fragment the rewrite system fully normalises)."""
+def elementary_kind(e: WqoExpr) -> str | None:
+    """Which rewrite fragment `e` lies in, computed once per node.
+
+    ``"elementary"`` when `e` is built from union, Cartesian product,
+    words, multisets and powersets over multiplicatively indecomposable
+    ordinal leaves >= w^w (the fragment the rewrite system fully
+    normalises); ``"omega"`` when it uses the same constructors over the
+    single leaf w (every such wqo has height exactly w); None otherwise.
+    The answer is cached on the immutable node outside its dataclass
+    fields, so equality, hashing, repr and `children()` ignore it.
+    """
+    if "_kind" in e.__dict__:
+        return e.__dict__["_kind"]
     if isinstance(e, Ord):
-        return (
-            e.value.is_multiplicatively_indecomposable
-            and ord_mod.cmp(e.value, OMEGA_OMEGA) >= 0
-        )
-    if isinstance(e, (DisjUnion, CartProd, Words, Multisets, Pf)):
-        return all(is_elementary(k) for k in e.children())
-    return False
+        a = e.value
+        if a == OMEGA:
+            kind = "omega"
+        elif a.is_multiplicatively_indecomposable and ord_mod.cmp(a, OMEGA_OMEGA) >= 0:
+            kind = "elementary"
+        else:
+            kind = None
+    elif isinstance(e, (DisjUnion, CartProd, Words, Multisets, Pf)):
+        kinds = set(map(elementary_kind, e.children()))
+        kind = kinds.pop() if len(kinds) == 1 else None
+    else:
+        kind = None
+    object.__setattr__(e, "_kind", kind)
+    return kind
+
+
+def is_elementary(e: WqoExpr) -> bool:
+    return elementary_kind(e) == "elementary"
 
 
 def is_omega_elementary(e: WqoExpr) -> bool:
-    """True when `e` uses the same constructors over the single leaf w
-    (every such wqo has height exactly w)."""
-    if isinstance(e, Ord):
-        return e.value == OMEGA
-    if isinstance(e, (DisjUnion, CartProd, Words, Multisets, Pf)):
-        return all(is_omega_elementary(k) for k in e.children())
-    return False
+    return elementary_kind(e) == "omega"
 
 
 def is_finite_expr(e: WqoExpr) -> bool:

@@ -44,9 +44,10 @@ from .expr import (
     PfPlus,
     Words,
     WqoExpr,
+    is_finite_expr,
     print_expr,
 )
-from .ordinal import OMEGA, Ordinal, cmp, mul
+from .ordinal import Ordinal
 
 __all__ = [
     "FinitePoset",
@@ -106,8 +107,13 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
+        """Build from {"n": int, "leq": [[i, j], ...]}; orders above
+        SIZE_LIMIT are refused before the closure runs."""
         data = json.loads(text)
-        return cls.from_pairs(data["n"], data["leq"])
+        n = data["n"]
+        if n > SIZE_LIMIT:
+            raise TooLargeError("poset", n, SIZE_LIMIT)
+        return cls.from_pairs(n, data["leq"])
 
     def to_json(self) -> str:
         pairs = [
@@ -684,27 +690,6 @@ class CheckResult:
         }
 
 
-def _result_admits(result, value: int) -> str:
-    """Classify how an engine result relates to the true finite value."""
-    v = Ordinal.from_nat(value)
-    kind = result.kind
-    if kind == "unsupported":
-        return "skipped"
-    if kind == "exact":
-        return "match" if result.lower == v else "mismatch"
-    if cmp(result.lower, v) > 0:
-        return "mismatch"
-    if result.upper is not None:
-        hi = result.upper
-        if result.finite_multiple:
-            # true value below hi * m for some finite m, i.e. below hi * w
-            if cmp(v, mul(hi, OMEGA)) >= 0:
-                return "mismatch"
-        elif cmp(v, hi) > 0:
-            return "mismatch"
-    return "contained"
-
-
 def check_engine(e: WqoExpr, word_len_cap: int | None = None) -> CheckResult:
     """Compare the symbolic engine's invariants of `e` with brute force.
 
@@ -720,25 +705,21 @@ def check_engine(e: WqoExpr, word_len_cap: int | None = None) -> CheckResult:
     p = build(e, word_len_cap)
     truth = {"mot": mot(p), "height": height(p), "width": width(p)}
     res = CheckResult(print_expr(e))
-    exact_order = _is_exact_finite(e)
+    exact_order = is_finite_expr(e)
     for name, result in (
         ("mot", report.mot),
         ("height", report.height),
         ("width", report.width),
     ):
         value = truth[name]
-        if exact_order:
-            status = _result_admits(result, value)
-        else:
-            # truncated words: the finite fragment only witnesses lower
-            # behaviour; engine lower bounds must not exceed the supremum,
-            # which a fragment cannot refute, so just record the numbers
+        # truncated words: the finite fragment only witnesses lower
+        # behaviour; engine lower bounds must not exceed the supremum,
+        # which a fragment cannot refute, so just record the numbers
+        if not exact_order or result.kind == "unsupported":
             status = "skipped"
+        elif not result.admits(Ordinal.from_nat(value)):
+            status = "mismatch"
+        else:
+            status = "match" if result.kind == "exact" else "contained"
         res.entries.append(CheckEntry(name, value, result, status))
     return res
-
-
-def _is_exact_finite(e: WqoExpr) -> bool:
-    from .expr import is_finite_expr
-
-    return is_finite_expr(e)

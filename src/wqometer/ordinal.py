@@ -27,14 +27,12 @@ e.g. ``0``, ``7``, ``w``, ``w^2*8``, ``w^(w^2)*3+w*2+5``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import ParseError, UnsupportedComputation
 
 __all__ = [
     "Ordinal",
-    "OrdinalClass",
     "ZERO",
     "ONE",
     "OMEGA",
@@ -49,12 +47,9 @@ __all__ = [
     "decompose_omega",
     "hat_nat_sum",
     "pm",
-    "oprim",
-    "hat",
     "hstar",
     "odot",
     "sum_omega_powers",
-    "classify",
     "parse_ordinal",
 ]
 
@@ -380,16 +375,13 @@ def two_pow(a: Ordinal) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
-def hat_nat_sum(a: Ordinal, b: Ordinal, plus_one: bool = True) -> Ordinal:
+def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """The natural-sum variant used for heights of Cartesian products.
 
-    With the default ``plus_one=True`` this computes
-    sup{(a' (+) b') + 1 : a' < a, b' < b}  (sup of the empty set being 0),
-    which is what height composition needs: finite chains give
-    hat_nat_sum(n, m) = n + m - 1, and successor arguments generally give
-    pred(a) (+) pred(b) + 1.  ``plus_one=False`` computes the bare
-    sup{a' (+) b'}; the two agree whenever either argument is a limit,
-    the sup absorbing the +1 there.
+    This computes sup{(a' (+) b') + 1 : a' < a, b' < b}  (sup of the empty
+    set being 0), which is what height composition needs: finite chains
+    give hat_nat_sum(n, m) = n + m - 1, and successor arguments generally
+    give pred(a) (+) pred(b) + 1.
 
     Closed form, writing (+) for the natural sum: if either argument is 0
     the sup is empty.  If both are successors the sup is attained at the
@@ -403,8 +395,7 @@ def hat_nat_sum(a: Ordinal, b: Ordinal, plus_one: bool = True) -> Ordinal:
     if a.is_zero or b.is_zero:
         return ZERO
     if a.is_successor and b.is_successor:
-        s = nat_sum(a.pred(), b.pred())
-        return add(s, ONE) if plus_one else s
+        return add(nat_sum(a.pred(), b.pred()), ONE)
     parts: list[Ordinal] = []
     cut: Ordinal | None = None
     for x in (a, b):
@@ -439,19 +430,6 @@ def pm(a: Ordinal) -> Ordinal:
     if a.is_finite:
         return Ordinal.from_nat(a.nat - 1)
     return a
-
-
-def oprim(a: Ordinal) -> Ordinal:
-    """a-prime: a + 1 when a sits just above an epsilon number, else a.
-    Below epsilon_0 there are no epsilon numbers, so this is the identity."""
-    return a
-
-
-def hat(a: Ordinal) -> Ordinal:
-    """Rebuild a with every exponent sent through `oprim`; the identity
-    below epsilon_0 (kept explicit so the construction reads like the
-    definition it implements)."""
-    return Ordinal(tuple((oprim(e), c) for e, c in a.terms))
 
 
 def hstar(h: Ordinal) -> Ordinal:
@@ -493,32 +471,6 @@ def sum_omega_powers(a: Ordinal) -> Ordinal:
         g = a.pred()
         return mul(omega_pow(g), Ordinal.from_nat(2)) if g.is_limit else omega_pow(g)
     return omega_pow(a)
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrdinalClass:
-    is_zero: bool
-    is_finite: bool
-    is_successor: bool
-    is_limit: bool
-    is_additively_indecomposable: bool
-    is_multiplicatively_indecomposable: bool
-
-
-def classify(a: Ordinal) -> OrdinalClass:
-    return OrdinalClass(
-        is_zero=a.is_zero,
-        is_finite=a.is_finite,
-        is_successor=a.is_successor,
-        is_limit=a.is_limit,
-        is_additively_indecomposable=a.is_additively_indecomposable,
-        is_multiplicatively_indecomposable=a.is_multiplicatively_indecomposable,
-    )
 
 
 # ---------------------------------------------------------------------------

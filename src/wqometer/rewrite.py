@@ -101,72 +101,57 @@ def _raw_match(e: WqoExpr):
     return None
 
 
-def _pattern_free(e: WqoExpr) -> bool:
-    if _raw_match(e) is not None:
-        return False
-    return all(_pattern_free(k) for k in e.children())
-
-
-def _match_elementary(e: WqoExpr):
-    """A rule applies at the root only once every child subtree is normal.
-
-    The union-splitting rules duplicate or reorder subterms, so firing one
-    on a child that can still rewrite would make the result depend on the
-    traversal order.  Guarding on child normality keeps the redex content
-    identical under any strategy, which is what makes innermost and
-    outermost reductions land on the same normal form.  A term admits no
-    guarded step iff no rule pattern occurs anywhere in it, so the set of
-    normal forms is unchanged by the guard.
-    """
-    m = _raw_match(e)
-    if m is None:
-        return None
-    if not all(_pattern_free(k) for k in e.children()):
-        return None
-    return m
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("innermost", "outermost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def step(e: WqoExpr, strategy: str = "innermost"):
-    """One rewrite step under the given strategy, or None if `e` is normal.
+    """One rewrite step, or None if `e` is normal.
 
-    Returns (rule name, path from the root, new expression).  `innermost`
-    picks the leftmost-innermost redex, `outermost` the leftmost-outermost.
+    Returns (rule name, path from the root, new expression).  A rule fires
+    only at a node whose children are all normal: the union-splitting
+    rules duplicate or reorder subterms, so firing one on a child that can
+    still rewrite would make the result depend on the traversal order.  A
+    term admits no guarded step iff no rule pattern occurs anywhere in it,
+    so the guard leaves the normal forms unchanged.  It also means no
+    allowed redex lies below another, so the leftmost-innermost and the
+    leftmost-outermost redex are the same one: `innermost` and `outermost`
+    both name the one search below and take the same steps.
     """
-    if strategy not in ("innermost", "outermost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _step_at(e, strategy)
+    _check_strategy(strategy)
+    return _step_at(e)
 
 
-def _step_at(e: WqoExpr, strategy: str):
-    if strategy == "outermost":
-        m = _match_elementary(e)
-        if m is not None:
-            return m[0], (), m[1]
+def _step_at(e: WqoExpr):
+    """The first guarded step in post-order: the leftmost child that can
+    step, else a rule at `e` itself, whose children are then all normal."""
     kids = e.children()
     for i, k in enumerate(kids):
-        got = _step_at(k, strategy)
+        got = _step_at(k)
         if got is not None:
             rule, path, nk = got
             new_kids = list(kids)
             new_kids[i] = nk
             return rule, (i,) + path, e.with_children(tuple(new_kids))
-    if strategy == "innermost":
-        m = _match_elementary(e)
-        if m is not None:
-            return m[0], (), m[1]
+    m = _raw_match(e)
+    if m is not None:
+        return m[0], (), m[1]
     return None
 
 
 def is_normal(e: WqoExpr) -> bool:
-    return _step_at(e, "outermost") is None
+    return _step_at(e) is None
 
 
 def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     """Reduce an elementary expression to normal form.
 
-    Returns (normal form, RewriteTrace).  The fuel bound 4**size is a
-    safety net only; the system terminates well before it.
+    Returns (normal form, RewriteTrace).  Both strategy names take the same
+    steps (see `step`).  The fuel bound 4**size is a safety net only; the
+    system terminates well before it.
     """
+    _check_strategy(strategy)
     if not is_elementary(e):
         raise UnsupportedComputation(
             "normalize-requires-elementary", print_expr(e)
@@ -175,7 +160,7 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     steps: list[RewriteStep] = []
     cur = e
     while True:
-        got = _step_at(cur, strategy)
+        got = _step_at(cur)
         if got is None:
             return cur, RewriteTrace(steps)
         rule, path, new = got

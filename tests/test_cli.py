@@ -247,6 +247,21 @@ def test_oracle_random_checks_size_limit_before_sampling(monkeypatch, capsys):
     assert "too large" in err and str(n) in err
 
 
+def test_oracle_poset_checks_size_limit_before_closure(tmp_path, monkeypatch, capsys):
+    def refuse(cls, *args):
+        raise AssertionError("built the poset despite the size limit")
+
+    monkeypatch.setattr(cli.oracle.FinitePoset, "from_pairs", classmethod(refuse))
+    n = cli.oracle.SIZE_LIMIT + 1
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"n": n, "leq": []}))
+    code, out, err = run(capsys, "oracle", "--poset", str(f))
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "too large" in err and str(n) in err
+
+
 @pytest.mark.parametrize(
     "argv, code, kind",
     [

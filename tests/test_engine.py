@@ -10,6 +10,7 @@ from wqometer import (
     HypothesisNotMet,
     Ord,
     Pf,
+    Phi,
     Sim,
     SimExt,
     UnsupportedComputation,
@@ -20,9 +21,6 @@ from wqometer import (
     parse_expr,
     parse_ordinal,
     pf_bounds,
-    pf_phi_invariants,
-    phi_invariants,
-    sim_invariants,
     two_pow,
     weak_mot,
 )
@@ -372,31 +370,31 @@ def test_pf_bounds_fixtures():
 
 
 def test_phi_family():
-    r = phi_invariants(o("w^2+w"))
+    r = invariants(Phi(o("w^2+w")))
     assert exact(r.mot) == o("w^2+w")
     assert exact(r.width) == o("w^2+w")
     assert exact(r.height) == o("w^2")
 
-    r = phi_invariants(o("3"))
+    r = invariants(Phi(o("3")))
     assert exact(r.mot) == o("3")
     assert exact(r.height) == o("1")
 
-    with pytest.raises(HypothesisNotMet):
-        phi_invariants(o("0"))
+    with pytest.raises(ValueError):
+        Phi(o("0"))
 
 
 def test_pf_phi_family():
-    r = pf_phi_invariants(o("w"))
+    r = invariants(Pf(Phi(o("w"))))
     assert exact(r.mot) == o("w")
     assert exact(r.width) == o("w")
     assert exact(r.height) == o("w")  # interval [w, 2^w] collapses
 
-    r = pf_phi_invariants(o("w^2"))
+    r = invariants(Pf(Phi(o("w^2"))))
     assert exact(r.mot) == o("w^w")
     assert exact(r.width) == o("w^w")
     assert (r.height.lower, r.height.upper) == (o("w^2"), o("w^w"))
 
-    r = pf_phi_invariants(o("4"))
+    r = invariants(Pf(Phi(o("4"))))
     assert exact(r.mot) == o("16")
     assert exact(r.width) == o("6")
 
@@ -407,12 +405,12 @@ def test_pf_phi_family():
 
 
 def test_sim_family():
-    r = sim_invariants(o("w^w"))
+    r = invariants(Sim(o("w^w")))
     assert exact(r.height) == o("w^w")
     assert exact(r.mot) == o("w^(w^(w^(w^w)))")
-    assert r.weak_mot == o("w^(w^w)")
+    assert weak_mot(Pf(Words(Ord(o("w^w"))))) == o("w^(w^w)")
 
-    r = sim_invariants(o("w"))
+    r = invariants(Sim(o("w")))
     assert exact(r.mot) == o("w")
     assert exact(r.width) == o("1")
 
@@ -420,26 +418,25 @@ def test_sim_family():
     assert exact(r.height) == o("w^(w^w)")  # 2^(w^w)
 
     with pytest.raises(HypothesisNotMet):
-        sim_invariants(o("w^2"))
+        invariants(Sim(o("w^2")))
     with pytest.raises(HypothesisNotMet):
-        sim_invariants(o("w*2"))
+        invariants(Sim(o("w*2")))
     with pytest.raises(HypothesisNotMet):
         invariants(Sim(o("5")))
 
 
 def test_sim_extended_family():
-    r = sim_invariants(o("w^w"), ext=3)
+    r = invariants(SimExt(o("w^w"), 3))
     assert exact(r.height) == o("w^w+1")
     assert exact(r.mot) == o("w^(w^(w^(w^w)))*3+3")
     assert r.width.kind == "lower"
-    assert any("powerset-height-lower-bound: w^(w^w)*3" == n for n in r.notes)
 
     r = rep("Pf(SimExt(w^w, 3))")
     assert r.height.kind == "lower"
     assert r.height.lower == o("w^(w^w)*3")  # 2^(w^w) * 3
 
     with pytest.raises(ValueError):
-        sim_invariants(o("w^w"), ext=0)
+        SimExt(o("w^w"), 0)
 
 
 # --- cross-cutting sanity --------------------------------------------------------

@@ -21,6 +21,7 @@ from wqometer import (
     Sim,
     SimExt,
     Words,
+    WqoExpr,
     expr_size,
     is_elementary,
     is_finite_expr,
@@ -29,6 +30,8 @@ from wqometer import (
     parse_ordinal,
     print_expr,
 )
+
+from wqometer.expr import elementary_kind
 
 from genlib import random_any_expr
 
@@ -138,6 +141,62 @@ def test_classifiers():
     assert not is_finite_expr(parse_expr("G(2)^<w"))
     assert not is_finite_expr(parse_expr("M(G(2))"))
     assert not is_finite_expr(parse_expr("Phi(3)"))
+
+
+# the two recursive predicates that `elementary_kind` replaced, kept as
+# the reference it is checked against
+_ELEMENTARY_NODES = (DisjUnion, CartProd, Words, Multisets, Pf)
+
+
+def _ref_is_elementary(e: WqoExpr) -> bool:
+    if isinstance(e, Ord):
+        return e.value.is_multiplicatively_indecomposable and e.value >= o("w^w")
+    if isinstance(e, _ELEMENTARY_NODES):
+        return all(_ref_is_elementary(k) for k in e.children())
+    return False
+
+
+def _ref_is_omega_elementary(e: WqoExpr) -> bool:
+    if isinstance(e, Ord):
+        return e.value == OMEGA
+    if isinstance(e, _ELEMENTARY_NODES):
+        return all(_ref_is_omega_elementary(k) for k in e.children())
+    return False
+
+
+def _leaves_to_w(rng: random.Random, e: WqoExpr, share: float) -> WqoExpr:
+    if isinstance(e, Ord):
+        return W if rng.random() < share else e
+    return e.with_children(tuple(_leaves_to_w(rng, k, share) for k in e.children()))
+
+
+def test_classifier_matches_recursive_predicates():
+    rng = random.Random(4242)
+    kinds = {"elementary": 0, "omega": 0, None: 0}
+    for _ in range(3000):
+        e = random_any_expr(rng, depth=rng.randint(0, 4))
+        if rng.random() < 0.5:
+            # omega-elementary terms, and elementary ones with a stray w
+            # leaf, are rare in the random grammar
+            e = _leaves_to_w(rng, e, rng.choice((0.3, 1.0)))
+        elem, omega = _ref_is_elementary(e), _ref_is_omega_elementary(e)
+        want = "elementary" if elem else "omega" if omega else None
+        assert elementary_kind(e) == want, print_expr(e)
+        assert elementary_kind(e) == want  # cached answer
+        assert is_elementary(e) == elem
+        assert is_omega_elementary(e) == omega
+        kinds[want] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_classifier_cache_is_invisible():
+    e = parse_expr("Pf(M(w)|w^<w)")
+    fresh = parse_expr("Pf(M(w)|w^<w)")
+    assert elementary_kind(e) == "omega"
+    assert e == fresh and hash(e) == hash(fresh)
+    assert repr(e) == repr(fresh)
+    assert e.children() == fresh.children()
+    assert e.with_children(e.children()) == e
 
 
 def test_expr_size():

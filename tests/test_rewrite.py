@@ -24,9 +24,45 @@ from wqometer import (
     step,
 )
 
+from wqometer.rewrite import _raw_match
+
 from genlib import random_elementary
 
 o = parse_ordinal
+
+
+# The search `step` replaced, kept as its specification: a rule fires only
+# where every child subtree is pattern free, and `outermost` tries the node
+# before its children while `innermost` tries it after them.
+def _ref_pattern_free(e):
+    return _raw_match(e) is None and all(_ref_pattern_free(k) for k in e.children())
+
+
+def _ref_match(e):
+    m = _raw_match(e)
+    if m is None or not all(_ref_pattern_free(k) for k in e.children()):
+        return None
+    return m
+
+
+def _ref_step(e, strategy):
+    if strategy == "outermost":
+        m = _ref_match(e)
+        if m is not None:
+            return m[0], (), m[1]
+    kids = e.children()
+    for i, k in enumerate(kids):
+        got = _ref_step(k, strategy)
+        if got is not None:
+            rule, path, nk = got
+            new_kids = list(kids)
+            new_kids[i] = nk
+            return rule, (i,) + path, e.with_children(tuple(new_kids))
+    if strategy == "innermost":
+        m = _ref_match(e)
+        if m is not None:
+            return m[0], (), m[1]
+    return None
 
 
 def test_single_rules():
@@ -106,6 +142,35 @@ def test_strategies_agree_random():
         nf_out, _ = normalize_elementary(e, "outermost")
         assert nf_in == nf_out
         assert is_normal(nf_in)
+
+
+def test_step_matches_guarded_reference():
+    rng = random.Random(2024)
+    steps = 0
+    for _ in range(400):
+        start = random_elementary(rng, rng.randint(1, 20))
+        for strategy in ("innermost", "outermost"):
+            cur = start
+            while True:
+                want = _ref_step(cur, strategy)
+                got = step(cur, strategy)
+                assert got == want, (strategy, print_expr(cur))
+                assert is_normal(cur) == (want is None)
+                if got is None:
+                    break
+                cur = got[2]
+                steps += 1
+            nf, trace = normalize_elementary(start, strategy)
+            assert nf == cur
+    assert steps > 1000
+
+
+def test_unknown_strategy_is_refused():
+    e = parse_expr("Pf(o(w^w)|o(w^w))")
+    with pytest.raises(ValueError):
+        step(e, "sideways")
+    with pytest.raises(ValueError):
+        normalize_elementary(e, "sideways")
 
 
 def test_eliminate_pf_fixtures():
