@@ -57,6 +57,7 @@ from .expr import (
     print_expr,
 )
 from .ordinal import (
+    _NAT_EXP_LIMIT,
     ONE,
     OMEGA,
     ZERO,
@@ -220,6 +221,12 @@ _EMPTY: _Triple = _exact3(ZERO, ZERO, ZERO)
 _SINGLETON: _Triple = _exact3(ONE, ONE, ONE)
 
 
+def _is_empty(t: _Triple) -> bool:
+    """An order is empty exactly when one of its invariants is 0, so one
+    exact 0 settles it whatever the other two components say."""
+    return any(r.kind == "exact" and r.value.is_zero for r in t)
+
+
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     """Apply a monotone ordinal function componentwise to bound results."""
     for p in parts:
@@ -318,6 +325,17 @@ def _desugar(e: Sim | SimExt) -> WqoExpr:
 # ---------------------------------------------------------------------------
 
 
+def _central_binomial(k: int) -> Ordinal:
+    """C(k, k // 2), the width of the powerset of a k-antichain.  It is at
+    most 2^k, so it is refused on the same terms as `two_pow`, which keeps
+    every value printable."""
+    if k > _NAT_EXP_LIMIT:
+        raise UnsupportedComputation(
+            "binomial-too-large", f"refusing C({k},{k // 2}) (limit {_NAT_EXP_LIMIT})"
+        )
+    return Ordinal.from_nat(comb(k, k // 2))
+
+
 def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
     """Sound bounds for the invariants of Pf(A) from the invariants of A:
     o and h land in [1 + x, 2^x] (the height upper bound only up to a
@@ -361,10 +379,12 @@ def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
         w = InvariantResult.unsupported(bw.reason)
     else:
         v = bw.lower
-        if v.is_finite:
-            w = InvariantResult.lower_only(Ordinal.from_nat(comb(v.nat, v.nat // 2)))
-        else:
-            w = InvariantResult.lower_only(two_pow(v))
+        try:
+            w = InvariantResult.lower_only(
+                _central_binomial(v.nat) if v.is_finite else two_pow(v)
+            )
+        except UnsupportedComputation as exc:
+            w = InvariantResult.unsupported(exc.reason)
         if bo.kind == "exact":
             try:
                 notes.append(f"width-cap: w <= 2^o = {two_pow(bo.value)}")
@@ -475,23 +495,22 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
             _lift(max, lw, rw),
         )
 
-    if isinstance(e, CartProd):
-        special = _unit_or_empty(e, notes)
-        if special is not None:
-            return special
-        left = _eval(e.left, notes)
-        right = _eval(e.right, notes)
-        o = _lift(nat_prod, left[0], right[0])
-        h = _lift(hat_nat_sum, left[1], right[1])
-        w = _product_width(e, left, right, notes)
-        return o, h, w
-
-    if isinstance(e, LexProd):
-        special = _unit_or_empty(e, notes)
-        if special is not None:
-            return special
-        left = _eval(e.left, notes)
-        right = _eval(e.right, notes)
+    if isinstance(e, (CartProd, LexProd)):
+        # a singleton factor leaves the other factor unchanged, and an
+        # empty factor, however its emptiness was found, empties the product
+        for mine, other in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(mine, Ord) and mine.value == ONE:
+                notes.append("product-with-singleton-factor")
+                return _eval(other, notes)
+        left, right = _eval(e.left, notes), _eval(e.right, notes)
+        if _is_empty(left) or _is_empty(right):
+            notes.append("product-with-empty-factor")
+            return _EMPTY
+        if isinstance(e, CartProd):
+            o = _lift(nat_prod, left[0], right[0])
+            h = _lift(hat_nat_sum, left[1], right[1])
+            w = _product_width(e, left, right, notes)
+            return o, h, w
         ro = right[0]
         if ro.reason is not None:
             o = InvariantResult.unsupported(ro.reason)
@@ -527,21 +546,6 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
         return _pf_plus_parts(e, notes)
 
     raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def _unit_or_empty(e: WqoExpr, notes: list[str]) -> _Triple | None:
-    """Structural special cases shared by both products: a factor that is
-    the empty order makes the product empty, a singleton factor leaves the
-    other factor unchanged."""
-    for mine, other in ((e.left, e.right), (e.right, e.left)):
-        if isinstance(mine, Ord) and mine.value.is_zero:
-            notes.append("product-with-empty-factor")
-            return _EMPTY
-    for mine, other in ((e.left, e.right), (e.right, e.left)):
-        if isinstance(mine, Ord) and mine.value == ONE:
-            notes.append("product-with-singleton-factor")
-            return _eval(other, notes)
-    return None
 
 
 def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str]) -> _Triple:
@@ -596,17 +600,16 @@ def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult
 def _words_parts(e: Words, notes: list[str]) -> _Triple:
     base = _eval(e.arg, notes)
     bo, bh, _bw = base
-    if bo.kind == "exact":
-        if bo.value.is_zero:
-            notes.append("words-over-empty-alphabet")
-            return _SINGLETON
-        if bo.value == ONE:
-            notes.append("words-over-singleton-alphabet")
-            return (
-                InvariantResult.exact(OMEGA),
-                InvariantResult.exact(OMEGA),
-                InvariantResult.exact(ONE),
-            )
+    if _is_empty(base):
+        notes.append("words-over-empty-alphabet")
+        return _SINGLETON
+    if bo.kind == "exact" and bo.value == ONE:
+        notes.append("words-over-singleton-alphabet")
+        return (
+            InvariantResult.exact(OMEGA),
+            InvariantResult.exact(OMEGA),
+            InvariantResult.exact(ONE),
+        )
     if bo.reason is not None:
         o = InvariantResult.unsupported(bo.reason)
     elif bo.lower.is_zero:
@@ -630,17 +633,16 @@ def _words_parts(e: Words, notes: list[str]) -> _Triple:
 def _multisets_parts(e: Multisets, notes: list[str]) -> _Triple:
     base = _eval(e.arg, notes)
     bo, bh, _bw = base
-    if bo.kind == "exact":
-        if bo.value.is_zero:
-            notes.append("multisets-over-empty-order")
-            return _SINGLETON
-        if bo.value == ONE:
-            notes.append("multisets-over-singleton-order")
-            return (
-                InvariantResult.exact(OMEGA),
-                InvariantResult.exact(OMEGA),
-                InvariantResult.exact(ONE),
-            )
+    if _is_empty(base):
+        notes.append("multisets-over-empty-order")
+        return _SINGLETON
+    if bo.kind == "exact" and bo.value == ONE:
+        notes.append("multisets-over-singleton-order")
+        return (
+            InvariantResult.exact(OMEGA),
+            InvariantResult.exact(OMEGA),
+            InvariantResult.exact(ONE),
+        )
     o = _lift(omega_pow, bo)
     h = _lift(hstar, bh)
     if o.reason is not None:
@@ -673,9 +675,9 @@ def _pf_parts(e: Pf, notes: list[str]) -> _Triple:
         if a.is_finite:
             k = a.nat
             return (
-                InvariantResult.exact(Ordinal.from_nat(2**k)),
+                InvariantResult.exact(two_pow(a)),
                 InvariantResult.interval(_TWO, _TWO, finite_multiple=True),
-                InvariantResult.exact(Ordinal.from_nat(comb(k, k // 2))),
+                InvariantResult.exact(_central_binomial(k)),
             )
         t = InvariantResult.exact(two_pow(a))
         hl = omega_pow(a.leading_exponent)
@@ -692,7 +694,7 @@ def _pf_parts(e: Pf, notes: list[str]) -> _Triple:
         notes.append("powerset-height: family lower bound 2^a * m")
         return o, h, w
     base = _eval(x, notes)
-    if base[0].kind == "exact" and base[0].value.is_zero:
+    if _is_empty(base):
         notes.append("powerset-of-empty-order")
         return _SINGLETON
     return _pf_table_parts(base, notes)

@@ -29,7 +29,9 @@ through ``o(...)``.  ``parse_expr`` and ``print_expr`` round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cache
+from operator import attrgetter
 
 from . import ordinal as ord_mod
 from .errors import ParseError
@@ -63,24 +65,32 @@ __all__ = [
 OMEGA_OMEGA = omega_pow(OMEGA)
 
 
+@cache
+def _subexpr_fields(cls: type) -> tuple[str, ...]:
+    """The fields of node class `cls` that hold subexpressions (``left``
+    and ``right``, or ``arg``), in declaration order."""
+    return tuple(f.name for f in fields(cls) if f.type == "WqoExpr")
+
+
+@cache
+def _children_getter(cls: type):
+    """A function from a node of class `cls` to its subexpressions."""
+    names = _subexpr_fields(cls)
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda e: (get(e),)
+    return attrgetter(*names) if names else lambda e: ()
+
+
 @dataclass(frozen=True)
 class WqoExpr:
     """Base class; every node is an immutable dataclass."""
 
     def children(self) -> tuple["WqoExpr", ...]:
-        return tuple(
-            getattr(self, f.name)
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), WqoExpr)
-        )
+        return _children_getter(type(self))(self)
 
     def with_children(self, kids: tuple["WqoExpr", ...]) -> "WqoExpr":
-        it = iter(kids)
-        vals = {
-            f.name: (next(it) if isinstance(getattr(self, f.name), WqoExpr) else getattr(self, f.name))
-            for f in fields(self)
-        }
-        return type(self)(**vals)
+        return replace(self, **dict(zip(_subexpr_fields(type(self)), kids)))
 
     def __str__(self):
         return print_expr(self)

@@ -27,6 +27,8 @@ e.g. ``0``, ``7``, ``w``, ``w^2*8``, ``w^(w^2)*3+w*2+5``.
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import cmp_to_key
 
 from .errors import ParseError, UnsupportedComputation
@@ -53,9 +55,14 @@ __all__ = [
     "parse_ordinal",
 ]
 
-# 2^n blows past any reasonable use well before this; refuse rather than
-# silently allocate megabyte integers.
-_NAT_EXP_LIMIT = 1_000_000
+# The largest n for which 2^n is computed: 2^n has at most
+# n*log10(2) + 1 digits, so every allowed power (and every binomial
+# C(n, k) <= 2^n) fits CPython's limit on printing integers.  Without
+# that limit, refuse past 2^1000000 rather than allocate megabyte integers.
+_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NAT_EXP_LIMIT = (
+    int((_MAX_STR_DIGITS - 1) * math.log2(10)) if _MAX_STR_DIGITS else 1_000_000
+)
 
 
 class Ordinal:

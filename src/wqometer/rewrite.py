@@ -15,6 +15,7 @@ stuck on a constructor with no elimination rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsupportedComputation
 from .expr import (
@@ -59,15 +60,50 @@ class RewriteStep:
         }
 
 
-@dataclass
 class RewriteTrace:
-    steps: list[RewriteStep]
+    """The steps of one normalisation, as `RewriteStep` records.
+
+    It keeps the start term and, per step, the rule, the path and the
+    reduct.  `steps` (and so `to_json`) builds the records, with the
+    printed term before and after each step, on first read and caches
+    them, so a caller that only wants the normal form or the number of
+    steps prints nothing.
+    """
+
+    def __init__(self, start: WqoExpr, log: list[tuple[str, tuple[int, ...], WqoExpr]]):
+        self.start = start
+        self.log = log
+
+    @cached_property
+    def steps(self) -> list[RewriteStep]:
+        steps = []
+        cur = self.start
+        after = print_expr(cur)
+        for rule, path, reduct in self.log:
+            before = after
+            cur = _replace_at(cur, path, reduct)
+            after = print_expr(cur)
+            steps.append(RewriteStep(rule, path, before, after))
+        return steps
 
     def to_json(self) -> list[dict]:
         return [s.to_json() for s in self.steps]
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.log)
+
+
+def _replace_at(e: WqoExpr, path: tuple[int, ...], new: WqoExpr) -> WqoExpr:
+    """`e` with the subterm at `path` replaced by `new`."""
+    spine = []
+    for i in path:
+        spine.append((e, i))
+        e = e.children()[i]
+    for node, i in reversed(spine):
+        kids = list(node.children())
+        kids[i] = new
+        new = node.with_children(tuple(kids))
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +183,45 @@ def is_normal(e: WqoExpr) -> bool:
 def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     """Reduce an elementary expression to normal form.
 
-    Returns (normal form, RewriteTrace).  Both strategy names take the same
-    steps (see `step`).  The fuel bound 4**size is a safety net only; the
-    system terminates well before it.
+    Returns (normal form, RewriteTrace).  One innermost pass normalises
+    the children of each node left to right, then rewrites at the node
+    until no rule matches, normalising each reduct the same way.  It
+    takes exactly the steps of repeated `step` calls: once the subterm at
+    a path has been rewritten, everything to its left is normal, so the
+    leftmost guarded redex lies inside that reduct or after it.  Both
+    strategy names take the same steps (see `step`).  The fuel bound
+    4**size on the number of steps is a safety net only; the system
+    terminates well before it.
     """
     _check_strategy(strategy)
     if not is_elementary(e):
         raise UnsupportedComputation(
             "normalize-requires-elementary", print_expr(e)
         )
-    fuel = 4 ** expr_size(e)
-    steps: list[RewriteStep] = []
-    cur = e
+    log: list[tuple[str, tuple[int, ...], WqoExpr]] = []
+    nf = _norm(e, (), log, 4 ** expr_size(e))
+    return nf, RewriteTrace(e, log)
+
+
+def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
+    """The normal form of `e`, the subterm at `path`, logging each step
+    as (rule, path, reduct)."""
     while True:
-        got = _step_at(cur)
-        if got is None:
-            return cur, RewriteTrace(steps)
-        rule, path, new = got
-        steps.append(RewriteStep(rule, path, print_expr(cur), print_expr(new)))
-        cur = new
-        if len(steps) > fuel:  # pragma: no cover
+        kids = e.children()
+        new_kids = []
+        changed = False
+        for i, k in enumerate(kids):
+            nk = _norm(k, path + (i,), log, fuel)
+            new_kids.append(nk)
+            changed = changed or nk is not k
+        if changed:
+            e = e.with_children(tuple(new_kids))
+        m = _raw_match(e)
+        if m is None:
+            return e
+        rule, e = m
+        log.append((rule, path, e))
+        if len(log) > fuel:  # pragma: no cover
             raise RuntimeError(f"rewrite fuel exhausted on {print_expr(e)}")
 
 

@@ -1,14 +1,18 @@
 """Command-line interface: output formats, exit codes, seed handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wqometer import Ordinal, cli, parse_expr
 from wqometer.oracle import CheckEntry, CheckResult
 from wqometer.engine import InvariantResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -29,6 +33,7 @@ def test_module_entry_point_byte_exact():
         [sys.executable, "-m", "wqometer", "normalize", "M(o(w^w)|o(w^w))"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert proc.returncode == 0
     assert proc.stdout == "M(o(w^w))*M(o(w^w))\n"
@@ -85,6 +90,53 @@ def test_normalize_json_contains_trace(capsys):
     assert data["normal_form"] == "o(w^w)*o(w^w)"
     assert isinstance(data["trace"], list)
     assert all("rule" in step for step in data["trace"])
+
+
+# Steps at non-root paths, a rule firing at the root between them, and
+# reducts that are rewritten again: the trace strings must come out
+# exactly as when each step printed the whole term as it went.
+_GOLDEN_TERM = "(o(w^w)|o(w^w))*(o(w^w)|M(o(w^w)|o(w^w)))"
+_GOLDEN_TERMS = [
+    "(o(w^w)|o(w^w))*(o(w^w)|M(o(w^w)|o(w^w)))",
+    "(o(w^w)|o(w^w))*(o(w^w)|M(o(w^w))*M(o(w^w)))",
+    "o(w^w)*(o(w^w)|M(o(w^w))*M(o(w^w)))|o(w^w)*(o(w^w)|M(o(w^w))*M(o(w^w)))",
+    "o(w^w)*o(w^w)|o(w^w)*(M(o(w^w))*M(o(w^w)))|o(w^w)*(o(w^w)|M(o(w^w))*M(o(w^w)))",
+    "o(w^w)*o(w^w)|o(w^w)*(M(o(w^w))*M(o(w^w)))|(o(w^w)*o(w^w)|o(w^w)*(M(o(w^w))*M(o(w^w))))",
+]
+_GOLDEN_STEPS = [
+    ("multisets-over-union", [1, 1]),
+    ("product-over-union-left", []),
+    ("product-over-union-right", [0]),
+    ("product-over-union-right", [1]),
+]
+
+
+def test_normalize_trace_golden(capsys):
+    code, out, err = run(capsys, "normalize", "--trace", _GOLDEN_TERM)
+    assert code == 0 and err == ""
+    t = _GOLDEN_TERMS
+    assert out == (
+        f"{t[4]}\n"
+        f"step 1: multisets-over-union at 1.1: {t[0]} => {t[1]}\n"
+        f"step 2: product-over-union-left at root: {t[1]} => {t[2]}\n"
+        f"step 3: product-over-union-right at 0: {t[2]} => {t[3]}\n"
+        f"step 4: product-over-union-right at 1: {t[3]} => {t[4]}\n"
+    )
+
+
+def test_normalize_json_golden(capsys):
+    code, out, err = run(capsys, "normalize", "--json", _GOLDEN_TERM)
+    assert code == 0 and err == ""
+    t = _GOLDEN_TERMS
+    expected = {
+        "input": t[0],
+        "normal_form": t[4],
+        "trace": [
+            {"rule": rule, "path": path, "before": t[i], "after": t[i + 1]}
+            for i, (rule, path) in enumerate(_GOLDEN_STEPS)
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_bounds_heading_wraps_pf(capsys):
@@ -279,3 +331,28 @@ def test_error_kind_printed_once(capsys, argv, code, kind):
     for line in lines:
         assert line.startswith(kind)
         assert line.count(kind) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("invariants", "Pf(G(200000))"), 0),
+        (("invariants", "Pf(Phi(200000))"), 4),
+        (("invariants", "--json", "Pf(Pf(G(20)))"), 0),
+    ],
+)
+def test_unprintable_values_are_refused(argv, code):
+    # 2^200000 and C(200000, 100000) have more digits than Python will
+    # print; they are refused with a reason instead of ending in a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "wqometer", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert "binomial-too-large" in proc.stdout
+    else:
+        assert proc.stderr.startswith("unsupported computation: two-pow-finite-too-large")

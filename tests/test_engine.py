@@ -216,6 +216,21 @@ def test_product_units():
     assert exact(r.mot) == o("w^2")
 
 
+@pytest.mark.parametrize("text", ["M(G(2).(0*w))", "(G(2).(0*w))^<w", "Pf(G(2).(0*w))"])
+def test_constructors_over_an_empty_order_give_a_singleton(text):
+    # G(2).(0*w) is empty although no factor of the outer product is a
+    # literal 0 and its o is not computed by the lex-product rule
+    r = rep(text)
+    assert (exact(r.mot), exact(r.height), exact(r.width)) == (o("1"), o("1"), o("1"))
+
+
+@pytest.mark.parametrize("text", ["o(3)*(0*w)", "(0*w)*o(3)", "G(2).(0*w)", "(0*w).G(2)"])
+def test_products_with_an_empty_factor_are_empty(text):
+    r = rep(text)
+    assert (exact(r.mot), exact(r.height), exact(r.width)) == (o("0"), o("0"), o("0"))
+    assert "product-with-empty-factor" in r.notes
+
+
 def test_lex_product():
     r = rep("3.w")
     assert exact(r.mot) == o("w")

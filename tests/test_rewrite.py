@@ -16,6 +16,7 @@ from wqometer import (
     UnsupportedComputation,
     Words,
     eliminate_pf,
+    invariants,
     is_normal,
     normalize_elementary,
     parse_expr,
@@ -163,6 +164,66 @@ def test_step_matches_guarded_reference():
             nf, trace = normalize_elementary(start, strategy)
             assert nf == cur
     assert steps > 1000
+
+
+def _stepwise_trace(e, strategy):
+    """The trace of iterating `step`, printing the whole term each time."""
+    steps = []
+    while True:
+        got = step(e, strategy)
+        if got is None:
+            return e, steps
+        rule, path, new = got
+        steps.append((rule, path, print_expr(e), print_expr(new)))
+        e = new
+
+
+def test_single_pass_matches_stepwise_normalisation():
+    rng = random.Random(808)
+    total = 0
+    for _ in range(500):
+        e = random_elementary(rng, rng.randint(1, 30))
+        for strategy in ("innermost", "outermost"):
+            want_nf, want = _stepwise_trace(e, strategy)
+            nf, trace = normalize_elementary(e, strategy)
+            got = [(s.rule, s.path, s.before, s.after) for s in trace.steps]
+            assert got == want, (strategy, print_expr(e))
+            assert len(trace) == len(trace.steps)
+            assert nf == want_nf
+            total += len(want)
+    assert total > 1000
+
+
+def test_trace_is_printed_only_when_read(monkeypatch):
+    import wqometer.rewrite as rewrite
+
+    calls = []
+
+    def counting_print(e):
+        calls.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(rewrite, "print_expr", counting_print)
+    e = parse_expr("(o(w^w)|o(w^w))*(o(w^w)|M(o(w^w)|o(w^w)))")
+    nf, trace = normalize_elementary(e)
+    invariants(e)
+    assert calls == []
+    assert len(trace) == 4 and calls == []
+    steps = trace.steps
+    assert calls and steps[0].before == print_expr(e) and steps[-1].after == print_expr(nf)
+    n = len(calls)
+    assert trace.steps is steps and len(calls) == n  # built once, then cached
+
+
+def test_deep_tower_normalises_at_default_recursion_limit():
+    # 450 alternating M/Pf levels over a union; the pass takes one frame
+    # per level, like the classifier and `step`
+    e = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
+    for i in range(450):
+        e = Multisets(e) if i % 2 == 0 else Pf(e)
+    nf, trace = normalize_elementary(e)
+    assert is_normal(nf)
+    assert len(trace) == 1 and trace.steps[0].path == (0,) * 449
 
 
 def test_unknown_strategy_is_refused():
