@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(exc, file=sys.stderr)
         return EXIT_TOO_LARGE
+    except RecursionError:
+        print(UnsupportedComputation("expression-too-deep"), file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

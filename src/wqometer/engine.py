@@ -11,18 +11,22 @@ expression a component comes out
 * unsupported      -- no sound rule applies (the reason says which
                       hypothesis failed or which rule is missing).
 
-The engine picks the strongest applicable strategy per subtree:
+`_eval` is one bottom-up fold over the expression: it evaluates each
+child once, takes one stack frame per nesting level, and picks one of
+two strategies per subtree:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are
    normalised by the rewrite system and evaluated exactly, including the
    weakened order type used for powerset heights;
-2. *omega-elementary* subtrees (same constructors over the single leaf w)
-   get their height pinned to exactly w;
-3. everything else goes through the general compositional rules, with
+2. everything else goes through the general compositional rules, with
    powersets handled by the sound bound table (1 + x <= f(Pf(A)) <= 2^x
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
+
+*Omega-elementary* subtrees (the elementary constructors over the single
+leaf w) need no rule of their own: the general rules already give them
+height exactly w, and each w leaf adds the note ``omega-elementary-height``.
 
 The two bound-attaining families are expression nodes: ``Phi`` (all
 three invariants prescribed by the index, also under ``Pf``) is evaluated
@@ -54,6 +58,7 @@ from .expr import (
     WqoExpr,
     elementary_kind,
     is_elementary,
+    is_omega_elementary,
     print_expr,
 )
 from .ordinal import (
@@ -227,16 +232,42 @@ def _is_empty(t: _Triple) -> bool:
     return any(r.kind == "exact" and r.value.is_zero for r in t)
 
 
+def _printable(a: Ordinal, deep: bool = True) -> bool:
+    """Whether every coefficient of `a` is below 2^(_NAT_EXP_LIMIT + 1),
+    and so prints within Python's digit limit; the coefficients of the
+    exponents are checked too unless `deep` is false."""
+    stack = [a]
+    while stack:
+        for x, c in stack.pop().terms:
+            if c >> _NAT_EXP_LIMIT + 1:
+                return False
+            if deep and x.terms:
+                stack.append(x)
+    return True
+
+
+# sums and maxima take their exponents from their arguments, so only the
+# top-level coefficients of their results can grow
+_SUMS = (nat_sum, add, max)
+
+
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
-    """Apply a monotone ordinal function componentwise to bound results."""
+    """Apply a monotone ordinal function componentwise to bound results.
+    An upper bound too large to print is dropped; an exact value or a
+    lower bound too large to print makes the result unsupported."""
     for p in parts:
         if p.reason is not None:
             return InvariantResult.unsupported(p.reason)
     lo = fn(*(p.lower for p in parts))
+    deep = fn not in _SUMS
+    if not _printable(lo, deep):
+        return InvariantResult.unsupported("value-too-large")
     if all(p.kind == "exact" for p in parts):
         return InvariantResult.exact(lo)
     if all(p.upper is not None and not p.finite_multiple for p in parts):
-        return InvariantResult.interval(lo, fn(*(p.upper for p in parts)))
+        hi = fn(*(p.upper for p in parts))
+        if _printable(hi, deep):
+            return InvariantResult.interval(lo, hi)
     return InvariantResult.lower_only(lo)
 
 
@@ -413,12 +444,14 @@ def invariants(e: WqoExpr) -> InvariantReport:
     when ``e`` simplifies to an elementary expression."""
     e2 = eliminate_pf(e)
     notes: list[str] = []
-    if e2 != e:
+    if e2 is not e:
         notes.append("simplification-applied")
     if is_elementary(e2):
         (o, h, w), wm = _eval_elementary(e2, notes)
     else:
         (o, h, w), wm = _eval(e2, notes), None
+        if is_omega_elementary(e2):
+            assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
     return InvariantReport(
         mot=o, height=h, width=w, weak_mot=wm, notes=tuple(dict.fromkeys(notes))
@@ -435,23 +468,18 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
 
 
 def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
-    kind = elementary_kind(e)
-    if kind == "elementary":
+    """The triple of `e`, evaluating each child once, bottom-up."""
+    if elementary_kind(e) == "elementary":
         return _eval_elementary(e, notes)[0]
-    if kind == "omega":
-        o, h, w = _eval_general(e, notes)
-        if h.kind == "exact":
-            assert h.value == OMEGA, "height rule disagrees on an omega-elementary term"
-        notes.append("omega-elementary-height")
-        return o, InvariantResult.exact(OMEGA), w
-    return _eval_general(e, notes)
 
-
-def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
     if isinstance(e, Ord):
         a = e.value
         if a.is_zero:
             return _EMPTY
+        if a == OMEGA:
+            # the general rules keep h = w exactly at every node built
+            # from w by the elementary constructors
+            notes.append("omega-elementary-height")
         return (
             InvariantResult.exact(a),
             InvariantResult.exact(a),
@@ -527,10 +555,10 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
         return o, h, w
 
     if isinstance(e, Words):
-        return _words_parts(e, notes)
+        return _words_parts(_eval(e.arg, notes), notes)
 
     if isinstance(e, Multisets):
-        return _multisets_parts(e, notes)
+        return _multisets_parts(_eval(e.arg, notes), notes)
 
     if isinstance(e, MultisetsN):
         if e.size == 0:
@@ -540,7 +568,13 @@ def _eval_general(e: WqoExpr, notes: list[str]) -> _Triple:
         return u, u, u
 
     if isinstance(e, Pf):
-        return _pf_parts(e, notes)
+        if isinstance(e.arg, (Phi, Sim, SimExt)):
+            return _pf_family_parts(e.arg, notes)
+        base = _eval(e.arg, notes)
+        if _is_empty(base):
+            notes.append("powerset-of-empty-order")
+            return _SINGLETON
+        return _pf_table_parts(base, notes)
 
     if isinstance(e, PfPlus):
         return _pf_plus_parts(e, notes)
@@ -580,6 +614,8 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
             if best is None or cmp(cand, best) > 0:
                 best = cand
     if best is not None:
+        if not _printable(best):
+            return InvariantResult.unsupported("value-too-large")
         notes.append("product-width: lower bound w(B) * o(A)")
         return InvariantResult.lower_only(best)
     return InvariantResult.unsupported("width-of-product-non-functional")
@@ -591,14 +627,14 @@ def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult
             return InvariantResult.unsupported(r.reason)
     if wa.kind == "exact" and wb.kind == "exact":
         try:
-            return InvariantResult.exact(odot(wa.value, wb.value))
+            return _lift(odot, wa, wb)
         except UnsupportedComputation as exc:
             return InvariantResult.unsupported(exc.reason)
     return InvariantResult.unsupported("needs-exact-value:lex-product-width")
 
 
-def _words_parts(e: Words, notes: list[str]) -> _Triple:
-    base = _eval(e.arg, notes)
+def _words_parts(base: _Triple, notes: list[str]) -> _Triple:
+    """Words over an alphabet with the invariants `base`."""
     bo, bh, _bw = base
     if _is_empty(base):
         notes.append("words-over-empty-alphabet")
@@ -630,8 +666,8 @@ def _words_parts(e: Words, notes: list[str]) -> _Triple:
     return o, h, w
 
 
-def _multisets_parts(e: Multisets, notes: list[str]) -> _Triple:
-    base = _eval(e.arg, notes)
+def _multisets_parts(base: _Triple, notes: list[str]) -> _Triple:
+    """Multisets over an order with the invariants `base`."""
     bo, bh, _bw = base
     if _is_empty(base):
         notes.append("multisets-over-empty-order")
@@ -665,8 +701,8 @@ def _multisets_parts(e: Multisets, notes: list[str]) -> _Triple:
     return o, h, w
 
 
-def _pf_parts(e: Pf, notes: list[str]) -> _Triple:
-    x = e.arg
+def _pf_family_parts(x: Phi | Sim | SimExt, notes: list[str]) -> _Triple:
+    """Pf of a family member, from its index rather than from its triple."""
     if isinstance(x, Phi):
         # both o and w equal 2^a exactly (binomial at finite indices),
         # while h is only known inside the general powerset bounds
@@ -685,19 +721,13 @@ def _pf_parts(e: Pf, notes: list[str]) -> _Triple:
     if isinstance(x, Sim):
         notes.append("family:sim-powerset")
         return _eval(eliminate_pf(Pf(_desugar(x))), notes)
-    if isinstance(x, SimExt):
-        notes.append("family:sim-extended-powerset")
-        o, h, w = _pf_table_parts(_eval(_desugar(x), notes), notes)
-        # this family attains the powerset height bound: h >= 2^a * m
-        bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
-        h = InvariantResult.lower_only(bound)
-        notes.append("powerset-height: family lower bound 2^a * m")
-        return o, h, w
-    base = _eval(x, notes)
-    if _is_empty(base):
-        notes.append("powerset-of-empty-order")
-        return _SINGLETON
-    return _pf_table_parts(base, notes)
+    notes.append("family:sim-extended-powerset")
+    o, h, w = _pf_table_parts(_eval(_desugar(x), notes), notes)
+    # this family attains the powerset height bound: h >= 2^a * m
+    bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
+    h = InvariantResult.lower_only(bound)
+    notes.append("powerset-height: family lower bound 2^a * m")
+    return o, h, w
 
 
 def _pf_plus_parts(e: PfPlus, notes: list[str]) -> _Triple:

@@ -265,7 +265,11 @@ def is_finite_expr(e: WqoExpr) -> bool:
 
 def expr_size(e: WqoExpr) -> int:
     """Number of nodes in the tree."""
-    return 1 + sum(expr_size(k) for k in e.children())
+    n, stack = 0, [e]
+    while stack:
+        n += 1
+        stack.extend(stack.pop().children())
+    return n
 
 
 # ---------------------------------------------------------------------------

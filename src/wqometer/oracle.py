@@ -630,9 +630,9 @@ def iso(p: FinitePoset, q: FinitePoset) -> bool:
 
 
 def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
-    """Random quasi-order: a random DAG (density drawn uniformly) closed
-    transitively, optionally with a few element pairs glued into
-    equivalence classes."""
+    """Random quasi-order: a random DAG (density drawn uniformly),
+    optionally with a few element pairs glued into equivalence classes,
+    closed transitively."""
     perm = list(range(n))
     rng.shuffle(perm)
     density = rng.random()
@@ -641,14 +641,13 @@ def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
         for bi in range(ai + 1, n):
             if rng.random() < density:
                 rows[perm[ai]] |= 1 << perm[bi]
-    _transitive_close(rows)
     if n >= 2 and rng.random() < glue_prob:
         for _ in range(rng.randint(1, max(1, n // 3))):
             i = rng.randrange(n)
             j = rng.randrange(n)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        _transitive_close(rows)
+    _transitive_close(rows)
     return FinitePoset(n, tuple(rows))
 
 

@@ -12,9 +12,8 @@ Besides the classical operations (comparison, sum, product, left
 subtraction, Hessenberg natural sum/product) this module implements the
 more exotic functions the composition tables call for: base-2
 exponentiation, the "hat" variant of the natural sum used for heights of
-Cartesian products, the height-star closure, the product-like `odot` used
-for widths of lexicographic products, and sums of initial segments of
-omega-powers.
+Cartesian products, the height-star closure, and the product-like `odot`
+used for widths of lexicographic products.
 
 Text syntax (used by `parse_ordinal` and `str()`), round-trip safe::
 
@@ -51,7 +50,6 @@ __all__ = [
     "pm",
     "hstar",
     "odot",
-    "sum_omega_powers",
     "parse_ordinal",
 ]
 
@@ -463,21 +461,6 @@ def odot(a: Ordinal, b: Ordinal) -> Ordinal:
     e = a.terms[0][0]
     # exponents e+f inherit b's strict ordering, so this is already CNF
     return Ordinal(tuple((add(e, f), c) for f, c in b.terms))
-
-
-def sum_omega_powers(a: Ordinal) -> Ordinal:
-    """The ordinal sum of w^b over all b < a, for a > 0.
-
-    Equals w^(a-1) when a is a successor of a successor (or of 0), and
-    w^g * 2 when a = g + 1 with g a limit; at limit a the partial sums
-    converge to w^a.
-    """
-    if a.is_zero:
-        raise ValueError("sum_omega_powers needs a > 0")
-    if a.is_successor:
-        g = a.pred()
-        return mul(omega_pow(g), Ordinal.from_nat(2)) if g.is_limit else omega_pow(g)
-    return omega_pow(a)
 
 
 # ---------------------------------------------------------------------------

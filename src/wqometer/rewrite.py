@@ -6,16 +6,17 @@ terminating under the rules below; `normalize_elementary` reduces to the
 unique normal form, in which no union sits under a product, multiset or
 powerset constructor and no powerset wraps a bare ordinal.
 
-`eliminate_pf` is a separate bottom-up pass used by the invariant engine:
-it pushes every finite-powerset constructor down through unions and
-lexicographic sums until it either disappears into an ordinal leaf or gets
-stuck on a constructor with no elimination rule.
+`eliminate_pf`, used by the invariant engine, runs the same innermost
+pass with its own rules: it pushes every finite-powerset constructor down
+through unions and lexicographic sums until it either disappears into an
+ordinal leaf or gets stuck on a constructor with no elimination rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 from .errors import UnsupportedComputation
 from .expr import (
@@ -199,24 +200,25 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
             "normalize-requires-elementary", print_expr(e)
         )
     log: list[tuple[str, tuple[int, ...], WqoExpr]] = []
-    nf = _norm(e, (), log, 4 ** expr_size(e))
+    nf = _norm(e, _raw_match, (), log, 4 ** expr_size(e))
     return nf, RewriteTrace(e, log)
 
 
-def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
-    """The normal form of `e`, the subterm at `path`, logging each step
-    as (rule, path, reduct)."""
+def _norm(e: WqoExpr, match, path: tuple[int, ...], log: list, fuel) -> WqoExpr:
+    """The normal form of `e`, the subterm at `path`, under the local rule
+    function `match` (node -> (rule, reduct) or None), logging each step
+    as (rule, path, reduct).  It returns `e` itself when no rule fires."""
     while True:
         kids = e.children()
         new_kids = []
         changed = False
         for i, k in enumerate(kids):
-            nk = _norm(k, path + (i,), log, fuel)
+            nk = _norm(k, match, path + (i,), log, fuel)
             new_kids.append(nk)
             changed = changed or nk is not k
         if changed:
             e = e.with_children(tuple(new_kids))
-        m = _raw_match(e)
+        m = match(e)
         if m is None:
             return e
         rule, e = m
@@ -237,51 +239,30 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     Pf(X ++ Y) = Pf(X) ++ Pf+(Y), and for the empty-set-less variant
     Pf+(a) = a and Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y).  Sums and lexicographic
     products of raw ordinals fuse into a single ordinal leaf along the way.
+    One innermost pass (`_norm`) applies them; it returns `e` itself when
+    no rule fires.
     """
-    cur = e
-    while True:
-        new, changed = _elim_pass(cur)
-        if not changed:
-            return new
-        cur = new
-
-
-def _elim_pass(e: WqoExpr):
-    kids = e.children()
-    changed = False
-    if kids:
-        new_kids = []
-        for k in kids:
-            nk, ch = _elim_pass(k)
-            changed = changed or ch
-            new_kids.append(nk)
-        if changed:
-            e = e.with_children(tuple(new_kids))
-    while True:
-        r = _elim_local(e)
-        if r is None:
-            return e, changed
-        e = r
-        changed = True
+    return _norm(e, _elim_local, (), [], inf)
 
 
 def _elim_local(e: WqoExpr):
+    """Return (rule name, reduct) when an elimination rule matches the root."""
     if isinstance(e, Pf):
         x = e.arg
         if isinstance(x, Ord):
-            return Ord(add(ONE, x.value))
+            return "powerset-of-ordinal", Ord(add(ONE, x.value))
         if isinstance(x, DisjUnion):
-            return CartProd(Pf(x.left), Pf(x.right))
+            return "powerset-over-union", CartProd(Pf(x.left), Pf(x.right))
         if isinstance(x, LexSum):
-            return LexSum(Pf(x.left), PfPlus(x.right))
+            return "powerset-over-sum", LexSum(Pf(x.left), PfPlus(x.right))
     if isinstance(e, PfPlus):
         x = e.arg
         if isinstance(x, Ord):
-            return x
+            return "nonempty-powerset-of-ordinal", x
         if isinstance(x, LexSum):
-            return LexSum(PfPlus(x.left), PfPlus(x.right))
+            return "nonempty-powerset-over-sum", LexSum(PfPlus(x.left), PfPlus(x.right))
     if isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return Ord(add(e.left.value, e.right.value))
+        return "fuse-ordinal-sum", Ord(add(e.left.value, e.right.value))
     if isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return Ord(mul(e.left.value, e.right.value))
+        return "fuse-ordinal-product", Ord(mul(e.left.value, e.right.value))
     return None

@@ -339,11 +339,13 @@ def test_error_kind_printed_once(capsys, argv, code, kind):
         (("invariants", "Pf(G(200000))"), 0),
         (("invariants", "Pf(Phi(200000))"), 4),
         (("invariants", "--json", "Pf(Pf(G(20)))"), 0),
+        (("invariants", "Pf(G(14000))*Pf(G(14000))"), 0),
     ],
 )
 def test_unprintable_values_are_refused(argv, code):
     # 2^200000 and C(200000, 100000) have more digits than Python will
-    # print; they are refused with a reason instead of ending in a traceback
+    # print; they are refused with a reason instead of ending in a traceback,
+    # and so is the upper bound 2^14000 * 2^14000 of a product
     proc = subprocess.run(
         [sys.executable, "-m", "wqometer", *argv],
         capture_output=True,
@@ -353,6 +355,33 @@ def test_unprintable_values_are_refused(argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if code == 0:
-        assert "binomial-too-large" in proc.stdout
+        # a refused value shows its reason, a refused upper bound leaves
+        # only the lower bound
+        assert "binomial-too-large" in proc.stdout or "\no = >= " in proc.stdout
     else:
         assert proc.stderr.startswith("unsupported computation: two-pow-finite-too-large")
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("|".join(["o(w+1)"] * 800), 0),
+        ("*".join(["2"] * 800), 0),
+        ("|".join(["o(w+1)"] * 1200), 4),
+        ("(" * 200 + "w" + ")" * 200, 4),
+    ],
+    ids=["union-800", "product-800", "union-1200", "parens-200"],
+)
+def test_deep_expressions_end_in_a_documented_exit_code(text, code):
+    # long chains evaluate at one frame per level; past the recursion limit
+    # (in the parser or the engine) the expression is refused in one line
+    proc = subprocess.run(
+        [sys.executable, "-m", "wqometer", "invariants", text],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 4:
+        assert proc.stderr == "unsupported computation: expression-too-deep\n"

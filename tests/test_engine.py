@@ -6,8 +6,13 @@ import random
 import pytest
 
 from wqometer import (
+    OMEGA,
+    CartProd,
+    DisjUnion,
     Gamma,
     HypothesisNotMet,
+    LexProd,
+    Multisets,
     Ord,
     Pf,
     Phi,
@@ -17,6 +22,7 @@ from wqometer import (
     Words,
     cmp,
     invariants,
+    is_omega_elementary,
     nat_prod,
     parse_expr,
     parse_ordinal,
@@ -24,8 +30,9 @@ from wqometer import (
     two_pow,
     weak_mot,
 )
+from wqometer.engine import _SUMS, _eval
 
-from genlib import random_elementary
+from genlib import random_any_expr, random_elementary, random_ordinal
 
 o = parse_ordinal
 
@@ -152,6 +159,41 @@ def test_omega_elementary_height():
     r = rep("M(o(w))")
     assert exact(r.mot) == o("w^w")
     assert exact(r.width) == o("w^w")
+
+
+def _subterms(e):
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(e.children())
+
+
+def _leaves_to_w(e):
+    if isinstance(e, Ord):
+        return Ord(OMEGA)
+    return e.with_children(tuple(_leaves_to_w(k) for k in e.children()))
+
+
+def test_general_rules_give_omega_elementary_terms_height_w():
+    # no rule pins the height: the general rules give h = w at every
+    # omega-elementary node, Pf ones included (the table's [1+w, 2^w])
+    rng = random.Random(31)
+    seen = 0
+    for _ in range(600):
+        e = _leaves_to_w(random_any_expr(rng, depth=rng.randint(1, 4)))
+        for sub in _subterms(e):
+            if not is_omega_elementary(sub):
+                continue
+            notes = []
+            _o, h, _w = _eval(sub, notes)
+            assert exact(h) == OMEGA, sub
+            assert "omega-elementary-height" in notes
+            r = invariants(sub)
+            assert exact(r.height) == OMEGA
+            assert "omega-elementary-height" in r.notes
+            seen += 1
+    assert seen >= 500, seen
 
 
 # --- general compositional rules ----------------------------------------------
@@ -484,3 +526,56 @@ def test_families_compose_inside_expressions():
     assert exact(r.mot) == o("w+2")
     assert exact(r.height) == o("w")
     assert exact(r.width) == o("w+2")
+
+
+def test_long_chains_evaluate_at_the_default_recursion_limit():
+    # the evaluator, the elimination pass and the classifier each take
+    # one frame per level
+    r = rep("|".join(["o(w+1)"] * 800))
+    assert exact(r.mot) == o("w*800+800")
+    assert exact(r.height) == o("w+1")
+    assert exact(r.width) == o("800")
+    r = rep("*".join(["2"] * 800))
+    assert exact(r.mot) == two_pow(o("800"))
+    tower = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
+    for i in range(450):
+        tower = Multisets(tower) if i % 2 == 0 else Pf(tower)
+    r = invariants(tower)
+    assert r.notes == ("elementary-exact",)
+    assert r.mot.kind == r.height.kind == r.width.kind == "exact"
+
+
+def test_values_too_large_to_print_are_refused():
+    big = Gamma(10**4000)
+    r = invariants(CartProd(big, big))  # o = 10^8000, past the print limit
+    assert r.mot.kind == "unsupported" and r.mot.reason == "value-too-large"
+    assert exact(r.height) == o("1")
+    # sums too: o = w = 2 * 10^4299 has more than 14,281 bits
+    r = invariants(DisjUnion(Gamma(10**4299), Gamma(10**4299)))
+    assert r.mot.reason == r.width.reason == "value-too-large"
+    # the coefficients of exponents count too: o = w^(2 * 10^4299)
+    m = Multisets(Gamma(10**4299))
+    assert invariants(m).mot.kind == "exact"
+    assert invariants(CartProd(m, m)).mot.reason == "value-too-large"
+    # lexicographic products too: w = w^n (.) w^n = w^(2n), n of 4,300 digits
+    phi = Phi(o("w^" + "9" * 4300))
+    assert invariants(LexProd(phi, phi)).width.reason == "value-too-large"
+    # and the product width's lower bound w(B) * o(A) = w^(2n)
+    assert invariants(CartProd(phi, phi)).width.reason == "value-too-large"
+    # an upper bound past the limit is dropped, the lower bound stays
+    r = rep("Pf(G(14000))*Pf(G(14000))")
+    assert r.mot.kind == "lower" and r.mot.lower == o("196028001")
+    # below the limit the upper bound is kept
+    r = rep("Pf(G(14000))|Pf(G(14000))")
+    assert r.mot.kind == "interval"
+    assert r.mot.upper == nat_prod(two_pow(o("14000")), o("2"))
+
+
+def test_sums_keep_the_exponents_of_their_arguments():
+    # what lets `_lift` check only the top-level coefficients of a sum
+    rng = random.Random(9)
+    for _ in range(500):
+        a, b = random_ordinal(rng, 3), random_ordinal(rng, 3)
+        exponents = {e for e, _ in a.terms + b.terms}
+        for fn in _SUMS:
+            assert {e for e, _ in fn(a, b).terms} <= exponents

@@ -201,5 +201,9 @@ def test_classifier_cache_is_invisible():
 
 def test_expr_size():
     assert expr_size(W) == 1
+    tower = W
+    for _ in range(3000):
+        tower = Multisets(tower)
+    assert expr_size(tower) == 3001  # no recursion, so no depth limit
     assert expr_size(parse_expr("w|w")) == 3
     assert expr_size(parse_expr("Pf(w|w)")) == 4

@@ -27,6 +27,7 @@ from wqometer.oracle import (
     RESIDUAL_CAP,
     _multisets_n,
     _pf,
+    _transitive_close,
     est_size,
     residual_height,
     residual_mot,
@@ -198,6 +199,38 @@ def test_random_quasi_order_reproducible_and_valid():
             for j in range(q.n):
                 if q.le(i, j):
                     assert q.rows[j] & ~q.rows[i] == 0
+
+
+# The sampler before the glue pairs joined the first closure, kept as the
+# reference: it closes the DAG, glues, and closes again.
+def _ref_random_quasi_order(rng, n, glue_prob=0.2):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    density = rng.random()
+    rows = [1 << i for i in range(n)]
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            if rng.random() < density:
+                rows[perm[ai]] |= 1 << perm[bi]
+    _transitive_close(rows)
+    if n >= 2 and rng.random() < glue_prob:
+        for _ in range(rng.randint(1, max(1, n // 3))):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        _transitive_close(rows)
+    return FinitePoset(n, tuple(rows))
+
+
+def test_random_quasi_order_matches_two_closure_reference():
+    glued = 0
+    for seed in range(300):
+        n = seed % 60
+        got = random_quasi_order(random.Random(seed), n)
+        assert got == _ref_random_quasi_order(random.Random(seed), n), seed
+        glued += quotient(got).n < n
+    assert glued >= 20
 
 
 def test_json_round_trip():

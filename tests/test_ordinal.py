@@ -24,7 +24,6 @@ from wqometer import (
     omega_pow,
     parse_ordinal,
     pm,
-    sum_omega_powers,
     two_pow,
 )
 
@@ -189,16 +188,6 @@ def test_odot_fixtures():
         odot(o("w*2"), o("w"))
     with pytest.raises(UnsupportedComputation):
         odot(o("3"), o("w"))
-
-
-def test_sum_omega_powers_fixtures():
-    assert sum_omega_powers(o("w+1")) == o("w^w*2")
-    assert sum_omega_powers(o("3")) == o("w^2")
-    assert sum_omega_powers(o("w")) == o("w^w")
-    assert sum_omega_powers(ONE) == ONE           # just w^0
-    assert sum_omega_powers(o("w^2")) == o("w^(w^2)")
-    with pytest.raises(ValueError):
-        sum_omega_powers(ZERO)
 
 
 # --- algebraic laws ----------------------------------------------------------

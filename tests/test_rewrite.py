@@ -7,6 +7,7 @@ import pytest
 from wqometer import (
     CartProd,
     DisjUnion,
+    LexProd,
     LexSum,
     Multisets,
     Ord,
@@ -24,10 +25,11 @@ from wqometer import (
     print_expr,
     step,
 )
+from wqometer.ordinal import ONE, add, mul
 
 from wqometer.rewrite import _raw_match
 
-from genlib import random_elementary
+from genlib import random_any_expr, random_elementary
 
 o = parse_ordinal
 
@@ -262,3 +264,67 @@ def test_eliminate_pf_idempotent():
         e = random_finite_expr(rng, depth=3)
         once = eliminate_pf(e)
         assert eliminate_pf(once) == once
+
+
+# The fixpoint `eliminate_pf` that one innermost pass replaced, kept as its
+# specification: bottom-up whole-tree passes until one changes nothing.
+def _ref_elim_local(e):
+    if isinstance(e, Pf):
+        x = e.arg
+        if isinstance(x, Ord):
+            return Ord(add(ONE, x.value))
+        if isinstance(x, DisjUnion):
+            return CartProd(Pf(x.left), Pf(x.right))
+        if isinstance(x, LexSum):
+            return LexSum(Pf(x.left), PfPlus(x.right))
+    if isinstance(e, PfPlus):
+        x = e.arg
+        if isinstance(x, Ord):
+            return x
+        if isinstance(x, LexSum):
+            return LexSum(PfPlus(x.left), PfPlus(x.right))
+    if isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
+        return Ord(add(e.left.value, e.right.value))
+    if isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
+        return Ord(mul(e.left.value, e.right.value))
+    return None
+
+
+def _ref_elim_pass(e):
+    kids = e.children()
+    changed = False
+    if kids:
+        new_kids = []
+        for k in kids:
+            nk, ch = _ref_elim_pass(k)
+            changed = changed or ch
+            new_kids.append(nk)
+        if changed:
+            e = e.with_children(tuple(new_kids))
+    while True:
+        r = _ref_elim_local(e)
+        if r is None:
+            return e, changed
+        e = r
+        changed = True
+
+
+def _ref_eliminate_pf(e):
+    while True:
+        e, changed = _ref_elim_pass(e)
+        if not changed:
+            return e
+
+
+def test_eliminate_pf_matches_fixpoint_reference():
+    rng = random.Random(5)
+    changed = 0
+    for _ in range(5000):
+        e = random_any_expr(rng, depth=rng.randint(0, 5))
+        want = _ref_eliminate_pf(e)
+        got = eliminate_pf(e)
+        assert got == want, print_expr(e)
+        # the input object comes back exactly when no rule fires
+        assert (got is e) == (want == e), print_expr(e)
+        changed += got is not e
+    assert changed >= 1000, changed
