@@ -1,7 +1,8 @@
 """Invariant engine: computes the maximal order type ``o``, the height
 ``h`` and the width ``w`` of a wqo expression.
 
-Results are :class:`InvariantResult` values because the three invariants
+Results are :class:`InvariantResult` values, immutable slotted records
+whose ``kind`` is fixed when they are made, because the three invariants
 are not always expressible compositionally: depending on the shape of the
 expression a component comes out
 
@@ -23,6 +24,12 @@ two strategies per subtree:
    powersets handled by the sound bound table (1 + x <= f(Pf(A)) <= 2^x
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
+
+A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
+union are natural sums and ``h`` a maximum, both associative, so the left
+spine is walked down to the first node that is not a union or is
+elementary, the parts are evaluated left to right, and each component
+is lifted once with an n-ary natural sum or maximum.
 
 *Omega-elementary* subtrees (the elementary constructors over the single
 leaf w) need no rule of their own: the general rules already give them
@@ -67,6 +74,7 @@ from .ordinal import (
     OMEGA,
     ZERO,
     Ordinal,
+    _printable,
     add,
     cmp,
     hat_nat_sum,
@@ -96,19 +104,57 @@ _PRODUCT_WIDTH_TABLE: dict[tuple[Ordinal, Ordinal], Ordinal] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class InvariantResult:
     """One invariant component, as precise as the rules allow.
 
     ``finite_multiple`` marks an upper bound of the form ``upper * m`` for
     some unspecified finite ``m`` (this is how the powerset height bound
-    behaves at successor heights).
+    behaves at successor heights).  An immutable record: ``kind`` is
+    worked out once, when the record is made.
     """
 
-    lower: Ordinal | None = None
-    upper: Ordinal | None = None
-    finite_multiple: bool = False
-    reason: str | None = None
+    __slots__ = ("lower", "upper", "finite_multiple", "reason", "kind")
+
+    def __init__(
+        self,
+        lower: Ordinal | None = None,
+        upper: Ordinal | None = None,
+        finite_multiple: bool = False,
+        reason: str | None = None,
+    ):
+        if reason is not None:
+            kind = "unsupported"
+        elif upper is None:
+            kind = "lower"
+        elif lower == upper and not finite_multiple:
+            kind = "exact"
+        else:
+            kind = "interval"
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        _set_finite_multiple(self, finite_multiple)
+        _set_reason(self, reason)
+        _set_kind(self, kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InvariantResult is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.lower, self.upper, self.finite_multiple, self.reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"InvariantResult(lower={self.lower!r}, upper={self.upper!r}, "
+            f"finite_multiple={self.finite_multiple!r}, reason={self.reason!r})"
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -133,16 +179,6 @@ class InvariantResult:
         return cls(reason=reason)
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        if self.reason is not None:
-            return "unsupported"
-        if self.upper is None:
-            return "lower"
-        if self.lower == self.upper and not self.finite_multiple:
-            return "exact"
-        return "interval"
 
     @property
     def value(self) -> Ordinal:
@@ -189,6 +225,12 @@ class InvariantResult:
         return f"unsupported ({self.reason})"
 
 
+# the slot setters, which write past the guard in `__setattr__`
+_set_lower, _set_upper, _set_finite_multiple, _set_reason, _set_kind = (
+    getattr(InvariantResult, name).__set__ for name in InvariantResult.__slots__
+)
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     """The three invariants of one expression, plus the weakened order
@@ -230,20 +272,6 @@ def _is_empty(t: _Triple) -> bool:
     """An order is empty exactly when one of its invariants is 0, so one
     exact 0 settles it whatever the other two components say."""
     return any(r.kind == "exact" and r.value.is_zero for r in t)
-
-
-def _printable(a: Ordinal, deep: bool = True) -> bool:
-    """Whether every coefficient of `a` is below 2^(_NAT_EXP_LIMIT + 1),
-    and so prints within Python's digit limit; the coefficients of the
-    exponents are checked too unless `deep` is false."""
-    stack = [a]
-    while stack:
-        for x, c in stack.pop().terms:
-            if c >> _NAT_EXP_LIMIT + 1:
-                return False
-            if deep and x.terms:
-                stack.append(x)
-    return True
 
 
 # sums and maxima take their exponents from their arguments, so only the
@@ -374,37 +402,8 @@ def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
     (binomial at finite widths, 2^w at infinite ones)."""
     bo, bh, bw = base
     notes.append("powerset-bounds")
-
-    if bo.reason is not None:
-        o = InvariantResult.unsupported(bo.reason)
-    else:
-        lo = add(ONE, bo.lower)
-        hi = None
-        if bo.upper is not None and not bo.finite_multiple:
-            try:
-                hi = two_pow(bo.upper)
-            except UnsupportedComputation:
-                hi = None
-        o = InvariantResult.interval(lo, hi) if hi is not None else InvariantResult.lower_only(lo)
-
-    if bh.reason is not None:
-        h = InvariantResult.unsupported(bh.reason)
-    else:
-        lo = add(ONE, bh.lower)
-        hi = None
-        if bh.upper is not None:
-            try:
-                hi = two_pow(bh.upper)
-            except UnsupportedComputation:
-                hi = None
-        if hi is None:
-            h = InvariantResult.lower_only(lo)
-        else:
-            if bh.kind == "exact":
-                fm = bh.value.is_successor or bh.value.is_zero
-            else:
-                fm = True  # cannot rule out a successor height
-            h = InvariantResult.interval(lo, hi, finite_multiple=fm)
+    o = _pf_table_bound(bo, height=False)
+    h = _pf_table_bound(bh, height=True)
 
     if bw.reason is not None:
         w = InvariantResult.unsupported(bw.reason)
@@ -423,6 +422,29 @@ def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
                 pass
 
     return o, h, w
+
+
+def _pf_table_bound(r: InvariantResult, height: bool) -> InvariantResult:
+    """[1 + x, 2^x] from the bounds of `r`; for a height the upper bound
+    holds only up to a finite multiple unless the height is a known limit.
+    A lower bound too large to print makes the result unsupported."""
+    if r.reason is not None:
+        return InvariantResult.unsupported(r.reason)
+    lo = add(ONE, r.lower)
+    if not _printable(lo, deep=False):
+        return InvariantResult.unsupported("value-too-large")
+    hi = None
+    if r.upper is not None and (height or not r.finite_multiple):
+        try:
+            hi = two_pow(r.upper)
+        except UnsupportedComputation:
+            pass
+    if hi is None:
+        return InvariantResult.lower_only(lo)
+    # a successor (or zero) height, or one not known exactly, may be a
+    # successor, where the bound is only 2^x times some finite m
+    fm = height and (r.kind != "exact" or r.value.is_successor or r.value.is_zero)
+    return InvariantResult.interval(lo, hi, finite_multiple=fm)
 
 
 def pf_bounds(e: WqoExpr) -> InvariantReport:
@@ -506,13 +528,16 @@ def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
         return _eval(_desugar(e), notes)
 
     if isinstance(e, DisjUnion):
-        lo, lh, lw = _eval(e.left, notes)
-        ro, rh, rw = _eval(e.right, notes)
-        return (
-            _lift(nat_sum, lo, ro),
-            _lift(max, lh, rh),
-            _lift(nat_sum, lw, rw),
-        )
+        # o and w of a union chain A1|...|An are the natural sums of its
+        # parts and h is their maximum, so the left spine is walked down
+        # to its first non-union or elementary node and lifted once
+        parts = []
+        while isinstance(e, DisjUnion) and elementary_kind(e) != "elementary":
+            parts.append(e.right)
+            e = e.left
+        parts.append(e)
+        mots, heights, widths = zip(*[_eval(p, notes) for p in reversed(parts)])
+        return _lift(nat_sum, *mots), _lift(max, *heights), _lift(nat_sum, *widths)
 
     if isinstance(e, LexSum):
         lo, lh, lw = _eval(e.left, notes)

@@ -412,7 +412,7 @@ class _Parser:
             e = self.parse_lexsum()
             self.expect(")")
             return e
-        if c.isdigit():
+        if c in "0123456789":
             n, self.pos = ord_mod._parse_nat(t, pos)
             return Ord(Ordinal.from_nat(n))
         if c == "w" and not _is_word_start(t, pos):

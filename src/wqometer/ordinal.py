@@ -21,7 +21,8 @@ Text syntax (used by `parse_ordinal` and `str()`), round-trip safe::
     term    := 'w' ['^' atom] ['*' nat] | nat
     atom    := nat | 'w' | '(' ordinal ')'
 
-e.g. ``0``, ``7``, ``w``, ``w^2*8``, ``w^(w^2)*3+w*2+5``.
+e.g. ``0``, ``7``, ``w``, ``w^2*8``, ``w^(w^2)*3+w*2+5``; a ``nat`` is a
+run of the ASCII digits 0-9.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ _MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _NAT_EXP_LIMIT = (
     int((_MAX_STR_DIGITS - 1) * math.log2(10)) if _MAX_STR_DIGITS else 1_000_000
 )
+
+
+def _printable(a: "Ordinal", deep: bool = True) -> bool:
+    """Whether every coefficient of `a` is below 2^(_NAT_EXP_LIMIT + 1),
+    and so prints within Python's digit limit; the coefficients of the
+    exponents are checked too unless `deep` is false."""
+    stack = [a]
+    while stack:
+        for x, c in stack.pop().terms:
+            if c >> _NAT_EXP_LIMIT + 1:
+                return False
+            if deep and x.terms:
+                stack.append(x)
+    return True
 
 
 class Ordinal:
@@ -303,9 +318,22 @@ def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
 # ---------------------------------------------------------------------------
 
 
-def nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Natural sum: merge the two normal forms, adding equal-exponent
-    coefficients.  Commutative, associative, strictly monotone."""
+def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
+    """Natural sum: add the coefficients of equal exponents across all the
+    normal forms.  Commutative, associative, strictly monotone.
+
+    Two arguments are merged in one linear pass over both normal forms.
+    More arguments (a union chain A1|...|An sums all its parts at once)
+    add up the coefficients of each exponent and sort the distinct
+    exponents once, instead of n-1 merges into a growing accumulator.
+    """
+    if more:
+        acc: dict[Ordinal, int] = {}
+        for x in (a, b, *more):
+            for e, c in x.terms:
+                acc[e] = acc.get(e, 0) + c
+        exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
+        return Ordinal(tuple((e, acc[e]) for e in exps))
     out: list[tuple[Ordinal, int]] = []
     i = j = 0
     ta, tb = a.terms, b.terms
@@ -507,7 +535,7 @@ def _parse_term(text: str, pos: int) -> tuple[Ordinal, int]:
         if text.startswith("*", p):
             coeff, pos = _parse_nat(text, p + 1)
         return omega_pow(exponent, coeff), pos
-    if pos < len(text) and text[pos].isdigit():
+    if pos < len(text) and text[pos] in "0123456789":
         n, pos = _parse_nat(text, pos)
         return Ordinal.from_nat(n), pos
     raise ParseError(text, pos, "'w' or a natural number")
@@ -515,7 +543,7 @@ def _parse_term(text: str, pos: int) -> tuple[Ordinal, int]:
 
 def _parse_atom(text: str, pos: int) -> tuple[Ordinal, int]:
     pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos].isdigit():
+    if pos < len(text) and text[pos] in "0123456789":
         n, pos = _parse_nat(text, pos)
         return Ordinal.from_nat(n), pos
     if pos < len(text) and text[pos] == "w":
@@ -532,7 +560,7 @@ def _parse_atom(text: str, pos: int) -> tuple[Ordinal, int]:
 def _parse_nat(text: str, pos: int) -> tuple[int, int]:
     pos = _skip_ws(text, pos)
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":
         pos += 1
     if start == pos:
         raise ParseError(text, pos, "a natural number")

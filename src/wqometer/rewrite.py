@@ -33,7 +33,7 @@ from .expr import (
     is_elementary,
     print_expr,
 )
-from .ordinal import ONE, add, mul
+from .ordinal import ONE, Ordinal, _printable, add, mul
 
 __all__ = [
     "RewriteStep",
@@ -246,11 +246,16 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
 
 
 def _elim_local(e: WqoExpr):
-    """Return (rule name, reduct) when an elimination rule matches the root."""
+    """Return (rule name, reduct) when an elimination rule matches the root.
+    A rule that would make an ordinal leaf too large to print does not
+    fire, so the engine's general rules refuse the value with a reason."""
     if isinstance(e, Pf):
         x = e.arg
         if isinstance(x, Ord):
-            return "powerset-of-ordinal", Ord(add(ONE, x.value))
+            if not x.value.is_finite:
+                # 1 + a = a: the leaf itself, so no new value to check
+                return "powerset-of-ordinal", x
+            return _fused("powerset-of-ordinal", add(ONE, x.value), deep=False)
         if isinstance(x, DisjUnion):
             return "powerset-over-union", CartProd(Pf(x.left), Pf(x.right))
         if isinstance(x, LexSum):
@@ -262,7 +267,14 @@ def _elim_local(e: WqoExpr):
         if isinstance(x, LexSum):
             return "nonempty-powerset-over-sum", LexSum(PfPlus(x.left), PfPlus(x.right))
     if isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return "fuse-ordinal-sum", Ord(add(e.left.value, e.right.value))
+        return _fused("fuse-ordinal-sum", add(e.left.value, e.right.value), deep=False)
     if isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return "fuse-ordinal-product", Ord(mul(e.left.value, e.right.value))
+        return _fused("fuse-ordinal-product", mul(e.left.value, e.right.value), deep=True)
     return None
+
+
+def _fused(rule: str, value: Ordinal, deep: bool):
+    """(rule, leaf) when `value` prints, else None.  A sum takes its
+    exponents from its arguments, so only its top-level coefficients can
+    grow (`deep` false); a product adds exponents, so all are checked."""
+    return (rule, Ord(value)) if _printable(value, deep) else None

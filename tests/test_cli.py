@@ -385,3 +385,33 @@ def test_deep_expressions_end_in_a_documented_exit_code(text, code):
     assert "Traceback" not in proc.stderr
     if code == 4:
         assert proc.stderr == "unsupported computation: expression-too-deep\n"
+
+
+_N = "9" * 4300  # a literal at Python's 4,300-digit print limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"Pf(o({_N}))", f"o({_N})++o({_N})", f"o({_N}).o(2)", f"Pf(G({_N}))"],
+    ids=["pf-ordinal", "ordinal-sum", "ordinal-product", "pf-antichain"],
+)
+def test_literals_at_the_print_limit_are_refused_with_a_reason(capsys, text):
+    # 1 + N, N + N and N * 2 do not print; the fusion or the bound that
+    # would make them is refused instead of ending in a traceback (here,
+    # an exception out of `cli.main`)
+    code, out, err = run(capsys, "invariants", text)
+    assert code in (0, 4)
+    if code == 0:
+        assert "value-too-large" in out
+    else:
+        assert err.startswith("unsupported computation: ")
+
+
+@pytest.mark.parametrize("text", ["²", "o(²)", "w^²", "G(٣)"])
+def test_only_ascii_digits_are_numbers(capsys, text):
+    # superscript two and Arabic-Indic three are digits to str.isdigit,
+    # but not in the grammar
+    code, out, err = run(capsys, "invariants", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error")

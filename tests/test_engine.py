@@ -24,13 +24,18 @@ from wqometer import (
     invariants,
     is_omega_elementary,
     nat_prod,
+    nat_sum,
     parse_expr,
     parse_ordinal,
     pf_bounds,
+    print_expr,
     two_pow,
     weak_mot,
 )
-from wqometer.engine import _SUMS, _eval
+from wqometer import engine
+from wqometer.engine import _SUMS, _eval, _lift
+from wqometer.expr import elementary_kind
+from wqometer.ordinal import _printable
 
 from genlib import random_any_expr, random_elementary, random_ordinal
 
@@ -565,6 +570,10 @@ def test_values_too_large_to_print_are_refused():
     # an upper bound past the limit is dropped, the lower bound stays
     r = rep("Pf(G(14000))*Pf(G(14000))")
     assert r.mot.kind == "lower" and r.mot.lower == o("196028001")
+    # Pf over an infinite ordinal adds no new value (1 + a = a), so a
+    # 4,300-digit coefficient that prints is passed on, not refused
+    r = rep("Pf(o(w*" + "9" * 4300 + "))")
+    assert exact(r.mot) == o("w*" + "9" * 4300)
     # below the limit the upper bound is kept
     r = rep("Pf(G(14000))|Pf(G(14000))")
     assert r.mot.kind == "interval"
@@ -579,3 +588,87 @@ def test_sums_keep_the_exponents_of_their_arguments():
         exponents = {e for e, _ in a.terms + b.terms}
         for fn in _SUMS:
             assert {e for e, _ in fn(a, b).terms} <= exponents
+        # and so do the n-ary sums and maxima of a union chain
+        c = random_ordinal(rng, 3)
+        for fn in (nat_sum, max):
+            assert {e for e, _ in fn(a, b, c).terms} <= exponents | {e for e, _ in c.terms}
+
+
+def _pairwise_union_eval(e, notes):
+    """`_eval` with every union chain folded one pair at a time, through
+    n - 1 growing merges: the reference for the one-pass fold."""
+    if isinstance(e, DisjUnion) and elementary_kind(e) != "elementary":
+        lo, lh, lw = _pairwise_union_eval(e.left, notes)
+        ro, rh, rw = _pairwise_union_eval(e.right, notes)
+        return _lift(nat_sum, lo, ro), _lift(max, lh, rh), _lift(nat_sum, lw, rw)
+    # the engine's own `_eval`, whose recursive calls come back here
+    # while `engine._eval` is patched
+    return _eval(e, notes)
+
+
+def _components(r):
+    results = (r.mot, r.height, r.width)
+    parts = [(x.kind, x.lower, x.upper, x.finite_multiple, x.reason) for x in results]
+    return parts, r.weak_mot, r.notes
+
+
+def _leaves_printable(e) -> bool:
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Ord) and not _printable(x.value):
+            return False
+        stack.extend(x.children())
+    return True
+
+
+def _supported_part(rng: random.Random):
+    """A random term none of whose invariants is unsupported, so that a
+    long chain of them has bounds to combine."""
+    while True:
+        e = random_any_expr(rng, rng.randint(0, 2))
+        r = invariants(e)
+        if all(x.reason is None for x in (r.mot, r.height, r.width)):
+            return e
+
+
+def _random_union_chain(rng: random.Random):
+    """A left-deep chain of 3-300 parts, sometimes led by elementary parts
+    (so its left spine ends in an elementary union) and sometimes with
+    one part of any kind, which may have no supported invariant."""
+    n = rng.randint(3, 300)
+    lead = rng.randint(2, 3) if rng.random() < 0.3 else 0
+    parts = [random_elementary(rng, rng.randint(1, 4)) for _ in range(lead)]
+    parts += [_supported_part(rng) for _ in range(n - lead)]
+    if rng.random() < 0.3:
+        parts[rng.randrange(n)] = random_any_expr(rng, 2)
+    chain = parts[0]
+    for p in parts[1:]:
+        chain = DisjUnion(chain, p)
+    return chain
+
+
+def test_union_fold_matches_pairwise_reference(monkeypatch):
+    # the pairwise fold is kept here as the reference; every component
+    # (kind, bounds, reason, weak o and the notes in order) must agree
+    rng = random.Random(11)
+    terms = [random_any_expr(rng, rng.randint(0, 4)) for _ in range(1500)]
+    terms += [_random_union_chain(rng) for _ in range(40)]
+    for e in terms:
+        if not _leaves_printable(e):
+            continue
+        got = _components(invariants(e))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_eval", _pairwise_union_eval)
+            want = _components(invariants(e))
+        assert got == want, print_expr(e)
+
+
+def test_union_chains_are_associative_at_the_print_limit():
+    # max(N, 1) = N is refused as too large to print in a pairwise fold,
+    # but the maximum of the whole chain is w
+    n = "9" * 4300
+    for text in (f"o({n})|1|w", f"o({n})|(1|w)"):
+        r = rep(text)
+        assert exact(r.height) == OMEGA
+        assert r.mot.reason == "value-too-large"

@@ -1,6 +1,7 @@
 """Ordinal arithmetic: frozen fixtures plus algebraic laws."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +112,8 @@ def test_nat_sum_fixtures():
     assert nat_sum(o("1"), o("w")) == o("w+1")   # unlike +
     assert nat_sum(o("w^2+w"), o("w*2+3")) == o("w^2+w*3+3")
     assert nat_sum(o("w*2"), o("w*2")) == o("w*4")
+    # more than two arguments are summed at once
+    assert nat_sum(o("w"), o("1"), o("w^2+w"), o("2")) == o("w^2+w*2+3")
 
 
 def test_nat_prod_fixtures():
@@ -256,9 +259,37 @@ def test_hat_nat_sum_laws(a, b):
         assert cmp(h, ZERO) > 0
 
 
+def _revalidated(a: Ordinal) -> Ordinal:
+    """`a` rebuilt through the validating constructor, exponents first."""
+    return Ordinal(tuple((_revalidated(e), c) for e, c in a.terms))
+
+
+@given(_ordinals(), _ordinals(), st.lists(_ordinals(), min_size=3, max_size=12))
+def test_arithmetic_results_are_in_cantor_normal_form(a, b, many):
+    # every result passes the validating constructor, exponents included:
+    # the property a constructor that skips the check would rely on
+    results = [
+        add(a, b),
+        mul(a, b),
+        nat_sum(a, b),
+        nat_sum(*many),
+        nat_prod(a, b),
+        two_pow(a),
+        odot(omega_pow(a), b),
+        hstar(a),
+    ]
+    if not a.is_zero:
+        results.append(pm(a))
+    for r in results:
+        assert _revalidated(r) == r
+    # the many-argument sum is the two-argument one, folded
+    assert nat_sum(*many) == reduce(nat_sum, many)
+
+
 def test_parse_errors():
     from wqometer import ParseError
 
-    for bad in ("", "w^", "w+", "+w", "w**2", "(w", "w)"):
+    # only the ASCII digits 0-9 are digits
+    for bad in ("", "w^", "w+", "+w", "w**2", "(w", "w)", "²", "w^²", "w*٣"):
         with pytest.raises(ParseError):
             o(bad)
