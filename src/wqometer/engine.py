@@ -29,7 +29,9 @@ A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so the left
 spine is walked down to the first node that is not a union or is
 elementary, the parts are evaluated left to right, and each component
-is lifted once with an n-ary natural sum or maximum.
+is lifted once with an n-ary natural sum or maximum.  A chain of
+lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
+are n-ary ordinal sums and ``w`` a maximum.
 
 *Omega-elementary* subtrees (the elementary constructors over the single
 leaf w) need no rule of their own: the general rules already give them
@@ -277,6 +279,11 @@ def _is_empty(t: _Triple) -> bool:
 # sums and maxima take their exponents from their arguments, so only the
 # top-level coefficients of their results can grow
 _SUMS = (nat_sum, add, max)
+
+# (o, h, w) of a chain from those of its parts: a union has natural sums
+# for o and w and a maximum for h, a lexicographic sum ordinal sums for o
+# and h and a maximum for w
+_CHAIN_FNS = {DisjUnion: (nat_sum, max, nat_sum), LexSum: (add, add, max)}
 
 
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
@@ -527,26 +534,21 @@ def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
         notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
         return _eval(_desugar(e), notes)
 
-    if isinstance(e, DisjUnion):
-        # o and w of a union chain A1|...|An are the natural sums of its
-        # parts and h is their maximum, so the left spine is walked down
-        # to its first non-union or elementary node and lifted once
+    if isinstance(e, (DisjUnion, LexSum)):
+        # each component of a chain A1|...|An or A1++...++An is an
+        # associative function of its parts, so the left spine is walked
+        # down to its first node of another kind (or elementary union),
+        # the parts are evaluated left to right, and each component is
+        # lifted once
+        node = type(e)
         parts = []
-        while isinstance(e, DisjUnion) and elementary_kind(e) != "elementary":
+        while isinstance(e, node) and elementary_kind(e) != "elementary":
             parts.append(e.right)
             e = e.left
         parts.append(e)
         mots, heights, widths = zip(*[_eval(p, notes) for p in reversed(parts)])
-        return _lift(nat_sum, *mots), _lift(max, *heights), _lift(nat_sum, *widths)
-
-    if isinstance(e, LexSum):
-        lo, lh, lw = _eval(e.left, notes)
-        ro, rh, rw = _eval(e.right, notes)
-        return (
-            _lift(add, lo, ro),
-            _lift(add, lh, rh),
-            _lift(max, lw, rw),
-        )
+        fo, fh, fw = _CHAIN_FNS[node]
+        return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
     if isinstance(e, (CartProd, LexProd)):
         # a singleton factor leaves the other factor unchanged, and an

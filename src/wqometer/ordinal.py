@@ -8,6 +8,12 @@ in the exponent.  Zero is the empty tuple.  Everything here stays below
 epsilon_0, so exponent towers are always finite and structural recursion
 terminates.
 
+Callers build ordinals with `Ordinal(terms)`, which checks that normal
+form.  The arithmetic here builds its results with the private `_cnf`,
+which skips the check: each operation yields normal form by construction,
+and the test suite checks every one of them against the validating
+constructor.
+
 Besides the classical operations (comparison, sum, product, left
 subtraction, Hessenberg natural sum/product) this module implements the
 more exotic functions the composition tables call for: base-2
@@ -91,8 +97,8 @@ class Ordinal:
                 raise ValueError(f"bad CNF term {(e, c)!r}")
             if i and cmp(terms[i - 1][0], e) <= 0:
                 raise ValueError("CNF exponents must strictly decrease")
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, tuple(terms))
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Ordinal is immutable")
@@ -101,7 +107,7 @@ class Ordinal:
     def from_nat(n: int) -> "Ordinal":
         if n < 0:
             raise ValueError("ordinals are not negative")
-        return ZERO if n == 0 else Ordinal(((ZERO, n),))
+        return ZERO if n == 0 else _cnf(((ZERO, n),))
 
     # -- structural predicates ------------------------------------------
 
@@ -151,9 +157,7 @@ class Ordinal:
         """Predecessor of a successor ordinal."""
         if not self.is_successor:
             raise ValueError(f"{self} is not a successor")
-        e, c = self.terms[-1]
-        rest = self.terms[:-1]
-        return Ordinal(rest if c == 1 else rest + ((e, c - 1),))
+        return _dec_last(self)
 
     # -- operators -------------------------------------------------------
 
@@ -176,10 +180,10 @@ class Ordinal:
         return cmp(self, other) >= 0
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
+        h = self._hash
         if h is None:
             h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __add__(self, other):
@@ -204,6 +208,20 @@ class Ordinal:
 
     def __repr__(self):
         return f"Ordinal[{self}]"
+
+
+# the slot setters, which write past the guard in `__setattr__`
+_set_terms, _set_hash = (getattr(Ordinal, name).__set__ for name in Ordinal.__slots__)
+
+
+def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
+    """The ordinal with the given terms, which must already be in Cantor
+    normal form: the arithmetic below builds its results this way, as its
+    exponents strictly decrease by construction, and skips the check."""
+    a = object.__new__(Ordinal)
+    _set_terms(a, terms)
+    _set_hash(a, None)
+    return a
 
 
 def _coerce(x) -> Ordinal:
@@ -254,8 +272,32 @@ def cmp(a: Ordinal, b: Ordinal) -> int:
     return 0 if na == nb else (-1 if na < nb else 1)
 
 
-def add(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal sum a + b (absorbs a's terms below b's leading exponent)."""
+def add(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
+    """Ordinal sum a + b + ...: each summand absorbs the terms before it
+    whose exponents are below its leading exponent.  Associative, not
+    commutative.
+
+    Two arguments are joined with one scan of a's normal form.  More
+    arguments (a lexicographic chain A1++...++An sums all its parts at
+    once) run one left-to-right pass over a list of terms: each summand
+    pops the trailing terms its leading exponent absorbs, merges an equal
+    exponent, and appends the rest, instead of n-1 copies of a growing
+    partial sum.
+    """
+    if more:
+        out: list[tuple[Ordinal, int]] = []
+        for x in (a, b, *more):
+            if not x.terms:
+                continue
+            lead, c = x.terms[0]
+            while out and (k := cmp(out[-1][0], lead)) < 0:
+                out.pop()
+            if out and k == 0:
+                out[-1] = (lead, out[-1][1] + c)
+                out.extend(x.terms[1:])
+            else:
+                out.extend(x.terms)
+        return _cnf(tuple(out))
     if a.is_zero:
         return b
     if b.is_zero:
@@ -266,8 +308,8 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
         keep += 1
     if keep < len(a.terms) and cmp(a.terms[keep][0], lead) == 0:
         merged = (lead, a.terms[keep][1] + b.terms[0][1])
-        return Ordinal(a.terms[:keep] + (merged,) + b.terms[1:])
-    return Ordinal(a.terms[:keep] + b.terms)
+        return _cnf(a.terms[:keep] + (merged,) + b.terms[1:])
+    return _cnf(a.terms[:keep] + b.terms)
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -279,14 +321,14 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
         i += 1
     if i == len(a.terms):
         # a is a prefix of b; left-cancel it
-        return Ordinal(b.terms[i:])
+        return _cnf(b.terms[i:])
     ea, ca = a.terms[i]
     eb, cb = b.terms[i]
     if cmp(ea, eb) == 0:
         # ca < cb here, otherwise a > b
-        return Ordinal(((eb, cb - ca),) + b.terms[i + 1 :])
+        return _cnf(((eb, cb - ca),) + b.terms[i + 1 :])
     # ea < eb: the remainder of b swallows a's tail
-    return Ordinal(b.terms[i:])
+    return _cnf(b.terms[i:])
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -303,14 +345,14 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
         else:
             out.append((add(lead_e, f), d))
     # blocks arrive with strictly decreasing exponents, so this is valid CNF
-    return Ordinal(tuple(out))
+    return _cnf(tuple(out))
 
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e (times an optional positive coefficient)."""
     if coeff < 1:
         raise ValueError("coefficient must be >= 1")
-    return Ordinal(((e, coeff),))
+    return _cnf(((e, coeff),))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +375,7 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
             for e, c in x.terms:
                 acc[e] = acc.get(e, 0) + c
         exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
-        return Ordinal(tuple((e, acc[e]) for e in exps))
+        return _cnf(tuple((e, acc[e]) for e in exps))
     out: list[tuple[Ordinal, int]] = []
     i = j = 0
     ta, tb = a.terms, b.terms
@@ -351,7 +393,7 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
             j += 1
     out.extend(ta[i:])
     out.extend(tb[j:])
-    return Ordinal(tuple(out))
+    return _cnf(tuple(out))
 
 
 def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -363,7 +405,7 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
             g = nat_sum(e, f)
             acc[g] = acc.get(g, 0) + c * d
     exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
-    return Ordinal(tuple((e, acc[e]) for e in exps))
+    return _cnf(tuple((e, acc[e]) for e in exps))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +429,7 @@ def decompose_omega(a: Ordinal) -> tuple[Ordinal, int]:
             quo.append((Ordinal.from_nat(e.nat - 1), c))
         else:
             quo.append((e, c))
-    return Ordinal(tuple(quo)), n
+    return _cnf(tuple(quo)), n
 
 
 def two_pow(a: Ordinal) -> Ordinal:
@@ -441,7 +483,7 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
                 cut = e
     assert cut is not None
     merged = nat_sum(parts[0], parts[1])
-    kept = Ordinal(tuple(t for t in merged.terms if cmp(t[0], cut) >= 0))
+    kept = _cnf(tuple(t for t in merged.terms if cmp(t[0], cut) >= 0))
     return add(kept, omega_pow(cut))
 
 
@@ -449,7 +491,7 @@ def _dec_last(x: Ordinal) -> Ordinal:
     """x with its last CNF coefficient lowered by one."""
     e, c = x.terms[-1]
     rest = x.terms[:-1]
-    return Ordinal(rest if c == 1 else rest + ((e, c - 1),))
+    return _cnf(rest if c == 1 else rest + ((e, c - 1),))
 
 
 def pm(a: Ordinal) -> Ordinal:
@@ -488,7 +530,7 @@ def odot(a: Ordinal, b: Ordinal) -> Ordinal:
         )
     e = a.terms[0][0]
     # exponents e+f inherit b's strict ordering, so this is already CNF
-    return Ordinal(tuple((add(e, f), c) for f, c in b.terms))
+    return _cnf(tuple((add(e, f), c) for f, c in b.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +552,22 @@ def parse_ordinal_prefix(text: str, pos: int) -> tuple[Ordinal, int]:
 
     Exposed so the expression parser can read ordinal arguments in place.
     Sums are folded left with ordinal addition, so non-normal spellings
-    like ``1+w`` are accepted and normalised.
+    like ``1+w`` are accepted and normalised.  A sum whose coefficients
+    may not print (see `_printable`) is refused.
     """
-    value, pos = _parse_term(text, pos)
+    start = _skip_ws(text, pos)
+    value, pos = _parse_term(text, start)
+    summed = False
     while True:
         p = _skip_ws(text, pos)
         # a lone '+' continues the sum; '++' belongs to the expression layer
         if text.startswith("+", p) and not text.startswith("++", p):
             term, pos = _parse_term(text, p + 1)
             value = add(value, term)
+            summed = True
+        elif summed and not _printable(value, deep=False):
+            # the exponents were parsed, and checked, on their own
+            raise ParseError(text, start, "a sum small enough to print")
         else:
             return value, pos
 
@@ -533,7 +582,10 @@ def _parse_term(text: str, pos: int) -> tuple[Ordinal, int]:
         coeff = 1
         p = _skip_ws(text, pos)
         if text.startswith("*", p):
-            coeff, pos = _parse_nat(text, p + 1)
+            p = _skip_ws(text, p + 1)
+            coeff, pos = _parse_nat(text, p)
+            if coeff == 0:
+                raise ParseError(text, p, "a coefficient of at least 1")
         return omega_pow(exponent, coeff), pos
     if pos < len(text) and text[pos] in "0123456789":
         n, pos = _parse_nat(text, pos)
@@ -564,6 +616,10 @@ def _parse_nat(text: str, pos: int) -> tuple[int, int]:
         pos += 1
     if start == pos:
         raise ParseError(text, pos, "a natural number")
+    if _MAX_STR_DIGITS and pos - start > _MAX_STR_DIGITS:
+        raise ParseError(
+            text, start, f"a natural number of at most {_MAX_STR_DIGITS} digits"
+        )
     return int(text[start:pos]), pos
 
 

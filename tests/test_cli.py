@@ -407,6 +407,26 @@ def test_literals_at_the_print_limit_are_refused_with_a_reason(capsys, text):
         assert err.startswith("unsupported computation: ")
 
 
+_N1 = _N + "9"  # one digit past the limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"o({_N1})", f"G({_N1})", f"o(w^{_N1})", _N1, f"o(w*{_N}+w*{_N})",
+     f"Phi(w*{_N}+w*{_N})", "o(w*0)", "w^(w*0)", "Phi(w*0)", "Sim(w*0)"],
+    ids=["ordinal", "antichain", "exponent", "bare", "ordinal-sum", "phi-sum",
+         "zero-coeff", "zero-coeff-exponent", "zero-coeff-phi", "zero-coeff-sim"],
+)
+def test_oversized_literals_and_zero_coefficients_are_parse_errors(capsys, text):
+    # a literal that does not convert, a sum of literals that does not
+    # print, or w*0 is refused by the parser instead of ending in a
+    # traceback (here, an exception out of `cli.main`)
+    code, out, err = run(capsys, "invariants", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error")
+
+
 @pytest.mark.parametrize("text", ["²", "o(²)", "w^²", "G(٣)"])
 def test_only_ascii_digits_are_numbers(capsys, text):
     # superscript two and Arabic-Indic three are digits to str.isdigit,

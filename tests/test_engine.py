@@ -12,6 +12,7 @@ from wqometer import (
     Gamma,
     HypothesisNotMet,
     LexProd,
+    LexSum,
     Multisets,
     Ord,
     Pf,
@@ -20,6 +21,7 @@ from wqometer import (
     SimExt,
     UnsupportedComputation,
     Words,
+    add,
     cmp,
     invariants,
     is_omega_elementary,
@@ -588,19 +590,24 @@ def test_sums_keep_the_exponents_of_their_arguments():
         exponents = {e for e, _ in a.terms + b.terms}
         for fn in _SUMS:
             assert {e for e, _ in fn(a, b).terms} <= exponents
-        # and so do the n-ary sums and maxima of a union chain
+        # and so do the n-ary sums and maxima of a chain
         c = random_ordinal(rng, 3)
-        for fn in (nat_sum, max):
+        for fn in _SUMS:
             assert {e for e, _ in fn(a, b, c).terms} <= exponents | {e for e, _ in c.terms}
 
 
-def _pairwise_union_eval(e, notes):
-    """`_eval` with every union chain folded one pair at a time, through
-    n - 1 growing merges: the reference for the one-pass fold."""
+def _pairwise_chain_eval(e, notes):
+    """`_eval` with every union chain and every lexicographic chain folded
+    one pair at a time, through n - 1 growing partial results: the
+    reference for the one-pass fold."""
     if isinstance(e, DisjUnion) and elementary_kind(e) != "elementary":
-        lo, lh, lw = _pairwise_union_eval(e.left, notes)
-        ro, rh, rw = _pairwise_union_eval(e.right, notes)
+        lo, lh, lw = _pairwise_chain_eval(e.left, notes)
+        ro, rh, rw = _pairwise_chain_eval(e.right, notes)
         return _lift(nat_sum, lo, ro), _lift(max, lh, rh), _lift(nat_sum, lw, rw)
+    if isinstance(e, LexSum):
+        lo, lh, lw = _pairwise_chain_eval(e.left, notes)
+        ro, rh, rw = _pairwise_chain_eval(e.right, notes)
+        return _lift(add, lo, ro), _lift(add, lh, rh), _lift(max, lw, rw)
     # the engine's own `_eval`, whose recursive calls come back here
     # while `engine._eval` is patched
     return _eval(e, notes)
@@ -632,10 +639,11 @@ def _supported_part(rng: random.Random):
             return e
 
 
-def _random_union_chain(rng: random.Random):
-    """A left-deep chain of 3-300 parts, sometimes led by elementary parts
-    (so its left spine ends in an elementary union) and sometimes with
-    one part of any kind, which may have no supported invariant."""
+def _random_chain(rng: random.Random, node):
+    """A left-deep chain of 3-300 parts joined by `node` (`DisjUnion` or
+    `LexSum`), sometimes led by elementary parts (so the left spine of a
+    union ends in an elementary union) and sometimes with one part of any
+    kind, which may have no supported invariant."""
     n = rng.randint(3, 300)
     lead = rng.randint(2, 3) if rng.random() < 0.3 else 0
     parts = [random_elementary(rng, rng.randint(1, 4)) for _ in range(lead)]
@@ -644,7 +652,7 @@ def _random_union_chain(rng: random.Random):
         parts[rng.randrange(n)] = random_any_expr(rng, 2)
     chain = parts[0]
     for p in parts[1:]:
-        chain = DisjUnion(chain, p)
+        chain = node(chain, p)
     return chain
 
 
@@ -653,13 +661,14 @@ def test_union_fold_matches_pairwise_reference(monkeypatch):
     # (kind, bounds, reason, weak o and the notes in order) must agree
     rng = random.Random(11)
     terms = [random_any_expr(rng, rng.randint(0, 4)) for _ in range(1500)]
-    terms += [_random_union_chain(rng) for _ in range(40)]
+    terms += [_random_chain(rng, DisjUnion) for _ in range(40)]
+    terms += [_random_chain(rng, LexSum) for _ in range(40)]
     for e in terms:
         if not _leaves_printable(e):
             continue
         got = _components(invariants(e))
         with monkeypatch.context() as m:
-            m.setattr(engine, "_eval", _pairwise_union_eval)
+            m.setattr(engine, "_eval", _pairwise_chain_eval)
             want = _components(invariants(e))
         assert got == want, print_expr(e)
 
@@ -672,3 +681,13 @@ def test_union_chains_are_associative_at_the_print_limit():
         r = rep(text)
         assert exact(r.height) == OMEGA
         assert r.mot.reason == "value-too-large"
+
+
+def test_lex_sum_chains_are_associative_at_the_print_limit():
+    # N + N is refused as too large to print in a pairwise fold, but the
+    # ordinal sum of the whole chain is w, which absorbs both N
+    n = "9" * 4300
+    for text in (f"o({n})++o({n})++w", f"o({n})++(o({n})++w)"):
+        r = rep(text)
+        assert exact(r.mot) == exact(r.height) == OMEGA
+        assert exact(r.width) == o("1")

@@ -1,7 +1,7 @@
 """Ordinal arithmetic: frozen fixtures plus algebraic laws."""
 
 import random
-from functools import reduce
+from functools import cmp_to_key, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from wqometer import (
     OMEGA,
     ZERO,
     Ordinal,
+    ParseError,
     UnsupportedComputation,
     add,
     cmp,
@@ -264,32 +265,88 @@ def _revalidated(a: Ordinal) -> Ordinal:
     return Ordinal(tuple((_revalidated(e), c) for e, c in a.terms))
 
 
-@given(_ordinals(), _ordinals(), st.lists(_ordinals(), min_size=3, max_size=12))
-def test_arithmetic_results_are_in_cantor_normal_form(a, b, many):
+@given(
+    _ordinals(),
+    _ordinals(),
+    st.lists(_ordinals(), min_size=3, max_size=12),
+    st.integers(min_value=0, max_value=10**30),
+)
+def test_arithmetic_results_are_in_cantor_normal_form(a, b, many, n):
     # every result passes the validating constructor, exponents included:
-    # the property a constructor that skips the check would rely on
+    # the arithmetic builds its results with `_cnf`, which relies on this
+    lo, hi = sorted((a, b), key=cmp_to_key(cmp))
     results = [
+        Ordinal.from_nat(n),
+        omega_pow(a, n + 1),
         add(a, b),
+        add(*many),
+        left_subtract(lo, hi),
+        left_subtract(a, add(a, b)),
         mul(a, b),
         nat_sum(a, b),
         nat_sum(*many),
         nat_prod(a, b),
+        decompose_omega(a)[0],
         two_pow(a),
+        hat_nat_sum(a, b),  # `_dec_last` and `pred` at a limit or successor
         odot(omega_pow(a), b),
         hstar(a),
     ]
     if not a.is_zero:
         results.append(pm(a))
+    if a.is_successor:
+        results.append(a.pred())
     for r in results:
         assert _revalidated(r) == r
-    # the many-argument sum is the two-argument one, folded
+    # the many-argument sums are the two-argument ones, folded
     assert nat_sum(*many) == reduce(nat_sum, many)
+    assert add(*many) == reduce(add, many)
+
+
+def test_the_public_constructor_validates():
+    two = o("2")
+    for bad in (
+        ((ONE, 1), (OMEGA, 1)),  # increasing exponents
+        ((OMEGA, 2), (OMEGA, 1)),  # a repeated exponent
+        ((two, 1), (ONE, 0)),  # a coefficient of 0
+        ((ONE, -1),),
+        ((1, 1),),  # an exponent that is not an Ordinal
+        ((two, 1), ("w", 1)),
+    ):
+        with pytest.raises(ValueError):
+            Ordinal(bad)
+    assert Ordinal(((two, 3), (ONE, 1), (ZERO, 2))) == o("w^2*3+w+2")
 
 
 def test_parse_errors():
-    from wqometer import ParseError
-
     # only the ASCII digits 0-9 are digits
     for bad in ("", "w^", "w+", "+w", "w**2", "(w", "w)", "²", "w^²", "w*٣"):
         with pytest.raises(ParseError):
             o(bad)
+
+
+def test_zero_coefficients_are_parse_errors():
+    # w*0 is not a CNF term; the error points at the coefficient
+    for bad, pos in (("w*0", 2), ("w^2 * 0", 6), ("w^(w*0)", 5), ("w+w*00", 4)):
+        with pytest.raises(ParseError) as ei:
+            o(bad)
+        assert ei.value.pos == pos, bad
+        assert ei.value.expected == "a coefficient of at least 1"
+    assert o("w*1") == OMEGA and o("w*01") == OMEGA
+
+
+def test_literals_and_sums_past_the_print_limit_are_parse_errors():
+    n = "9" * 4300  # the longest literal that converts
+    assert o(n).nat == 10**4300 - 1
+    assert str(o(f"w^{n}*{n}")) == f"w^{n}*{n}"
+    for bad in (n + "9", f"w*{n}9", f"w^{n}9", f"w^(w*{n}9)"):
+        with pytest.raises(ParseError):
+            o(bad)
+    # each literal converts, but their sum does not print; the check is
+    # `_printable`'s, which is conservative, so a sum keeping a 4,300-digit
+    # coefficient is refused too
+    for bad in (f"w*{n}+w*{n}", f"w^(w*{n}+w*{n})", f"{n}+{n}", f"1+w*{n}"):
+        with pytest.raises(ParseError):
+            o(bad)
+    m = "4" * 4299
+    assert o(f"w*{m}+w*{m}") == omega_pow(ONE, 2 * int(m))
