@@ -68,6 +68,8 @@ _MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _NAT_EXP_LIMIT = (
     int((_MAX_STR_DIGITS - 1) * math.log2(10)) if _MAX_STR_DIGITS else 1_000_000
 )
+# The least integer too long to print, if there is such a limit.
+_MAX_NAT = 10**_MAX_STR_DIGITS if _MAX_STR_DIGITS else 0
 
 
 def _printable(a: "Ordinal", deep: bool = True) -> bool:
@@ -277,39 +279,24 @@ def add(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
     whose exponents are below its leading exponent.  Associative, not
     commutative.
 
-    Two arguments are joined with one scan of a's normal form.  More
+    One left-to-right pass over a list of terms, for any number of
     arguments (a lexicographic chain A1++...++An sums all its parts at
-    once) run one left-to-right pass over a list of terms: each summand
-    pops the trailing terms its leading exponent absorbs, merges an equal
-    exponent, and appends the rest, instead of n-1 copies of a growing
-    partial sum.
+    once): each summand pops the trailing terms its leading exponent
+    absorbs, merges an equal exponent, and appends the rest.
     """
-    if more:
-        out: list[tuple[Ordinal, int]] = []
-        for x in (a, b, *more):
-            if not x.terms:
-                continue
-            lead, c = x.terms[0]
-            while out and (k := cmp(out[-1][0], lead)) < 0:
-                out.pop()
-            if out and k == 0:
-                out[-1] = (lead, out[-1][1] + c)
-                out.extend(x.terms[1:])
-            else:
-                out.extend(x.terms)
-        return _cnf(tuple(out))
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    lead = b.terms[0][0]
-    keep = 0
-    while keep < len(a.terms) and cmp(a.terms[keep][0], lead) > 0:
-        keep += 1
-    if keep < len(a.terms) and cmp(a.terms[keep][0], lead) == 0:
-        merged = (lead, a.terms[keep][1] + b.terms[0][1])
-        return _cnf(a.terms[:keep] + (merged,) + b.terms[1:])
-    return _cnf(a.terms[:keep] + b.terms)
+    out = list(a.terms)
+    for x in (b, *more):
+        if not x.terms:
+            continue
+        lead, c = x.terms[0]
+        while out and (k := cmp(out[-1][0], lead)) < 0:
+            out.pop()
+        if out and k == 0:
+            out[-1] = (lead, out[-1][1] + c)
+            out.extend(x.terms[1:])
+        else:
+            out.extend(x.terms)
+    return _cnf(tuple(out))
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -350,6 +337,8 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def omega_pow(e: Ordinal, coeff: int = 1) -> Ordinal:
     """w^e (times an optional positive coefficient)."""
+    if not isinstance(e, Ordinal):
+        raise ValueError(f"bad exponent {e!r}")
     if coeff < 1:
         raise ValueError("coefficient must be >= 1")
     return _cnf(((e, coeff),))
@@ -552,8 +541,8 @@ def parse_ordinal_prefix(text: str, pos: int) -> tuple[Ordinal, int]:
 
     Exposed so the expression parser can read ordinal arguments in place.
     Sums are folded left with ordinal addition, so non-normal spellings
-    like ``1+w`` are accepted and normalised.  A sum whose coefficients
-    may not print (see `_printable`) is refused.
+    like ``1+w`` are accepted and normalised.  A sum that merges terms
+    into a coefficient too long to print is refused.
     """
     start = _skip_ws(text, pos)
     value, pos = _parse_term(text, start)
@@ -565,7 +554,7 @@ def parse_ordinal_prefix(text: str, pos: int) -> tuple[Ordinal, int]:
             term, pos = _parse_term(text, p + 1)
             value = add(value, term)
             summed = True
-        elif summed and not _printable(value, deep=False):
+        elif summed and _MAX_NAT and any(c >= _MAX_NAT for _, c in value.terms):
             # the exponents were parsed, and checked, on their own
             raise ParseError(text, start, "a sum small enough to print")
         else:

@@ -316,6 +316,10 @@ def test_the_public_constructor_validates():
         with pytest.raises(ValueError):
             Ordinal(bad)
     assert Ordinal(((two, 3), (ONE, 1), (ZERO, 2))) == o("w^2*3+w+2")
+    # omega_pow builds its result unchecked, so it checks its arguments
+    for e, c in ((2, 1), ("w", 1), (ONE, 0)):
+        with pytest.raises(ValueError):
+            omega_pow(e, c)
 
 
 def test_parse_errors():
@@ -342,11 +346,12 @@ def test_literals_and_sums_past_the_print_limit_are_parse_errors():
     for bad in (n + "9", f"w*{n}9", f"w^{n}9", f"w^(w*{n}9)"):
         with pytest.raises(ParseError):
             o(bad)
-    # each literal converts, but their sum does not print; the check is
-    # `_printable`'s, which is conservative, so a sum keeping a 4,300-digit
-    # coefficient is refused too
-    for bad in (f"w*{n}+w*{n}", f"w^(w*{n}+w*{n})", f"{n}+{n}", f"1+w*{n}"):
+    # each literal converts, but their sum does not print
+    for bad in (f"w*{n}+w*{n}", f"w^(w*{n}+w*{n})", f"{n}+{n}", f"w*{n}+w*1"):
         with pytest.raises(ParseError):
             o(bad)
+    # a sum that merges no coefficients keeps the literals as they were read
+    assert o(f"w*{n}+1") == add(omega_pow(ONE, int(n)), ONE)
+    assert o(f"1+w*{n}") == omega_pow(ONE, int(n))
     m = "4" * 4299
     assert o(f"w*{m}+w*{m}") == omega_pow(ONE, 2 * int(m))
