@@ -24,11 +24,18 @@ Grammar (ASCII, whitespace free-form)::
 All binary operators associate to the left.  Bare ordinal literals are
 restricted to single-term spellings (naturals, ``w``, ``w^atom``) so that
 ``*`` and ``+`` always mean product and sum of wqos; composite ordinals go
-through ``o(...)``.  ``parse_expr`` and ``print_expr`` round-trip.
+through ``o(...)``.
+
+The tokens, precedences and constructor names live in one table
+(``_INFIX``, ``_WORDS`` and ``_CALLS`` below), the one source that both
+``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
+keeps its stacks on the heap, so expression nesting costs it no Python
+frames.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from operator import attrgetter
@@ -109,7 +116,7 @@ class Gamma(WqoExpr):
 
     def __post_init__(self):
         if self.size < 1:
-            raise ValueError("antichains G(k) need k >= 1")
+            raise ValueError("k >= 1 in G(k)")
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ class MultisetsN(WqoExpr):
 
     def __post_init__(self):
         if self.size < 0:
-            raise ValueError("Mn(e, n) needs n >= 0")
+            raise ValueError("n >= 0 in Mn(e, n)")
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ class Phi(WqoExpr):
 
     def __post_init__(self):
         if self.value.is_zero:
-            raise ValueError("Phi(a) needs a >= 1")
+            raise ValueError("a >= 1 in Phi(a)")
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ class SimExt(WqoExpr):
 
     def __post_init__(self):
         if self.copies < 1:
-            raise ValueError("SimExt(a, m) needs m >= 1")
+            raise ValueError("m >= 1 in SimExt(a, m)")
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +280,48 @@ def expr_size(e: WqoExpr) -> int:
 
 
 # ---------------------------------------------------------------------------
+# concrete syntax: the one table that parse_expr and print_expr read
+# ---------------------------------------------------------------------------
+
+# infix token -> (precedence, class); every operator associates to the
+# left, precedences start at 1, and a class prints as its first token
+_INFIX = {
+    "++": (1, LexSum),
+    "+": (1, LexSum),
+    "|": (2, DisjUnion),
+    "*": (3, CartProd),
+    ".": (3, LexProd),
+}
+# finite words: a postfix operator that binds tighter than every infix one
+_WORDS = "^<w"
+_WORDS_PREC = 4
+# constructor name -> (class, argument kinds), the arguments being the
+# class's fields in order: "e" an expression, "a" an ordinal, "n" a
+# natural number
+_CALLS = {
+    "o": (Ord, "a"),
+    "G": (Gamma, "n"),
+    "Pf": (Pf, "e"),
+    "Pf+": (PfPlus, "e"),
+    "M": (Multisets, "e"),
+    "Mn": (MultisetsN, "en"),
+    "Phi": (Phi, "a"),
+    "Sim": (Sim, "a"),
+    "SimExt": (SimExt, "an"),
+}
+
+# ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
 
-_PREC_LEXSUM = 1
-_PREC_UNION = 2
-_PREC_PROD = 3
-_PREC_POSTFIX = 4
-_PREC_ATOM = 5
+# the table read backwards: each operator class with its precedence and
+# printed token, each constructor class with its name and (field, kind)s
+_OPERATOR = {cls: (prec, tok) for tok, (prec, cls) in reversed(_INFIX.items())}
+_OPERATOR[Words] = (_WORDS_PREC, _WORDS)
+_CONSTRUCTOR = {
+    cls: (name, tuple(zip([f.name for f in fields(cls)], kinds)))
+    for name, (cls, kinds) in _CALLS.items()
+}
 
 
 def print_expr(e: WqoExpr) -> str:
@@ -289,43 +330,22 @@ def print_expr(e: WqoExpr) -> str:
 
 
 def _pp(e: WqoExpr, min_prec: int) -> str:
-    if isinstance(e, LexSum):
-        prec = _PREC_LEXSUM
-        s = f"{_pp(e.left, prec)}++{_pp(e.right, prec + 1)}"
-    elif isinstance(e, DisjUnion):
-        prec = _PREC_UNION
-        s = f"{_pp(e.left, prec)}|{_pp(e.right, prec + 1)}"
-    elif isinstance(e, CartProd):
-        prec = _PREC_PROD
-        s = f"{_pp(e.left, prec)}*{_pp(e.right, prec + 1)}"
-    elif isinstance(e, LexProd):
-        prec = _PREC_PROD
-        s = f"{_pp(e.left, prec)}.{_pp(e.right, prec + 1)}"
-    elif isinstance(e, Words):
-        prec = _PREC_POSTFIX
-        s = f"{_pp(e.arg, prec)}^<w"
+    cls = type(e)
+    call = _CONSTRUCTOR.get(cls)
+    if call is not None:
+        if cls is Ord and e.value.is_finite:
+            return str(e.value.nat)
+        name, params = call
+        args = []
+        for field, kind in params:
+            value = getattr(e, field)
+            args.append(_pp(value, 0) if kind == "e" else str(value))
+        return f"{name}({','.join(args)})"
+    prec, tok = _OPERATOR[cls]
+    if cls is Words:
+        s = _pp(e.arg, prec) + tok
     else:
-        prec = _PREC_ATOM
-        if isinstance(e, Ord):
-            s = str(e.value.nat) if e.value.is_finite else f"o({e.value})"
-        elif isinstance(e, Gamma):
-            s = f"G({e.size})"
-        elif isinstance(e, Pf):
-            s = f"Pf({_pp(e.arg, 0)})"
-        elif isinstance(e, PfPlus):
-            s = f"Pf+({_pp(e.arg, 0)})"
-        elif isinstance(e, Multisets):
-            s = f"M({_pp(e.arg, 0)})"
-        elif isinstance(e, MultisetsN):
-            s = f"Mn({_pp(e.arg, 0)},{e.size})"
-        elif isinstance(e, Phi):
-            s = f"Phi({e.value})"
-        elif isinstance(e, Sim):
-            s = f"Sim({e.value})"
-        elif isinstance(e, SimExt):
-            s = f"SimExt({e.value},{e.copies})"
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {e!r}")
+        s = f"{_pp(e.left, prec)}{tok}{_pp(e.right, prec + 1)}"
     return f"({s})" if prec < min_prec else s
 
 
@@ -333,178 +353,122 @@ def _pp(e: WqoExpr, min_prec: int) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 
+# one token after blanks: a multi-character token that is not all letters,
+# a run of letters, any other character, or nothing at the end of the text
+_TOKEN = re.compile(
+    "[ \t]*(%s|[^\\W\\d_]+|.?)"
+    % "|".join(
+        re.escape(t)
+        for t in sorted((*_INFIX, _WORDS, *_CALLS), key=len, reverse=True)
+        if len(t) > 1 and not t.isalpha()
+    ),
+    re.DOTALL,
+)
+# what may start an operand (the internal Pf+ is not offered)
+_OPERAND = "a constructor (%s), '(', 'w' or a natural number" % ", ".join(
+    name for name in _CALLS if name.isalpha()
+)
+_LEAF = {"a": ord_mod.parse_ordinal_prefix, "n": ord_mod._parse_nat}
+
 
 def parse_expr(text: str) -> WqoExpr:
-    p = _Parser(text)
-    e = p.parse_lexsum()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(text, p.pos, "end of expression or an operator")
-    return e
+    """Parse the concrete syntax; see the grammar in the module docstring.
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def accept(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str):
-        if not self.accept(token):
-            raise ParseError(self.text, self.pos, f"'{token}'")
-
-    def parse_lexsum(self) -> WqoExpr:
-        e = self.parse_union()
-        while True:
-            self.skip_ws()
-            if self.text.startswith("++", self.pos):
-                self.pos += 2
-            elif self.text.startswith("+", self.pos):
-                self.pos += 1
-            else:
-                return e
-            e = LexSum(e, self.parse_union())
-
-    def parse_union(self) -> WqoExpr:
-        e = self.parse_prod()
-        while self.accept("|"):
-            e = DisjUnion(e, self.parse_prod())
-        return e
-
-    def parse_prod(self) -> WqoExpr:
-        e = self.parse_postfix()
-        while True:
-            if self.accept("*"):
-                e = CartProd(e, self.parse_postfix())
-            elif self.accept("."):
-                e = LexProd(e, self.parse_postfix())
-            else:
-                return e
-
-    def parse_postfix(self) -> WqoExpr:
-        e = self.parse_base()
-        while True:
-            self.skip_ws()
-            if self.text.startswith("^<w", self.pos):
-                self.pos += 3
-                e = Words(e)
-            else:
-                return e
-
-    def parse_base(self) -> WqoExpr:
-        self.skip_ws()
-        t, pos = self.text, self.pos
-        if pos >= len(t):
-            raise ParseError(t, pos, "an expression")
-        c = t[pos]
-        if c == "(":
-            self.pos += 1
-            e = self.parse_lexsum()
-            self.expect(")")
-            return e
-        if c in "0123456789":
-            n, self.pos = ord_mod._parse_nat(t, pos)
-            return Ord(Ordinal.from_nat(n))
-        if c == "w" and not _is_word_start(t, pos):
+    One operator-precedence loop over explicit stacks, so nesting costs no
+    Python frames: `out` holds the operands read so far, and `groups` the
+    open groups, innermost last, each a ``(``, a constructor call waiting
+    for an expression argument, or the whole text, with the arguments read
+    so far and its own pending infix operators.
+    """
+    out: list[WqoExpr] = []
+    groups: list[tuple[str | None, list, list]] = [(None, [], [])]
+    pos = 0
+    while True:
+        # an operand: a leaf, or the opening of a group
+        m = _TOKEN.match(text, pos)
+        tok, p, pos = m[1], m.start(1), m.end()
+        if not tok:
+            raise ParseError(text, p, "an expression")
+        if tok == "(":
+            groups.append((tok, [], []))
+            continue
+        if tok in _CALLS:
+            args = []
+            node, pos = _call(text, pos, tok, args)
+            if node is None:
+                groups.append((tok, args, []))
+                continue
+        elif tok == "w":
             # bare single-term ordinal literal: w or w^atom
-            self.pos += 1
             exponent = ord_mod.ONE
-            if self.text.startswith("^", self.pos) and not self.text.startswith(
-                "^<", self.pos
-            ):
-                exponent, self.pos = ord_mod._parse_atom(t, self.pos + 1)
-            return Ord(omega_pow(exponent))
-        name = _scan_name(t, pos)
-        if name == "o":
-            self.pos += 1
-            self.expect("(")
-            value = self.parse_ordinal_arg()
-            self.expect(")")
-            return Ord(value)
-        if name == "G":
-            self.pos += 1
-            self.expect("(")
-            k = self.parse_nat_arg()
-            self.expect(")")
-            return self._make(Gamma, k)
-        if name == "Pf":
-            self.pos += 2
-            plus = self.text.startswith("+", self.pos)
-            if plus:
-                self.pos += 1
-            self.expect("(")
-            e = self.parse_lexsum()
-            self.expect(")")
-            return PfPlus(e) if plus else Pf(e)
-        if name == "Mn":
-            self.pos += 2
-            self.expect("(")
-            e = self.parse_lexsum()
-            self.expect(",")
-            k = self.parse_nat_arg()
-            self.expect(")")
-            return self._make(MultisetsN, e, k)
-        if name == "M":
-            self.pos += 1
-            self.expect("(")
-            e = self.parse_lexsum()
-            self.expect(")")
-            return Multisets(e)
-        if name == "Phi":
-            self.pos += 3
-            self.expect("(")
-            value = self.parse_ordinal_arg()
-            self.expect(")")
-            return self._make(Phi, value)
-        if name == "SimExt":
-            self.pos += 6
-            self.expect("(")
-            value = self.parse_ordinal_arg()
-            self.expect(",")
-            m = self.parse_nat_arg()
-            self.expect(")")
-            return self._make(SimExt, value, m)
-        if name == "Sim":
-            self.pos += 3
-            self.expect("(")
-            value = self.parse_ordinal_arg()
-            self.expect(")")
-            return Sim(value)
-        raise ParseError(t, pos, "a constructor (o, G, Pf, M, Mn, Phi, Sim, SimExt), '(', 'w' or a natural number")
-
-    def _make(self, cls, *args):
-        try:
-            return cls(*args)
-        except ValueError as exc:
-            raise ParseError(self.text, self.pos, str(exc)) from None
-
-    def parse_ordinal_arg(self) -> Ordinal:
-        value, self.pos = ord_mod.parse_ordinal_prefix(self.text, self.pos)
-        return value
-
-    def parse_nat_arg(self) -> int:
-        n, self.pos = ord_mod._parse_nat(self.text, self.pos)
-        return n
+            if text.startswith("^", pos) and not text.startswith("^<", pos):
+                exponent, pos = ord_mod._parse_atom(text, pos + 1)
+            node = Ord(omega_pow(exponent))
+        elif tok in "0123456789":
+            n, pos = ord_mod._parse_nat(text, p)
+            node = Ord(Ordinal.from_nat(n))
+        else:
+            raise ParseError(text, p, _OPERAND)
+        out.append(node)
+        # the operators after it; any other token ends the innermost group
+        while True:
+            m = _TOKEN.match(text, pos)
+            tok, p = m[1], m.start(1)
+            if tok == _WORDS:
+                out[-1] = Words(out[-1])
+                pos = m.end()
+                continue
+            name, args, ops = groups[-1]
+            infix = _INFIX.get(tok)
+            prec = infix[0] if infix else 0
+            while ops and ops[-1][0] >= prec:
+                right = out.pop()
+                out[-1] = ops.pop()[1](out[-1], right)
+            if infix:
+                ops.append(infix)
+                pos = m.end()
+                break
+            if name is None:
+                if tok:
+                    raise ParseError(text, p, "end of expression or an operator")
+                return out[0]
+            groups.pop()
+            if name == "(":
+                if tok != ")":
+                    raise ParseError(text, p, "')'")
+                pos = m.end()
+                continue
+            args.append(out.pop())
+            node, pos = _call(text, p, name, args)
+            if node is None:
+                groups.append((name, args, []))
+                break
+            out.append(node)
 
 
-def _scan_name(text: str, pos: int) -> str:
-    end = pos
-    while end < len(text) and text[end].isalpha():
-        end += 1
-    return text[pos:end]
-
-
-def _is_word_start(text: str, pos: int) -> bool:
-    """Is the 'w' at `pos` the start of a longer name?  (There are none
-    today beginning with w, but keep the lexer honest.)"""
-    return pos + 1 < len(text) and text[pos + 1].isalpha()
+def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, int]:
+    """Read on in constructor call `name` from `pos`, just after its name
+    or its last argument read so far (`args`): the separators, and the
+    leaf arguments up to the next expression argument or through the
+    closing ')'.  Returns the node and the position after it, or None and
+    the position where the expression argument starts."""
+    cls, kinds = _CALLS[name]
+    while True:
+        i = len(args)
+        sep = "(" if i == 0 else "," if i < len(kinds) else ")"
+        pos = ord_mod._skip_ws(text, pos)
+        if not text.startswith(sep, pos):
+            raise ParseError(text, pos, f"'{sep}'")
+        pos += 1
+        if i == len(kinds):
+            try:
+                return cls(*args), pos
+            except ValueError as exc:
+                # only leaf arguments have side conditions, and only the
+                # last one of a call
+                raise ParseError(text, start, str(exc)) from None
+        if kinds[i] == "e":
+            return None, pos
+        start = ord_mod._skip_ws(text, pos)
+        value, pos = _LEAF[kinds[i]](text, start)
+        args.append(value)

@@ -368,13 +368,15 @@ def test_unprintable_values_are_refused(argv, code):
         ("|".join(["o(w+1)"] * 800), 0),
         ("*".join(["2"] * 800), 0),
         ("|".join(["o(w+1)"] * 1200), 4),
-        ("(" * 200 + "w" + ")" * 200, 4),
+        ("(" * 200 + "w" + ")" * 200, 0),
+        ("Pf(" * 3000 + "w" + ")" * 3000, 4),
     ],
-    ids=["union-800", "product-800", "union-1200", "parens-200"],
+    ids=["union-800", "product-800", "union-1200", "parens-200", "powerset-3000"],
 )
 def test_deep_expressions_end_in_a_documented_exit_code(text, code):
-    # long chains evaluate at one frame per level; past the recursion limit
-    # (in the parser or the engine) the expression is refused in one line
+    # the parser takes no frames per level, and long chains evaluate at
+    # one frame per level; past the recursion limit (in `eliminate_pf` or
+    # the engine) the expression is refused in one line
     proc = subprocess.run(
         [sys.executable, "-m", "wqometer", "invariants", text],
         capture_output=True,

@@ -1,8 +1,10 @@
 """Expression grammar: parser/printer round trips, precedence, errors."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wqometer import (
     CartProd,
@@ -33,7 +35,7 @@ from wqometer import (
 
 from wqometer.expr import elementary_kind
 
-from genlib import random_any_expr
+from genlib import random_any_expr, random_infinite_ordinal, random_ordinal
 
 o = parse_ordinal
 W = Ord(OMEGA)
@@ -106,19 +108,115 @@ def test_print_fixtures():
     assert print_expr(Words(Words(W))) == "o(w)^<w^<w"
 
 
+def _family_leaves(rng: random.Random, e: WqoExpr) -> WqoExpr:
+    """`e` with about half its leaves swapped for Phi, Sim and SimExt
+    members, which `random_any_expr` never makes."""
+    kids = e.children()
+    if kids:
+        return e.with_children(tuple(_family_leaves(rng, k) for k in kids))
+    roll = rng.random()
+    if roll < 0.2:
+        return Phi(random_infinite_ordinal(rng, 1))
+    if roll < 0.35:
+        return Sim(random_ordinal(rng, 1))
+    if roll < 0.5:
+        return SimExt(random_ordinal(rng, 1), rng.randint(1, 3))
+    return e
+
+
+_HOLE = Gamma(271828182845)  # a leaf no random tree contains
+
+
+def _reparenthesised(rng: random.Random, e: WqoExpr) -> str:
+    """`e` spelled with every operand in parentheses and about a third of
+    all subterms in one more pair, most of them redundant."""
+    kids = e.children()
+    s = print_expr(e.with_children((_HOLE,) * len(kids)))
+    for k in kids:
+        s = s.replace(print_expr(_HOLE), f"({_reparenthesised(rng, k)})", 1)
+    return f"({s})" if rng.random() < 0.3 else s
+
+
+def _blanks(rng: random.Random, text: str) -> str:
+    """`text` with spaces and tabs between its tokens."""
+    pieces = re.split(r"(\+\+|\^<w|Pf\+|[()|,.*+])", text)
+    return "".join(p + rng.choice(("", "", " ", "\t", " \t ")) for p in pieces if p)
+
+
 def test_round_trip_random():
-    rng = random.Random(20260814)
-    for _ in range(400):
+    rng, noise = random.Random(20260814), random.Random(7)
+    for i in range(400):
         e = random_any_expr(rng, depth=5)
+        if i % 2:
+            e = _family_leaves(noise, e)
+        assert parse_expr(print_expr(e)) == e
+        assert parse_expr(_blanks(noise, print_expr(e))) == e
+        assert parse_expr(_blanks(noise, _reparenthesised(noise, e))) == e
+
+
+_CHARS = ["(", ")", "|", "+", "*", ".", ",", "^", "<", " ", "\t", "\n", "-", "_", "x", "é", "²", "٣"]
+_TOKENS = ["w", "++", "^<w", "o", "G", "Pf", "Pf+", "M", "Mn", "Phi", "Sim", "SimExt", "0", "1", "42"]
+
+
+@given(st.lists(st.sampled_from(_TOKENS + _CHARS), max_size=30).map("".join))
+def test_parser_returns_a_node_or_a_parse_error(text):
+    try:
+        assert isinstance(parse_expr(text), WqoExpr)
+    except ParseError:
+        pass
+
+
+def test_every_node_class_prints_and_parses_back():
+    leaf = Ord(o("w^2"))
+    one_of_each = [
+        leaf, Gamma(2), Phi(o("w")), Sim(o("w^w")), SimExt(o("w^w"), 2),
+        Words(leaf), Multisets(leaf), MultisetsN(leaf, 2), Pf(leaf), PfPlus(leaf),
+        DisjUnion(leaf, leaf), LexSum(leaf, leaf), CartProd(leaf, leaf), LexProd(leaf, leaf),
+    ]
+    assert {type(e) for e in one_of_each} == set(WqoExpr.__subclasses__())
+    for e in one_of_each:
         assert parse_expr(print_expr(e)) == e
 
 
+_OPERAND = "a constructor (o, G, Pf, M, Mn, Phi, Sim, SimExt), '(', 'w' or a natural number"
+
+# the exact message for each malformed input: where the parser stopped,
+# what it wanted there and what it found
+_PARSE_ERRORS = {
+    "": "position 0: expected an expression, found 'end of input'",
+    "w|": "position 2: expected an expression, found 'end of input'",
+    "Pf(w": "position 4: expected ')', found 'end of input'",
+    "G()": "position 2: expected a natural number, found ')'",
+    "Pf(w))": "position 5: expected end of expression or an operator, found ')'",
+    "w ^^ w": "position 2: expected end of expression or an operator, found '^^ w'",
+    "Zeta(w)": f"position 0: expected {_OPERAND}, found 'Zeta(w)'",
+    "Mn(w)": "position 4: expected ',', found ')'",
+    "(w": "position 2: expected ')', found 'end of input'",
+    "w)": "position 1: expected end of expression or an operator, found ')'",
+    "Mn(w,-1)": "position 5: expected a natural number, found '-1)'",
+    "SimExt(w^w)": "position 10: expected ',', found ')'",
+    "w|*w": f"position 2: expected {_OPERAND}, found '*w'",
+    "Pf+w": "position 3: expected '(', found 'w'",
+    "o(w": "position 3: expected ')', found 'end of input'",
+    "M w": "position 2: expected '(', found 'w'",
+    "wx": f"position 0: expected {_OPERAND}, found 'wx'",
+    "G(2": "position 3: expected ')', found 'end of input'",
+    "Sim(w,2)": "position 5: expected ')', found ',2)'",
+    "w^<": "position 1: expected end of expression or an operator, found '^<'",
+    "3 4": "position 2: expected end of expression or an operator, found '4'",
+    # a failed side condition points at the argument
+    "G(0)": "position 2: expected k >= 1 in G(k), found '0)'",
+    "G( 0 )": "position 3: expected k >= 1 in G(k), found '0 )'",
+    "Phi(0)": "position 4: expected a >= 1 in Phi(a), found '0)'",
+    "SimExt(w^w,0)": "position 11: expected m >= 1 in SimExt(a, m), found '0)'",
+}
+
+
 def test_parse_errors_have_positions():
-    cases = ["", "w|", "Pf(w", "G(0)", "G()", "Pf(w))", "w ^^ w", "Zeta(w)", "Mn(w)"]
-    for bad in cases:
+    for bad, message in _PARSE_ERRORS.items():
         with pytest.raises(ParseError) as ei:
             parse_expr(bad)
-        assert "position" in str(ei.value)
+        assert str(ei.value) == "parse error at " + message, bad
 
 
 def test_classifiers():
@@ -197,6 +295,21 @@ def test_classifier_cache_is_invisible():
     assert repr(e) == repr(fresh)
     assert e.children() == fresh.children()
     assert e.with_children(e.children()) == e
+
+
+def test_deep_nesting_parses_at_default_recursion_limit():
+    # the parser keeps its stacks on the heap, so depth costs no frames;
+    # `==` and `print_expr` recurse, so the results are measured instead
+    n = 10_000
+    assert parse_expr("(" * n + "w" + ")" * n) == W
+    for op, cls in (("|", DisjUnion), ("*", CartProd)):
+        e, depth = parse_expr(op.join(["w"] * n)), 0
+        while isinstance(e, cls):
+            e, depth = e.left, depth + 1
+        assert depth == n - 1  # left-deep
+    tower = parse_expr("M(Pf(" * (n // 2) + "w" + "))" * (n // 2))
+    assert expr_size(tower) == n + 1
+    assert isinstance(tower, Multisets) and isinstance(tower.arg, Pf)
 
 
 def test_expr_size():
