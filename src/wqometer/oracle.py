@@ -13,6 +13,13 @@ instances - re-derive them through the residual recursions
 as a cross-check.  `check_engine` compares the symbolic engine's report
 against these numbers.
 
+Orders given by generating pairs (`from_pairs`, `random_quasi_order`) are
+closed by one iterative pass of Tarjan's strongly connected components
+algorithm over the bitmask rows: each component is finished after every
+component it reaches, so its closed row is the OR of its members' rows
+with the closed rows of the outside successors not already covered.
+The cost follows the edges and the components, not all n^2 pairs.
+
 All three work on the quotient, computed once per poset and cached: the
 classes are the groups of equal rows, since i ~ j exactly when their
 up-sets are equal.  `mot` counts them, `height` assigns levels by a
@@ -108,12 +115,25 @@ class FinitePoset:
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
         """Build from {"n": int, "leq": [[i, j], ...]}; orders above
-        SIZE_LIMIT are refused before the closure runs."""
+        SIZE_LIMIT are refused before the closure runs.  JSON booleans
+        are not numbers here: `n` must be an integer and `leq` a list of
+        two-integer pairs, else ValueError."""
         data = json.loads(text)
-        n = data["n"]
+        if not isinstance(data, dict) or "n" not in data or "leq" not in data:
+            raise ValueError('expected an object with keys "n" and "leq"')
+        n, leq = data["n"], data["leq"]
+        if not _is_int(n) or n < 0:
+            raise ValueError(
+                f'"n" must be a non-negative integer, not {json.dumps(n)}'
+            )
         if n > SIZE_LIMIT:
             raise TooLargeError("poset", n, SIZE_LIMIT)
-        return cls.from_pairs(n, data["leq"])
+        if not isinstance(leq, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            for pair in leq
+        ):
+            raise ValueError('"leq" must be a list of [i, j] integer pairs')
+        return cls.from_pairs(n, leq)
 
     def to_json(self) -> str:
         pairs = [
@@ -153,14 +173,72 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _transitive_close(rows: list[int]):
+    """Close the digraph `rows` (bit j of rows[i]: an edge i -> j)
+    transitively, in place, by one Tarjan pass (see the module
+    docstring).  The search keeps its own stack of frames, so a long
+    path costs no Python recursion."""
     n = len(rows)
-    for k in range(n):
-        rk = rows[k]
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
+    index = [0] * n
+    low = [0] * n
+    seen = done = 0  # masks: numbered by the search / component closed
+    stack: list[int] = []  # Tarjan's stack of open vertices
+    frames: list[tuple[int, int]] = []  # suspended (vertex, successors)
+    count = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        child = root
+        while True:
+            if child >= 0:
+                v, todo = child, rows[child]
+                index[v] = low[v] = count
+                count += 1
+                seen |= 1 << v
+                stack.append(v)
+            todo &= ~done
+            child = -1
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                w = b.bit_length() - 1
+                if not seen & b:
+                    child = w
+                    break
+                if index[w] < low[v]:  # w is still open
+                    low[v] = index[w]
+            if child >= 0:
+                frames.append((v, todo))
+                continue
+            if low[v] == index[v]:  # v roots a component: close it
+                comp = reach = 0
+                members = []
+                while True:
+                    m = stack.pop()
+                    members.append(m)
+                    comp |= 1 << m
+                    reach |= rows[m]
+                    if m == v:
+                        break
+                ext = reach & ~comp
+                while ext:
+                    b = ext & -ext
+                    r = rows[b.bit_length() - 1]
+                    reach |= r
+                    ext &= ~(r | b)
+                for m in members:
+                    rows[m] = reach
+                done |= comp
+            if not frames:
+                break
+            w = v
+            v, todo = frames.pop()
+            if low[w] < low[v]:
+                low[v] = low[w]
 
 
 def _bits(mask: int):
@@ -263,18 +341,16 @@ def _lexsum(a: FinitePoset, b: FinitePoset) -> FinitePoset:
 
 
 def _cart(a: FinitePoset, b: FinitePoset) -> FinitePoset:
-    # element (i, j) gets index i * b.n + j
-    n = a.n * b.n
+    # element (i, j) gets index i * b.n + j.  spread has one bit at
+    # i2 * b.n for each i2 with i <= i2, so brow * spread places a copy
+    # of brow in each of those disjoint blocks: the product is their OR.
     rows = []
-    for i in range(a.n):
-        arow = a.rows[i]
-        for j in range(b.n):
-            brow = b.rows[j]
-            m = 0
-            for i2 in _bits(arow):
-                m |= brow << (i2 * b.n)
-            rows.append(m)
-    return FinitePoset(n, tuple(rows))
+    for arow in a.rows:
+        spread = 0
+        for i2 in _bits(arow):
+            spread |= 1 << (i2 * b.n)
+        rows.extend(brow * spread for brow in b.rows)
+    return FinitePoset(a.n * b.n, tuple(rows))
 
 
 def _lexprod(a: FinitePoset, b: FinitePoset) -> FinitePoset:

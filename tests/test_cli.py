@@ -180,6 +180,37 @@ def test_oracle_poset_file(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"n": true, "leq": []}', '"n" must be a non-negative integer, not true'),
+        ('{"n": 2.0, "leq": []}', '"n" must be a non-negative integer, not 2.0'),
+        ('{"n": "2", "leq": []}', '"n" must be a non-negative integer, not "2"'),
+        ('{"n": -1, "leq": []}', '"n" must be a non-negative integer, not -1'),
+        ('{"n": 2, "leq": [[0, true]]}', '"leq" must be a list of [i, j] integer pairs'),
+        ('{"n": 2, "leq": [[0, 1, 1]]}', '"leq" must be a list of [i, j] integer pairs'),
+        ('{"n": 2, "leq": {"0": 1}}', '"leq" must be a list of [i, j] integer pairs'),
+        ('{"n": 2, "leq": [0, 1]}', '"leq" must be a list of [i, j] integer pairs'),
+        ('{"n": 2}', 'expected an object with keys "n" and "leq"'),
+        ("[[0, 1]]", 'expected an object with keys "n" and "leq"'),
+        ('{"n": 2, "leq": [[0, 2]]}', "pair (0, 2) out of range"),
+    ],
+    ids=[
+        "n-bool", "n-float", "n-string", "n-negative", "pair-bool",
+        "pair-triple", "leq-object", "leq-flat", "no-leq", "not-an-object",
+        "pair-out-of-range",
+    ],
+)
+def test_oracle_poset_file_schema(tmp_path, capsys, text, reason):
+    f = tmp_path / "poset.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "oracle", "--poset", str(f))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "parse error" in err and reason in err
+
+
 def test_oracle_random_is_reproducible(capsys):
     _, out1, _ = run(capsys, "oracle", "--random", "6", "--seed", "5")
     _, out2, _ = run(capsys, "oracle", "--random", "6", "--seed", "5")

@@ -25,6 +25,7 @@ from wqometer import (
 from wqometer.oracle import (
     ISO_CAP,
     RESIDUAL_CAP,
+    _cart,
     _multisets_n,
     _pf,
     _transitive_close,
@@ -201,6 +202,18 @@ def test_random_quasi_order_reproducible_and_valid():
                     assert q.rows[j] & ~q.rows[i] == 0
 
 
+def _warshall(rows):
+    """The closure the oracle used before its SCC pass, kept as the
+    reference: Warshall's loop over all n^2 pairs."""
+    n = len(rows)
+    for k in range(n):
+        rk = rows[k]
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rk
+
+
 # The sampler before the glue pairs joined the first closure, kept as the
 # reference: it closes the DAG, glues, and closes again.
 def _ref_random_quasi_order(rng, n, glue_prob=0.2):
@@ -212,14 +225,14 @@ def _ref_random_quasi_order(rng, n, glue_prob=0.2):
         for bi in range(ai + 1, n):
             if rng.random() < density:
                 rows[perm[ai]] |= 1 << perm[bi]
-    _transitive_close(rows)
+    _warshall(rows)
     if n >= 2 and rng.random() < glue_prob:
         for _ in range(rng.randint(1, max(1, n // 3))):
             i = rng.randrange(n)
             j = rng.randrange(n)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        _transitive_close(rows)
+        _warshall(rows)
     return FinitePoset(n, tuple(rows))
 
 
@@ -441,3 +454,117 @@ def test_width_matches_networkx_hopcroft_karp():
     cases += [p(src) for src in ("Pf(G(8))", "Mn(o(6),3)", "Pf(o(2)*o(3))", "o(9)*o(14)")]
     for q in cases:
         assert width(q) == nx_width(q)
+
+
+# ---------------------------------------------------------------------------
+# the transitive closure and product rows against their old loops
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _digraphs(draw, max_n=80):
+    """Random digraphs as bitmask rows: any density, cycles, optional
+    self-loops, and some vertices cut off from every edge."""
+    n = draw(st.integers(0, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6, 1.0]))
+    loops = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rows = [
+        sum(1 << j for j in range(n) if i != j and rng.random() < density)
+        | (rng.random() < loops) << i
+        for i in range(n)
+    ]
+    isolated = sum(1 << i for i in range(n) if rng.random() < 0.1)
+    return [0 if isolated >> i & 1 else r & ~isolated for i, r in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs())
+def test_transitive_close_matches_warshall(rows):
+    got, want = list(rows), list(rows)
+    _transitive_close(got)
+    _warshall(want)
+    assert got == want
+
+
+def test_transitive_close_matches_warshall_on_bench_shaped_order():
+    # sparse 600-element DAG, as the benchmark's random orders draw them,
+    # with 200 glue pairs that merge parts of it into large classes
+    rng = random.Random(600)
+    n = 600
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [1 << i for i in range(n)]
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            if rng.random() < 0.01:
+                rows[perm[ai]] |= 1 << perm[bi]
+    for _ in range(200):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    got, want = list(rows), list(rows)
+    _transitive_close(got)
+    _warshall(want)
+    assert got == want
+    assert 1 < quotient(FinitePoset(n, tuple(got))).n < n
+
+
+def test_from_pairs_matches_networkx_transitive_closure():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(0, 60)
+        pairs = [
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(pairs)
+        closed = nx.transitive_closure(g, reflexive=True)
+        want = [0] * n
+        for i, j in closed.edges:
+            want[i] |= 1 << j
+        assert FinitePoset.from_pairs(n, pairs).rows == tuple(want)
+
+
+def test_transitive_close_does_not_recurse():
+    # a 5,000-element path and cycle take 5,000-deep searches
+    n = 5000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        path = FinitePoset.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+        cycle = FinitePoset.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert height(path) == n
+    assert mot(cycle) == 1
+
+
+def _ref_cart(a, b):
+    """The product rows as the oracle built them before: one shifted copy
+    of the B row per bit of the A row."""
+    rows = []
+    for i in range(a.n):
+        for j in range(b.n):
+            m = 0
+            for i2 in range(a.n):
+                if a.rows[i] >> i2 & 1:
+                    m |= b.rows[j] << (i2 * b.n)
+            rows.append(m)
+    return FinitePoset(a.n * b.n, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quasi_orders(max_n=12), _quasi_orders(max_n=12))
+def test_cart_rows_match_per_bit_loop(a, b):
+    assert _cart(a, b) == _ref_cart(a, b)
+
+
+def test_cart_with_empty_factors():
+    empty, c3 = p("0"), p("o(3)")
+    for a, b in ((empty, c3), (c3, empty), (empty, empty)):
+        got = _cart(a, b)
+        assert got.n == 0 and got == _ref_cart(a, b)
