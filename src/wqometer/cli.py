@@ -224,8 +224,8 @@ def _cmd_oracle(args) -> int:
         heading = f"random(n={args.random}, seed={seed})"
         sampled = p.to_json()
     elif args.expr is not None:
-        p = oracle.build(parse_expr(args.expr), args.word_len_cap)
-        heading = print_expr(parse_expr(args.expr))
+        e = parse_expr(args.expr)
+        p, heading = oracle.build(e, args.word_len_cap), print_expr(e)
     else:
         print("oracle: need an expression, --poset FILE or --random N", file=sys.stderr)
         return EXIT_PARSE

@@ -45,7 +45,6 @@ bound) are desugared into plain expressions first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -90,6 +89,7 @@ from .ordinal import (
     pm,
     two_pow,
 )
+from .record import Record
 from .rewrite import eliminate_pf, normalize_elementary
 
 _TWO = Ordinal.from_nat(2)
@@ -106,16 +106,17 @@ _PRODUCT_WIDTH_TABLE: dict[tuple[Ordinal, Ordinal], Ordinal] = {
 # ---------------------------------------------------------------------------
 
 
-class InvariantResult:
+class InvariantResult(Record):
     """One invariant component, as precise as the rules allow.
 
     ``finite_multiple`` marks an upper bound of the form ``upper * m`` for
     some unspecified finite ``m`` (this is how the powerset height bound
-    behaves at successor heights).  An immutable record: ``kind`` is
-    worked out once, when the record is made.
+    behaves at successor heights).  ``kind`` is not a field: it is worked
+    out once, when the record is made.
     """
 
-    __slots__ = ("lower", "upper", "finite_multiple", "reason", "kind")
+    _fields = ("lower", "upper", "finite_multiple", "reason")
+    __slots__ = (*_fields, "kind")
 
     def __init__(
         self,
@@ -137,26 +138,6 @@ class InvariantResult:
         _set_finite_multiple(self, finite_multiple)
         _set_reason(self, reason)
         _set_kind(self, kind)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantResult is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.lower, self.upper, self.finite_multiple, self.reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"InvariantResult(lower={self.lower!r}, upper={self.upper!r}, "
-            f"finite_multiple={self.finite_multiple!r}, reason={self.reason!r})"
-        )
 
     # -- constructors ------------------------------------------------------
 
@@ -233,17 +214,12 @@ _set_lower, _set_upper, _set_finite_multiple, _set_reason, _set_kind = (
 )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """The three invariants of one expression, plus the weakened order
     type (elementary expressions only) and human-readable notes about
     which rules fired."""
 
-    mot: InvariantResult
-    height: InvariantResult
-    width: InvariantResult
-    weak_mot: Ordinal | None = None
-    notes: tuple[str, ...] = ()
+    __slots__ = _fields = ("mot", "height", "width", "weak_mot", "notes")
 
     def to_json(self) -> dict:
         return {
@@ -460,7 +436,7 @@ def pf_bounds(e: WqoExpr) -> InvariantReport:
     rep = invariants(e)
     notes: list[str] = []
     o, h, w = _pf_table_parts((rep.mot, rep.height, rep.width), notes)
-    return InvariantReport(mot=o, height=h, width=w, notes=tuple(dict.fromkeys(notes)))
+    return InvariantReport(o, h, w, None, tuple(dict.fromkeys(notes)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +458,7 @@ def invariants(e: WqoExpr) -> InvariantReport:
         if is_omega_elementary(e2):
             assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
-    return InvariantReport(
-        mot=o, height=h, width=w, weak_mot=wm, notes=tuple(dict.fromkeys(notes))
-    )
+    return InvariantReport(o, h, w, wm, tuple(dict.fromkeys(notes)))
 
 
 def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:

@@ -36,13 +36,11 @@ frames.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
-from functools import cache
-from operator import attrgetter
 
 from . import ordinal as ord_mod
 from .errors import ParseError
 from .ordinal import OMEGA, Ordinal, omega_pow
+from .record import Record
 
 __all__ = [
     "WqoExpr",
@@ -72,147 +70,155 @@ __all__ = [
 OMEGA_OMEGA = omega_pow(OMEGA)
 
 
-@cache
-def _subexpr_fields(cls: type) -> tuple[str, ...]:
-    """The fields of node class `cls` that hold subexpressions (``left``
-    and ``right``, or ``arg``), in declaration order."""
-    return tuple(f.name for f in fields(cls) if f.type == "WqoExpr")
+class WqoExpr(Record):
+    """Base class; every node is an immutable `Record`, and the `_kind`
+    slot caches `elementary_kind`."""
 
+    __slots__ = ("_kind",)
 
-@cache
-def _children_getter(cls: type):
-    """A function from a node of class `cls` to its subexpressions."""
-    names = _subexpr_fields(cls)
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda e: (get(e),)
-    return attrgetter(*names) if names else lambda e: ()
+    def children(self) -> tuple[WqoExpr, ...]:
+        return ()
 
-
-@dataclass(frozen=True)
-class WqoExpr:
-    """Base class; every node is an immutable dataclass."""
-
-    def children(self) -> tuple["WqoExpr", ...]:
-        return _children_getter(type(self))(self)
-
-    def with_children(self, kids: tuple["WqoExpr", ...]) -> "WqoExpr":
-        return replace(self, **dict(zip(_subexpr_fields(type(self)), kids)))
+    def with_children(self, kids: tuple[WqoExpr, ...]) -> WqoExpr:
+        """This node over the subexpressions `kids`; a leaf has none."""
+        return type(self)(*kids) if kids else self
 
     def __str__(self):
         return print_expr(self)
 
 
-@dataclass(frozen=True)
+class _Unary(WqoExpr):
+    """A constructor over one subexpression, `arg`."""
+
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: WqoExpr):
+        _set_arg(self, arg)
+
+    def children(self) -> tuple[WqoExpr, ...]:
+        return (self.arg,)
+
+
+class _Binary(WqoExpr):
+    """A constructor over two subexpressions, `left` and `right`."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: WqoExpr, right: WqoExpr):
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def children(self) -> tuple[WqoExpr, ...]:
+        return self.left, self.right
+
+
 class Ord(WqoExpr):
-    value: Ordinal
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Ordinal):
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
 class Gamma(WqoExpr):
     """Antichain with `size` incomparable elements."""
 
-    size: int
+    __slots__ = _fields = ("size",)
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int):
+        if size < 1:
             raise ValueError("k >= 1 in G(k)")
+        object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True)
-class DisjUnion(WqoExpr):
-    left: WqoExpr
-    right: WqoExpr
+class DisjUnion(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LexSum(WqoExpr):
-    left: WqoExpr
-    right: WqoExpr
+class LexSum(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CartProd(WqoExpr):
-    left: WqoExpr
-    right: WqoExpr
+class CartProd(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LexProd(WqoExpr):
-    left: WqoExpr
-    right: WqoExpr
+class LexProd(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Words(WqoExpr):
+class Words(_Unary):
     """Finite words under word embedding."""
 
-    arg: WqoExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Multisets(WqoExpr):
+class Multisets(_Unary):
     """Finite multisets under multiset embedding."""
 
-    arg: WqoExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MultisetsN(WqoExpr):
+class MultisetsN(_Unary):
     """Multisets of one fixed size; an oracle-side construct."""
 
-    arg: WqoExpr
-    size: int
+    __slots__ = ("size",)
+    _fields = ("arg", "size")
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, arg: WqoExpr, size: int):
+        if size < 0:
             raise ValueError("n >= 0 in Mn(e, n)")
+        Record.__init__(self, arg, size)
+
+    def with_children(self, kids: tuple[WqoExpr, ...]) -> WqoExpr:
+        return MultisetsN(*kids, self.size)
 
 
-@dataclass(frozen=True)
-class Pf(WqoExpr):
+class Pf(_Unary):
     """Finite subsets under domination: S <= T iff every element of S is
     below some element of T."""
 
-    arg: WqoExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PfPlus(WqoExpr):
+class PfPlus(_Unary):
     """Pf minus its empty-set bottom element (so Pf(X) = 1 ++ PfPlus(X))."""
 
-    arg: WqoExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Phi(WqoExpr):
     """The canonical family member with all three invariants prescribed by
     its ordinal index (an infinite lexicographic sum of antichains)."""
 
-    value: Ordinal
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value.is_zero:
+    def __init__(self, value: Ordinal):
+        if value.is_zero:
             raise ValueError("a >= 1 in Phi(a)")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Sim(WqoExpr):
     """The family member Pf(a^<w) realising the powerset height bound."""
 
-    value: Ordinal
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
 class SimExt(WqoExpr):
     """Extended member (Sim(a) ++ 1) * G(m) covering successor heights."""
 
-    value: Ordinal
-    copies: int
+    __slots__ = _fields = ("value", "copies")
 
-    def __post_init__(self):
-        if self.copies < 1:
+    def __init__(self, value: Ordinal, copies: int):
+        if copies < 1:
             raise ValueError("m >= 1 in SimExt(a, m)")
+        super().__init__(value, copies)
+
+
+# the slot setters of the hot constructors, which write past the guard
+_set_kind, _set_value = WqoExpr._kind.__set__, Ord.value.__set__
+_set_arg = _Unary.arg.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +234,11 @@ def elementary_kind(e: WqoExpr) -> str | None:
     ordinal leaves >= w^w (the fragment the rewrite system fully
     normalises); ``"omega"`` when it uses the same constructors over the
     single leaf w (every such wqo has height exactly w); None otherwise.
-    The answer is cached on the immutable node outside its dataclass
-    fields, so equality, hashing, repr and `children()` ignore it.
+    The answer is cached in the node's `_kind` slot, which is not one of
+    its fields, so equality, hashing, repr and `children()` ignore it.
     """
-    if "_kind" in e.__dict__:
-        return e.__dict__["_kind"]
+    if hasattr(e, "_kind"):
+        return e._kind
     if isinstance(e, Ord):
         a = e.value
         if a == OMEGA:
@@ -246,7 +252,7 @@ def elementary_kind(e: WqoExpr) -> str | None:
         kind = kinds.pop() if len(kinds) == 1 else None
     else:
         kind = None
-    object.__setattr__(e, "_kind", kind)
+    _set_kind(e, kind)
     return kind
 
 
@@ -319,7 +325,7 @@ _CALLS = {
 _OPERATOR = {cls: (prec, tok) for tok, (prec, cls) in reversed(_INFIX.items())}
 _OPERATOR[Words] = (_WORDS_PREC, _WORDS)
 _CONSTRUCTOR = {
-    cls: (name, tuple(zip([f.name for f in fields(cls)], kinds)))
+    cls: (name, tuple(zip(cls._fields, kinds)))
     for name, (cls, kinds) in _CALLS.items()
 }
 

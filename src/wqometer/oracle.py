@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import TooLargeError, UnsupportedComputation
@@ -55,6 +54,7 @@ from .expr import (
     print_expr,
 )
 from .ordinal import Ordinal
+from .record import Record
 
 __all__ = [
     "FinitePoset",
@@ -83,10 +83,11 @@ ISO_CAP = 14
 _AUTO_CHECK_CAP = 10  # rerun the residual recursion silently below this
 
 
-class FinitePoset:
+class FinitePoset(Record):
     """Finite quasi-order on {0..n-1}; rows[i] bit j set iff i <= j."""
 
-    __slots__ = ("n", "rows", "_quot")
+    _fields = ("n", "rows")
+    __slots__ = (*_fields, "_quot")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if len(rows) != n:
@@ -96,9 +97,8 @@ class FinitePoset:
                 raise ValueError(f"relation not reflexive at {i}")
             if r >> n:
                 raise ValueError(f"row {i} has bits beyond n")
-        self.n = n
-        self.rows = tuple(rows)
-        self._quot = None  # cached by `quotient`
+        super().__init__(n, tuple(rows))
+        object.__setattr__(self, "_quot", None)  # cached by `quotient`
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "FinitePoset":
@@ -158,16 +158,6 @@ class FinitePoset:
                 out[low.bit_length() - 1] |= b
                 m ^= low
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinitePoset)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
 
     def __repr__(self):
         return f"FinitePoset(n={self.n})"
@@ -498,7 +488,7 @@ def quotient(p: FinitePoset) -> FinitePoset:
         if len(first) == p.n:
             # False marks a poset that is its own quotient: a reference to
             # itself would be a cycle that only the garbage collector frees
-            p._quot = False
+            object.__setattr__(p, "_quot", False)
             return p
         reps = list(first.values())
         index = {r: j for j, r in enumerate(reps)}
@@ -510,8 +500,9 @@ def quotient(p: FinitePoset) -> FinitePoset:
                 if j is not None:
                     m |= 1 << j
             rows.append(m)
-        q = p._quot = FinitePoset(len(reps), tuple(rows))
-        q._quot = False
+        q = FinitePoset(len(reps), tuple(rows))
+        object.__setattr__(p, "_quot", q)
+        object.__setattr__(q, "_quot", False)
     return q or p
 
 
@@ -732,12 +723,10 @@ def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckEntry:
-    invariant: str
-    expected: int
-    result: object  # engine.InvariantResult
-    status: str  # match | contained | skipped | mismatch
+class CheckEntry(Record):
+    """One invariant compared; `status` is match, contained, skipped or mismatch."""
+
+    __slots__ = _fields = ("invariant", "expected", "result", "status")
 
     def to_json(self) -> dict:
         return {
@@ -748,10 +737,10 @@ class CheckEntry:
         }
 
 
-@dataclass
 class CheckResult:
-    expression: str
-    entries: list[CheckEntry] = field(default_factory=list)
+    def __init__(self, expression: str):
+        self.expression = expression
+        self.entries: list[CheckEntry] = []
 
     @property
     def ok(self) -> bool:

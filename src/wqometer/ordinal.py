@@ -38,6 +38,7 @@ import sys
 from functools import cmp_to_key
 
 from .errors import ParseError, UnsupportedComputation
+from .record import Record
 
 __all__ = [
     "Ordinal",
@@ -86,10 +87,11 @@ def _printable(a: "Ordinal", deep: bool = True) -> bool:
     return True
 
 
-class Ordinal:
+class Ordinal(Record):
     """Immutable ordinal below epsilon_0, in Cantor normal form."""
 
     __slots__ = ("terms", "_hash")
+    _fields = ("terms",)
 
     terms: tuple[tuple["Ordinal", int], ...]
 
@@ -101,9 +103,6 @@ class Ordinal:
                 raise ValueError("CNF exponents must strictly decrease")
         _set_terms(self, tuple(terms))
         _set_hash(self, None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Ordinal is immutable")
 
     @staticmethod
     def from_nat(n: int) -> "Ordinal":
@@ -165,9 +164,6 @@ class Ordinal:
 
     def __eq__(self, other):
         return isinstance(other, Ordinal) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __lt__(self, other):
         return cmp(self, other) < 0
@@ -599,7 +595,6 @@ def _parse_atom(text: str, pos: int) -> tuple[Ordinal, int]:
 
 
 def _parse_nat(text: str, pos: int) -> tuple[int, int]:
-    pos = _skip_ws(text, pos)
     start = pos
     while pos < len(text) and text[pos] in "0123456789":
         pos += 1

@@ -14,7 +14,6 @@ ordinal leaf or gets stuck on a constructor with no elimination rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
@@ -34,6 +33,7 @@ from .expr import (
     print_expr,
 )
 from .ordinal import ONE, Ordinal, _printable, add, mul
+from .record import Record
 
 __all__ = [
     "RewriteStep",
@@ -45,12 +45,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    path: tuple[int, ...]
-    before: str
-    after: str
+class RewriteStep(Record):
+    __slots__ = _fields = ("rule", "path", "before", "after")
 
     def to_json(self) -> dict:
         return {

@@ -20,6 +20,9 @@ from wqometer import (
     Ordinal,
     Pf,
     PfPlus,
+    Phi,
+    Sim,
+    SimExt,
     Words,
     ZERO,
     add,
@@ -51,6 +54,17 @@ def random_infinite_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
         a = random_ordinal(rng, depth)
         if not a.is_finite:
             return a
+
+
+def one_of_each() -> list:
+    """One node of each of the 14 expression node classes."""
+    leaf = Ord(parse_ordinal("w^2"))
+    return [
+        leaf, Gamma(2), Phi(parse_ordinal("w")), Sim(parse_ordinal("w^w")),
+        SimExt(parse_ordinal("w^w"), 2), Words(leaf), Multisets(leaf), MultisetsN(leaf, 2),
+        Pf(leaf), PfPlus(leaf), DisjUnion(leaf, leaf), LexSum(leaf, leaf),
+        CartProd(leaf, leaf), LexProd(leaf, leaf),
+    ]
 
 
 # leaves allowed in elementary expressions: multiplicatively

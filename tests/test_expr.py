@@ -35,7 +35,7 @@ from wqometer import (
 
 from wqometer.expr import elementary_kind
 
-from genlib import random_any_expr, random_infinite_ordinal, random_ordinal
+from genlib import one_of_each, random_any_expr, random_infinite_ordinal, random_ordinal
 
 o = parse_ordinal
 W = Ord(OMEGA)
@@ -166,15 +166,23 @@ def test_parser_returns_a_node_or_a_parse_error(text):
         pass
 
 
+def concrete_node_classes() -> set[type]:
+    """The node classes that have no subclasses, found by walking
+    `__subclasses__()` down from `WqoExpr` (so the shared bases of the
+    unary and binary constructors are left out)."""
+    found, stack = set(), [WqoExpr]
+    while stack:
+        subs = stack.pop().__subclasses__()
+        found.update(c for c in subs if not c.__subclasses__())
+        stack.extend(subs)
+    return found
+
+
 def test_every_node_class_prints_and_parses_back():
-    leaf = Ord(o("w^2"))
-    one_of_each = [
-        leaf, Gamma(2), Phi(o("w")), Sim(o("w^w")), SimExt(o("w^w"), 2),
-        Words(leaf), Multisets(leaf), MultisetsN(leaf, 2), Pf(leaf), PfPlus(leaf),
-        DisjUnion(leaf, leaf), LexSum(leaf, leaf), CartProd(leaf, leaf), LexProd(leaf, leaf),
-    ]
-    assert {type(e) for e in one_of_each} == set(WqoExpr.__subclasses__())
-    for e in one_of_each:
+    nodes = one_of_each()
+    assert len(nodes) == 14
+    assert {type(e) for e in nodes} == concrete_node_classes()
+    for e in nodes:
         assert parse_expr(print_expr(e)) == e
 
 
