@@ -6,7 +6,8 @@ Subcommands
 * ``invariants <expr>``   full invariant report (o, h, w, weakened o, notes)
 * ``normalize <expr>``    rewrite an elementary expression to normal form
 * ``bounds <expr>``       powerset bounds: invariants of Pf(<expr>)
-* ``weakmot <expr>``      weakened maximal order type (elementary only)
+* ``weakmot <expr>``      weakened maximal order type (elementary once Pf
+  is eliminated; the ``weak-o`` that ``invariants`` reports)
 * ``oracle <expr|--poset f|--random n>``  brute-force invariants of a
   finite order, given as an expression, a JSON poset file, or a random
   quasi-order sampled reproducibly from ``--seed``
@@ -14,7 +15,8 @@ Subcommands
 * ``iso <expr1> <expr2>`` finite isomorphism test
 
 Exit codes: 0 success, 1 check mismatch, 2 parse error, 3 hypothesis not
-met, 4 unsupported computation, 5 size limit exceeded.
+met, 4 unsupported computation, 5 size limit exceeded (an oracle build, or
+a normal form that ``normalize`` would print).
 
 Plain output renders ordinals in the parser's own literal syntax, so every
 value printed can be fed back in.  ``--json`` switches to a stable

@@ -17,9 +17,9 @@ child once, takes one stack frame per nesting level, and picks one of
 two strategies per subtree:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
-   over multiplicatively indecomposable ordinal leaves >= w^w) are
-   normalised by the rewrite system and evaluated exactly, including the
-   weakened order type used for powerset heights;
+   over multiplicatively indecomposable ordinal leaves >= w^w) are read
+   off exactly, with the weakened order type used for powerset heights, by
+   one structural pass that never builds their normal form;
 2. everything else goes through the general compositional rules, with
    powersets handled by the sound bound table (1 + x <= f(Pf(A)) <= 2^x
    style) and conditional rules reporting ``unsupported`` when their
@@ -90,7 +90,7 @@ from .ordinal import (
     two_pow,
 )
 from .record import Record
-from .rewrite import eliminate_pf, normalize_elementary
+from .rewrite import eliminate_pf
 
 _TWO = Ordinal.from_nat(2)
 
@@ -287,56 +287,56 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
 # ---------------------------------------------------------------------------
 
 
-def _elem_eval(e: WqoExpr) -> tuple[Ordinal, Ordinal, Ordinal, Ordinal]:
-    """Exact (o, h, w, weakened-o) of a *normalised* elementary expression.
-
-    The weakened order type stays multiplicatively indecomposable at every
-    step; this invariant is what makes the powerset-height column sound.
-    """
+def _summary(e: WqoExpr) -> tuple[Ordinal, Ordinal, Ordinal, Ordinal]:
+    """(L, N, h, sN) of an elementary expression, read off the term: its
+    normal form is a union of union-free components, L sums (naturally)
+    the bare leaves among them, N the other components' o, and sN is the
+    largest weakened o among those (0 if none).  Sound as hat_nat_sum and
+    hstar are monotone, hat_nat_sum is the maximum on the heights met under
+    M and Pf, and every o has only infinite exponents, so 2^x = w^x."""
     if isinstance(e, Ord):
-        a = e.value
-        assert a.is_multiplicatively_indecomposable
-        return a, a, ONE, a
-    if isinstance(e, DisjUnion):
-        o1, h1, w1, s1 = _elem_eval(e.left)
-        o2, h2, w2, s2 = _elem_eval(e.right)
-        return nat_sum(o1, o2), max(h1, h2), nat_sum(w1, w2), max(s1, s2)
-    if isinstance(e, CartProd):
-        o1, h1, w1, s1 = _elem_eval(e.left)
-        o2, h2, w2, s2 = _elem_eval(e.right)
-        o = nat_prod(o1, o2)
-        return o, hat_nat_sum(h1, h2), o, max(s1, s2)
+        return e.value, ZERO, e.value, ZERO
+    if isinstance(e, (DisjUnion, CartProd)):
+        l1, n1, h1, s1 = _summary(e.left)
+        l2, n2, h2, s2 = _summary(e.right)
+        if isinstance(e, DisjUnion):
+            return nat_sum(l1, l2), nat_sum(n1, n2), max(h1, h2), max(s1, s2)
+        o = nat_prod(nat_sum(l1, n1), nat_sum(l2, n2))
+        return ZERO, o, hat_nat_sum(h1, h2), max(_weak(l1, s1), _weak(l2, s2))
+    leaves, rest, h, s = _summary(e.arg)
     if isinstance(e, Words):
-        o1, h1, w1, s1 = _elem_eval(e.arg)
-        o = omega_pow(omega_pow(pm(o1)))
-        return o, hstar(h1), o, s1
+        o = omega_pow(omega_pow(pm(nat_sum(leaves, rest))))
+        return ZERO, o, hstar(h), _weak(leaves, s)
     if isinstance(e, Multisets):
-        o1, h1, w1, s1 = _elem_eval(e.arg)
-        o = omega_pow(o1)
-        return o, hstar(h1), o, s1
-    if isinstance(e, Pf):
-        o1, h1, w1, s1 = _elem_eval(e.arg)
-        assert s1.is_multiplicatively_indecomposable
-        o = two_pow(o1)
-        return o, s1, o, two_pow(s1)
-    raise UnsupportedComputation("not-elementary", print_expr(e))
+        return ZERO, omega_pow(nat_sum(leaves, rest)), hstar(h), _weak(leaves, s)
+    if rest.is_zero and leaves.is_additively_indecomposable:
+        return leaves, rest, h, s  # Pf of one leaf rewrites to the leaf
+    # Pf: the product of each leaf w^(w^g) and of 2^o = w^o per other component
+    log = Ordinal(tuple((a.leading_exponent, c) for a, c in leaves.terms))
+    return ZERO, omega_pow(nat_sum(log, rest)), _weak(leaves, s), _weak(leaves, two_pow(s))
+
+
+def _weak(leaves: Ordinal, s: Ordinal) -> Ordinal:
+    """The weakened o from a summary's L and sN: the largest leaf or sN."""
+    return s if leaves.is_zero else max(omega_pow(leaves.leading_exponent), s)
 
 
 def _eval_elementary(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal]:
-    """Exact (o, h, w) and the weakened o of an elementary expression, all
-    read off its one normal form."""
-    nf, _ = normalize_elementary(e)
-    o, h, w, wm = _elem_eval(nf)
+    """Exact (o, h, w) and the weakened o of an elementary expression."""
+    leaves, rest, h, s = _summary(e)
     notes.append("elementary-exact")
-    return _exact3(o, h, w), wm
+    # a bare leaf adds 1 to the width, any other component its o
+    m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
+    return _exact3(nat_sum(leaves, rest), h, nat_sum(m, rest)), _weak(leaves, s)
 
 
 def weak_mot(e: WqoExpr) -> Ordinal:
-    """The weakened maximal order type of an elementary expression (the
-    invariant that equals the powerset height of the expression)."""
-    if not is_elementary(e):
+    """The weakened maximal order type that `invariants` reports (it equals
+    the powerset height), for expressions that simplify to elementary ones."""
+    e2 = eliminate_pf(e)
+    if not is_elementary(e2):
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
-    return _eval_elementary(e, [])[1]
+    return _eval_elementary(e2, [])[1]
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ class UnsupportedComputation(WqometerError):
 
 
 class TooLargeError(WqometerError):
-    """Brute-force structure would exceed the configured size limit."""
+    """A brute-force structure or a normal form would exceed its size limit."""
 
-    def __init__(self, what: str, size, limit):
+    def __init__(self, what: str, size, limit, unit: str = "elements"):
         self.what = what
         self.size = size
         self.limit = limit
-        super().__init__(f"too large: {what} needs {size} elements, limit is {limit}")
+        super().__init__(f"too large: {what} needs {size} {unit}, limit is {limit}")

@@ -27,6 +27,11 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def __reduce__(self):
+        # every record's constructor takes its fields in order, so pickle
+        # and copy rebuild it through the constructor, past the guard
+        return type(self), self._values()
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

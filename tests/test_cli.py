@@ -293,6 +293,19 @@ def test_exit_code_too_large(capsys):
     assert "too large" in err
 
 
+def test_product_of_unions_is_evaluated_but_not_normalised(capsys):
+    # the normal form of Pf(M(P_15)), P_15 a product of 15 unions, has over
+    # a million nodes: `invariants` does not build it, `normalize` refuses it
+    text = "Pf(M(" + "*".join(["(o(w^w)|o(w^(w^2)))"] * 15) + "))"
+    code, out, _ = run(capsys, "invariants", text)
+    assert code == 0 and "weak-o = w^(w^(w^2))\n" in out
+    code, out, _ = run(capsys, "weakmot", text)
+    assert code == 0 and out == "w^(w^(w^2))\n"
+    code, out, err = run(capsys, "normalize", "--trace", text)
+    assert code == 5 and out == ""
+    assert err == "too large: normal form needs 1015808 nodes, limit is 2000\n"
+
+
 def test_oracle_words_need_cap(capsys):
     code, _, err = run(capsys, "oracle", "G(2)^<w")
     assert code == 4

@@ -34,10 +34,10 @@ from wqometer import (
     two_pow,
     weak_mot,
 )
-from wqometer import engine
-from wqometer.engine import _SUMS, _eval, _lift
+from wqometer import engine, normalize_elementary, rewrite
+from wqometer.engine import _SUMS, _eval, _eval_elementary, _lift
 from wqometer.expr import elementary_kind
-from wqometer.ordinal import _printable
+from wqometer.ordinal import ONE, _printable, hat_nat_sum, hstar, omega_pow, pm
 
 from genlib import random_any_expr, random_elementary, random_ordinal
 
@@ -133,6 +133,95 @@ def test_weak_mot_always_mult_indecomposable():
     for _ in range(150):
         e = random_elementary(rng, rng.randint(1, 10))
         assert weak_mot(e).is_multiplicatively_indecomposable
+
+
+def _nf_eval(e):
+    """Exact (o, h, w, weakened o) of a *normal* elementary expression, one
+    rule per constructor: the reference for reading the values off the
+    unnormalised term.  The weakened o stays multiplicatively
+    indecomposable at every step, which makes the powerset height sound."""
+    if isinstance(e, Ord):
+        a = e.value
+        return a, a, ONE, a
+    if isinstance(e, (DisjUnion, CartProd)):
+        o1, h1, w1, s1 = _nf_eval(e.left)
+        o2, h2, w2, s2 = _nf_eval(e.right)
+        if isinstance(e, DisjUnion):
+            return nat_sum(o1, o2), max(h1, h2), nat_sum(w1, w2), max(s1, s2)
+        o = nat_prod(o1, o2)
+        return o, hat_nat_sum(h1, h2), o, max(s1, s2)
+    o1, h1, _w1, s1 = _nf_eval(e.arg)
+    if isinstance(e, Words):
+        o = omega_pow(omega_pow(pm(o1)))
+        return o, hstar(h1), o, s1
+    if isinstance(e, Multisets):
+        o = omega_pow(o1)
+        return o, hstar(h1), o, s1
+    assert isinstance(e, Pf) and s1.is_multiplicatively_indecomposable
+    o = two_pow(o1)
+    return o, s1, o, two_pow(s1)
+
+
+def test_elementary_values_match_the_normal_form_reference():
+    # o, h, w and the weakened o, read off the term, equal those of its
+    # normal form; `invariants` reports the same values
+    rng = random.Random(1101)
+    for i in range(1500):
+        e = random_elementary(rng, rng.randint(1, 120))
+        (mot, height, width), wm = _eval_elementary(e, [])
+        got = (mot.value, height.value, width.value, wm)
+        assert got == _nf_eval(normalize_elementary(e)[0]), print_expr(e)
+        if i % 10 == 0:
+            r = invariants(e)
+            assert (exact(r.mot), exact(r.height), exact(r.width), r.weak_mot) == got
+
+
+def test_elementary_evaluation_never_normalises(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(rewrite, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("normalize_elementary", "_raw_match"):
+        monkeypatch.setattr(rewrite, name, counting(name))
+    assert not hasattr(engine, "normalize_elementary")
+    rng = random.Random(7)
+    for _ in range(50):
+        e = random_elementary(rng, rng.randint(1, 40))
+        invariants(e)
+        weak_mot(e)
+        invariants(CartProd(e, Gamma(2)))  # an elementary subterm
+    # the product of 40 unions has 2^40 components in its normal form
+    union = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
+    p40 = union
+    for _ in range(39):
+        p40 = CartProd(p40, union)
+    e = Pf(Multisets(p40))
+    r = invariants(e)
+    assert exact(r.height) == o("w^(w^2)")  # the largest leaf
+    assert r.weak_mot == weak_mot(e) == o("w^(w^(w^2))")
+    assert calls == []
+
+
+def test_weak_mot_agrees_with_invariants():
+    # both read the term after `eliminate_pf`, so an expression that only
+    # becomes elementary there (o(w^w)++o(w^(w^2)) fuses into one leaf)
+    # has a weakened o in both or in neither
+    assert weak_mot(parse_expr("o(w^w)++o(w^(w^2))")) == o("w^(w^2)")
+    rng = random.Random(3)
+    seen = 0
+    for _ in range(1500):
+        e = random_any_expr(rng, rng.randint(0, 4))
+        want = invariants(e).weak_mot
+        if want is None:
+            with pytest.raises(UnsupportedComputation) as ei:
+                weak_mot(e)
+            assert ei.value.reason == "weak-mot-requires-elementary"
+        else:
+            assert weak_mot(e) == want
+            seen += 1
+    assert seen >= 200, seen
 
 
 def test_powerset_sandwich_coherence():

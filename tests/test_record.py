@@ -1,7 +1,10 @@
 """Record semantics: expression nodes and result types are immutable
-values with field-wise equality, hashing and repr."""
+values with field-wise equality, hashing and repr, which pickle and
+copy rebuild through their constructors."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -76,6 +79,12 @@ def _assert_frozen(value, names):
         value.not_a_field = 1
 
 
+def _assert_round_trips(value):
+    """Pickle and both copies rebuild an equal record of the same class."""
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+
 def test_nodes_are_immutable_records():
     for e in _nodes():
         fields = _FIELDS[type(e)]
@@ -87,6 +96,7 @@ def test_nodes_are_immutable_records():
         assert repr(e) == f"{type(e).__name__}({shown})"
         assert e.with_children(e.children()) == e
         assert type(e)(*values) == e
+        _assert_round_trips(e)
 
 
 def test_nodes_of_different_classes_are_unequal():
@@ -131,6 +141,9 @@ def test_invariant_result_is_an_immutable_value():
     assert hash(r) == hash((OMEGA, OMEGA, False, None))
     assert r != InvariantResult.interval(OMEGA, OMEGA, finite_multiple=True)
     assert r != InvariantResult.lower_only(OMEGA)
+    for x in (r, InvariantResult.interval(ONE, OMEGA, True), InvariantResult.unsupported("x")):
+        _assert_round_trips(x)
+        assert copy.deepcopy(x).kind == x.kind
     # `kind` is derived, so it is not a field
     assert repr(r) == (
         f"InvariantResult(lower={OMEGA!r}, upper={OMEGA!r}, "
@@ -145,6 +158,7 @@ def test_invariant_report_is_an_immutable_value():
     _assert_frozen(rep, ("mot", "height", "width", "weak_mot", "notes"))
     assert repr(rep).startswith("InvariantReport(mot=InvariantResult(")
     assert rep != invariants(parse_expr("Pf(w)"))
+    _assert_round_trips(rep)
 
 
 def test_rewrite_step_is_an_immutable_value():
@@ -153,9 +167,10 @@ def test_rewrite_step_is_an_immutable_value():
     assert steps and steps == normalize_elementary(e)[1].steps
     first = steps[0]
     _assert_frozen(first, ("rule", "path", "before", "after"))
-    copy = RewriteStep(first.rule, first.path, first.before, first.after)
-    assert copy == first and hash(copy) == hash(first)
-    assert repr(copy) == (
+    same = RewriteStep(first.rule, first.path, first.before, first.after)
+    assert same == first and hash(same) == hash(first)
+    _assert_round_trips(first)
+    assert repr(same) == (
         f"RewriteStep(rule={first.rule!r}, path={first.path!r}, "
         f"before={first.before!r}, after={first.after!r})"
     )
@@ -169,6 +184,7 @@ def test_ordinal_is_an_immutable_value():
     assert not (a != b)
     assert a != o("w^2") and a != "w^2+w*3+1"
     assert repr(a) == "Ordinal[w^2+w*3+1]"
+    _assert_round_trips(a)
 
 
 def test_poset_and_check_entry_are_immutable_values():
@@ -176,9 +192,11 @@ def test_poset_and_check_entry_are_immutable_values():
     assert p == FinitePoset(3, (7, 6, 4)) and hash(p) == hash(FinitePoset(3, (7, 6, 4)))
     assert p != FinitePoset(3, (7, 6, 6))
     _assert_frozen(p, ("n", "rows", "_quot"))
+    _assert_round_trips(p)
     entry = check_engine(parse_expr("G(2)*2")).entries[0]
     assert isinstance(entry, CheckEntry)
     _assert_frozen(entry, ("invariant", "expected", "result", "status"))
+    _assert_round_trips(entry)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

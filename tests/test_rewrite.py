@@ -14,6 +14,7 @@ from wqometer import (
     OMEGA,
     Pf,
     PfPlus,
+    TooLargeError,
     UnsupportedComputation,
     Words,
     eliminate_pf,
@@ -27,7 +28,9 @@ from wqometer import (
 )
 from wqometer.ordinal import ONE, add, mul
 
-from wqometer.rewrite import _raw_match
+from wqometer import rewrite
+from wqometer.expr import expr_size
+from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size, _raw_match
 
 from genlib import random_any_expr, random_elementary
 
@@ -226,6 +229,40 @@ def test_deep_tower_normalises_at_default_recursion_limit():
     nf, trace = normalize_elementary(e)
     assert is_normal(nf)
     assert len(trace) == 1 and trace.steps[0].path == (0,) * 449
+
+
+def test_normal_form_size_is_predicted_without_rewriting():
+    rng = random.Random(31)
+    for _ in range(600):
+        e = random_elementary(rng, rng.randint(1, 60))
+        nf, _ = normalize_elementary(e)
+        assert _nf_size(e) == expr_size(nf), print_expr(e)
+    # the 450-level tower's normal form grows by one node per level
+    e = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
+    for i in range(450):
+        e = Multisets(e) if i % 2 == 0 else Pf(e)
+    assert _nf_size(e) == expr_size(normalize_elementary(e)[0]) == 454 <= NF_SIZE_LIMIT
+
+
+def test_oversized_normal_forms_are_refused_before_rewriting(monkeypatch):
+    # the normal form of a product of k unions has 2^k components
+    calls = []
+    real = rewrite._raw_match
+    monkeypatch.setattr(rewrite, "_raw_match", lambda e: calls.append(e) or real(e))
+
+    def pf_m_product(k):
+        return parse_expr("Pf(M(" + "*".join(["(o(w^w)|o(w^(w^2)))"] * k) + "))")
+
+    assert _nf_size(pf_m_product(7)) == 1920
+    normalize_elementary(pf_m_product(7))
+    assert calls
+    calls.clear()
+    for k in (8, 15, 40):
+        with pytest.raises(TooLargeError) as ei:
+            normalize_elementary(pf_m_product(k))
+        assert ei.value.size == _nf_size(pf_m_product(k)) > NF_SIZE_LIMIT
+    assert calls == []
+    assert str(ei.value).endswith(f"nodes, limit is {NF_SIZE_LIMIT}")
 
 
 def test_unknown_strategy_is_refused():
