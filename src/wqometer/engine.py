@@ -64,9 +64,6 @@ from .expr import (
     SimExt,
     Words,
     WqoExpr,
-    elementary_kind,
-    is_elementary,
-    is_omega_elementary,
     print_expr,
 )
 from .ordinal import (
@@ -334,7 +331,7 @@ def weak_mot(e: WqoExpr) -> Ordinal:
     """The weakened maximal order type that `invariants` reports (it equals
     the powerset height), for expressions that simplify to elementary ones."""
     e2 = eliminate_pf(e)
-    if not is_elementary(e2):
+    if e2.fragment != "elementary":
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
     return _eval_elementary(e2, [])[1]
 
@@ -451,11 +448,11 @@ def invariants(e: WqoExpr) -> InvariantReport:
     notes: list[str] = []
     if e2 is not e:
         notes.append("simplification-applied")
-    if is_elementary(e2):
+    if e2.fragment == "elementary":
         (o, h, w), wm = _eval_elementary(e2, notes)
     else:
         (o, h, w), wm = _eval(e2, notes), None
-        if is_omega_elementary(e2):
+        if e2.fragment == "omega":
             assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
     return InvariantReport(o, h, w, wm, tuple(dict.fromkeys(notes)))
@@ -472,7 +469,7 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
 
 def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
     """The triple of `e`, evaluating each child once, bottom-up."""
-    if elementary_kind(e) == "elementary":
+    if e.fragment == "elementary":
         return _eval_elementary(e, notes)[0]
 
     if isinstance(e, Ord):
@@ -516,7 +513,7 @@ def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
         # lifted once
         node = type(e)
         parts = []
-        while isinstance(e, node) and elementary_kind(e) != "elementary":
+        while isinstance(e, node) and e.fragment != "elementary":
             parts.append(e.right)
             e = e.left
         parts.append(e)

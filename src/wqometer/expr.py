@@ -31,6 +31,10 @@ The tokens, precedences and constructor names live in one table
 ``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
 keeps its stacks on the heap, so expression nesting costs it no Python
 frames.
+
+Each node's `fragment` (elementary, omega-elementary or neither) is set by
+its constructor from its children's, so classifying a term takes no walk
+over it and no frame per nesting level.
 """
 
 from __future__ import annotations
@@ -60,21 +64,29 @@ __all__ = [
     "SimExt",
     "parse_expr",
     "print_expr",
-    "elementary_kind",
     "is_elementary",
     "is_omega_elementary",
     "is_finite_expr",
     "expr_size",
 ]
 
-OMEGA_OMEGA = omega_pow(OMEGA)
-
 
 class WqoExpr(Record):
-    """Base class; every node is an immutable `Record`, and the `_kind`
-    slot caches `elementary_kind`."""
+    """Base class; every node is an immutable `Record`.
 
-    __slots__ = ("_kind",)
+    `fragment` names the rewrite fragment the node lies in, fixed by its
+    constructor from its own value or its children's: ``"elementary"``
+    when it is built from union, Cartesian product, words, multisets and
+    powersets over multiplicatively indecomposable ordinal leaves >= w^w
+    (the fragment the rewrite system fully normalises); ``"omega"`` when
+    it uses the same constructors over the single leaf w (every such wqo
+    has height exactly w); None otherwise.  It is not one of the node's
+    fields, so equality, hashing, repr and `children()` ignore it.  A
+    class that is never in a fragment says so once, with a class
+    attribute that hides the slot.
+    """
+
+    __slots__ = ("fragment",)
 
     def children(self) -> tuple[WqoExpr, ...]:
         return ()
@@ -94,6 +106,7 @@ class _Unary(WqoExpr):
 
     def __init__(self, arg: WqoExpr):
         _set_arg(self, arg)
+        _set_fragment(self, arg.fragment)
 
     def children(self) -> tuple[WqoExpr, ...]:
         return (self.arg,)
@@ -107,6 +120,8 @@ class _Binary(WqoExpr):
     def __init__(self, left: WqoExpr, right: WqoExpr):
         _set_left(self, left)
         _set_right(self, right)
+        f = left.fragment
+        _set_fragment(self, f if f == right.fragment else None)
 
     def children(self) -> tuple[WqoExpr, ...]:
         return self.left, self.right
@@ -117,12 +132,19 @@ class Ord(WqoExpr):
 
     def __init__(self, value: Ordinal):
         _set_value(self, value)
+        # the multiplicatively indecomposable w^(w^g) are w (g = 0) and
+        # those >= w^w
+        if value.is_multiplicatively_indecomposable:
+            _set_fragment(self, "omega" if value == OMEGA else "elementary")
+        else:
+            _set_fragment(self, None)
 
 
 class Gamma(WqoExpr):
     """Antichain with `size` incomparable elements."""
 
     __slots__ = _fields = ("size",)
+    fragment = None
 
     def __init__(self, size: int):
         if size < 1:
@@ -136,6 +158,7 @@ class DisjUnion(_Binary):
 
 class LexSum(_Binary):
     __slots__ = ()
+    fragment = None
 
 
 class CartProd(_Binary):
@@ -144,6 +167,7 @@ class CartProd(_Binary):
 
 class LexProd(_Binary):
     __slots__ = ()
+    fragment = None
 
 
 class Words(_Unary):
@@ -163,6 +187,7 @@ class MultisetsN(_Unary):
 
     __slots__ = ("size",)
     _fields = ("arg", "size")
+    fragment = None
 
     def __init__(self, arg: WqoExpr, size: int):
         if size < 0:
@@ -184,6 +209,7 @@ class PfPlus(_Unary):
     """Pf minus its empty-set bottom element (so Pf(X) = 1 ++ PfPlus(X))."""
 
     __slots__ = ()
+    fragment = None
 
 
 class Phi(WqoExpr):
@@ -191,6 +217,7 @@ class Phi(WqoExpr):
     its ordinal index (an infinite lexicographic sum of antichains)."""
 
     __slots__ = _fields = ("value",)
+    fragment = None
 
     def __init__(self, value: Ordinal):
         if value.is_zero:
@@ -202,12 +229,14 @@ class Sim(WqoExpr):
     """The family member Pf(a^<w) realising the powerset height bound."""
 
     __slots__ = _fields = ("value",)
+    fragment = None
 
 
 class SimExt(WqoExpr):
     """Extended member (Sim(a) ++ 1) * G(m) covering successor heights."""
 
     __slots__ = _fields = ("value", "copies")
+    fragment = None
 
     def __init__(self, value: Ordinal, copies: int):
         if copies < 1:
@@ -216,7 +245,7 @@ class SimExt(WqoExpr):
 
 
 # the slot setters of the hot constructors, which write past the guard
-_set_kind, _set_value = WqoExpr._kind.__set__, Ord.value.__set__
+_set_fragment, _set_value = WqoExpr.fragment.__set__, Ord.value.__set__
 _set_arg = _Unary.arg.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
@@ -226,42 +255,14 @@ _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 # ---------------------------------------------------------------------------
 
 
-def elementary_kind(e: WqoExpr) -> str | None:
-    """Which rewrite fragment `e` lies in, computed once per node.
-
-    ``"elementary"`` when `e` is built from union, Cartesian product,
-    words, multisets and powersets over multiplicatively indecomposable
-    ordinal leaves >= w^w (the fragment the rewrite system fully
-    normalises); ``"omega"`` when it uses the same constructors over the
-    single leaf w (every such wqo has height exactly w); None otherwise.
-    The answer is cached in the node's `_kind` slot, which is not one of
-    its fields, so equality, hashing, repr and `children()` ignore it.
-    """
-    if hasattr(e, "_kind"):
-        return e._kind
-    if isinstance(e, Ord):
-        a = e.value
-        if a == OMEGA:
-            kind = "omega"
-        elif a.is_multiplicatively_indecomposable and ord_mod.cmp(a, OMEGA_OMEGA) >= 0:
-            kind = "elementary"
-        else:
-            kind = None
-    elif isinstance(e, (DisjUnion, CartProd, Words, Multisets, Pf)):
-        kinds = set(map(elementary_kind, e.children()))
-        kind = kinds.pop() if len(kinds) == 1 else None
-    else:
-        kind = None
-    _set_kind(e, kind)
-    return kind
-
-
 def is_elementary(e: WqoExpr) -> bool:
-    return elementary_kind(e) == "elementary"
+    """Whether `e` lies in the elementary fragment (see `WqoExpr`)."""
+    return e.fragment == "elementary"
 
 
 def is_omega_elementary(e: WqoExpr) -> bool:
-    return elementary_kind(e) == "omega"
+    """Whether `e` lies in the omega-elementary fragment (see `WqoExpr`)."""
+    return e.fragment == "omega"
 
 
 def is_finite_expr(e: WqoExpr) -> bool:

@@ -2,16 +2,18 @@
 
 A `FinitePoset` stores a reflexive transitive relation as bitmask rows
 (`rows[i] >> j & 1` iff i <= j).  `build` turns a finite expression tree
-into one, `mot`/`height`/`width` compute the three invariants directly
-(number of classes, longest chain, largest antichain) and - on small
-instances - re-derive them through the residual recursions
+into one, and `mot`/`height`/`width` compute the three invariants directly
+(number of classes, longest chain, largest antichain).  The residual
+recursions
 
     o(A) = max_x o({y : not x <= y}) + 1
     h(A) = max_x h({y : y < x}) + 1
     w(A) = max_x w({y : y incomparable to x}) + 1
 
-as a cross-check.  `check_engine` compares the symbolic engine's report
-against these numbers.
+are kept as `residual_mot`/`residual_height`/`residual_width`, an
+independent derivation of the same numbers on instances of at most
+`RESIDUAL_CAP` elements.  `check_engine` compares the symbolic engine's
+report against these numbers.
 
 Orders given by generating pairs (`from_pairs`, `random_quasi_order`) are
 closed by one iterative pass of Tarjan's strongly connected components
@@ -80,7 +82,6 @@ __all__ = [
 SIZE_LIMIT = 5000
 RESIDUAL_CAP = 20
 ISO_CAP = 14
-_AUTO_CHECK_CAP = 10  # rerun the residual recursion silently below this
 
 
 class FinitePoset(Record):
@@ -272,21 +273,17 @@ def est_size(e: WqoExpr, word_len_cap: int | None = None) -> int:
     raise UnsupportedComputation("not-a-finite-order", print_expr(e))
 
 
-def build(
-    e: WqoExpr,
-    word_len_cap: int | None = None,
-    size_limit: int = SIZE_LIMIT,
-) -> FinitePoset:
+def build(e: WqoExpr, word_len_cap: int | None = None) -> FinitePoset:
     """Materialise a finite expression as a FinitePoset.
 
     Words constructors are truncated at `word_len_cap` letters (an
     under-approximation of the infinite order, still exact for the other
-    constructors).  Estimated sizes beyond `size_limit` raise TooLargeError
+    constructors).  Estimated sizes beyond `SIZE_LIMIT` raise TooLargeError
     before any enumeration starts.
     """
     est = est_size(e, word_len_cap)
-    if est > size_limit:
-        raise TooLargeError(f"oracle build of {print_expr(e)}", est, size_limit)
+    if est > SIZE_LIMIT:
+        raise TooLargeError(f"oracle build of {print_expr(e)}", est, SIZE_LIMIT)
     return _build(e, word_len_cap)
 
 
@@ -361,11 +358,11 @@ def _lexprod(a: FinitePoset, b: FinitePoset) -> FinitePoset:
     return FinitePoset(n, tuple(rows))
 
 
-def pf_poset(p: FinitePoset, include_empty: bool = True) -> FinitePoset:
+def pf_poset(p: FinitePoset) -> FinitePoset:
     """Powerset of an arbitrary finite quasi-order under domination."""
     if 1 << p.n > SIZE_LIMIT:
         raise TooLargeError("powerset of a poset", 1 << p.n, SIZE_LIMIT)
-    return _pf(p, include_empty)
+    return _pf(p, include_empty=True)
 
 
 def _pf(p: FinitePoset, include_empty: bool) -> FinitePoset:
@@ -509,10 +506,7 @@ def quotient(p: FinitePoset) -> FinitePoset:
 def mot(p: FinitePoset) -> int:
     """Maximal order type: for a finite quasi-order, the number of
     equivalence classes."""
-    val = quotient(p).n
-    if p.n <= _AUTO_CHECK_CAP:
-        assert residual_mot(p) == val
-    return val
+    return quotient(p).n
 
 
 def height(p: FinitePoset) -> int:
@@ -540,10 +534,7 @@ def height(p: FinitePoset) -> int:
         if lo == len(levels):
             levels.append(0)
         levels[lo] |= 1 << i
-    val = len(levels)
-    if p.n <= _AUTO_CHECK_CAP:
-        assert residual_height(p) == val
-    return val
+    return len(levels)
 
 
 def width(p: FinitePoset) -> int:
@@ -598,10 +589,7 @@ def width(p: FinitePoset) -> int:
             mate_l[v], mate_r[j] = j, v
             j, v = prev, parent[v]
         seen = 0
-    val = mate_l.count(-1)  # n minus the size of the matching
-    if p.n <= _AUTO_CHECK_CAP:
-        assert residual_width(p) == val
-    return val
+    return mate_l.count(-1)  # n minus the size of the matching
 
 
 def _residual_rank(p: FinitePoset, residue: list[int]) -> int:

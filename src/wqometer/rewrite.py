@@ -33,7 +33,6 @@ from .expr import (
     Words,
     WqoExpr,
     expr_size,
-    is_elementary,
     print_expr,
 )
 from .ordinal import ONE, Ordinal, _printable, add, mul
@@ -205,7 +204,7 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     terminates well before it.
     """
     _check_strategy(strategy)
-    if not is_elementary(e):
+    if e.fragment != "elementary":
         raise UnsupportedComputation(
             "normalize-requires-elementary", print_expr(e)
         )

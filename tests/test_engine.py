@@ -36,7 +36,6 @@ from wqometer import (
 )
 from wqometer import engine, normalize_elementary, rewrite
 from wqometer.engine import _SUMS, _eval, _eval_elementary, _lift
-from wqometer.expr import elementary_kind
 from wqometer.ordinal import ONE, _printable, hat_nat_sum, hstar, omega_pow, pm
 
 from genlib import random_any_expr, random_elementary, random_ordinal
@@ -689,7 +688,7 @@ def _pairwise_chain_eval(e, notes):
     """`_eval` with every union chain and every lexicographic chain folded
     one pair at a time, through n - 1 growing partial results: the
     reference for the one-pass fold."""
-    if isinstance(e, DisjUnion) and elementary_kind(e) != "elementary":
+    if isinstance(e, DisjUnion) and e.fragment != "elementary":
         lo, lh, lw = _pairwise_chain_eval(e.left, notes)
         ro, rh, rw = _pairwise_chain_eval(e.right, notes)
         return _lift(nat_sum, lo, ro), _lift(max, lh, rh), _lift(nat_sum, lw, rw)

@@ -1,7 +1,10 @@
 """Expression grammar: parser/printer round trips, precedence, errors."""
 
+import importlib
+import pickle
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,16 +27,17 @@ from wqometer import (
     SimExt,
     Words,
     WqoExpr,
+    eliminate_pf,
     expr_size,
     is_elementary,
     is_finite_expr,
     is_omega_elementary,
+    normalize_elementary,
     parse_expr,
     parse_ordinal,
     print_expr,
 )
-
-from wqometer.expr import elementary_kind
+from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size
 
 from genlib import one_of_each, random_any_expr, random_infinite_ordinal, random_ordinal
 
@@ -249,8 +253,9 @@ def test_classifiers():
     assert not is_finite_expr(parse_expr("Phi(3)"))
 
 
-# the two recursive predicates that `elementary_kind` replaced, kept as
-# the reference it is checked against
+# the two recursive predicates, kept as the reference that each node's
+# `fragment`, set by its constructor from its children's, is checked
+# against
 _ELEMENTARY_NODES = (DisjUnion, CartProd, Words, Multisets, Pf)
 
 
@@ -276,29 +281,71 @@ def _leaves_to_w(rng: random.Random, e: WqoExpr, share: float) -> WqoExpr:
     return e.with_children(tuple(_leaves_to_w(rng, k, share) for k in e.children()))
 
 
+def _check_fragment(e: WqoExpr) -> str | None:
+    elem, omega = _ref_is_elementary(e), _ref_is_omega_elementary(e)
+    want = "elementary" if elem else "omega" if omega else None
+    assert e.fragment == want, print_expr(e)
+    assert is_elementary(e) == elem
+    assert is_omega_elementary(e) == omega
+    return want
+
+
 def test_classifier_matches_recursive_predicates():
     rng = random.Random(4242)
     kinds = {"elementary": 0, "omega": 0, None: 0}
+    normalised = 0
     for _ in range(3000):
         e = random_any_expr(rng, depth=rng.randint(0, 4))
         if rng.random() < 0.5:
             # omega-elementary terms, and elementary ones with a stray w
             # leaf, are rare in the random grammar
             e = _leaves_to_w(rng, e, rng.choice((0.3, 1.0)))
-        elem, omega = _ref_is_elementary(e), _ref_is_omega_elementary(e)
-        want = "elementary" if elem else "omega" if omega else None
-        assert elementary_kind(e) == want, print_expr(e)
-        assert elementary_kind(e) == want  # cached answer
-        assert is_elementary(e) == elem
-        assert is_omega_elementary(e) == omega
-        kinds[want] += 1
+        kinds[_check_fragment(e)] += 1
+        # nodes built by the other paths: unpickling, powerset
+        # elimination and the normaliser
+        _check_fragment(pickle.loads(pickle.dumps(e)))
+        reduct = eliminate_pf(e)
+        _check_fragment(reduct)
+        for term in (e, reduct):
+            if is_elementary(term) and _nf_size(term) <= NF_SIZE_LIMIT:
+                _check_fragment(normalize_elementary(term)[0])
+                normalised += 1
     assert min(kinds.values()) >= 50, kinds
+    assert normalised >= 500, normalised
+
+
+def test_deep_terms_classify_at_the_default_recursion_limit():
+    # each node's fragment is set when it is built, so classifying a
+    # term takes no frame per level, whatever its depth
+    n = 10_000
+    assert sys.getrecursionlimit() < n
+    cases = (
+        ("M(" * n + "o(w^w)" + ")" * n, "elementary"),
+        ("Pf(" * n + "w" + ")" * n, "omega"),
+        ("|".join(["o(w^w)"] * n), "elementary"),
+        ("|".join(["o(w^w)"] * (n - 1) + ["w"]), None),
+    )
+    for text, want in cases:
+        e = parse_expr(text)
+        assert is_elementary(e) == (want == "elementary")
+        assert is_omega_elementary(e) == (want == "omega")
+        assert e.fragment == want
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["wqometer", "wqometer.expr", "wqometer.ordinal", "wqometer.rewrite", "wqometer.oracle"],
+)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_classifier_cache_is_invisible():
+    # `fragment` is a slot, not a field
     e = parse_expr("Pf(M(w)|w^<w)")
     fresh = parse_expr("Pf(M(w)|w^<w)")
-    assert elementary_kind(e) == "omega"
+    assert e.fragment == "omega" and "fragment" not in type(e)._fields
     assert e == fresh and hash(e) == hash(fresh)
     assert repr(e) == repr(fresh)
     assert e.children() == fresh.children()

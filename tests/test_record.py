@@ -90,7 +90,7 @@ def test_nodes_are_immutable_records():
         fields = _FIELDS[type(e)]
         assert type(e)._fields == fields
         values = tuple(getattr(e, name) for name in fields)
-        _assert_frozen(e, (*fields, "_kind"))
+        _assert_frozen(e, (*fields, "fragment"))
         assert hash(e) == hash(values)
         shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
         assert repr(e) == f"{type(e).__name__}({shown})"
