@@ -27,10 +27,13 @@ classes are the groups of equal rows, since i ~ j exactly when their
 up-sets are equal.  `mot` counts them, `height` assigns levels by a
 dynamic program over bitsets, and `width` takes the quotient's size minus
 a maximum matching of its strict comparabilities (Dilworth, Koenig),
-found greedily and completed by breadth-first augmenting-path searches
-over bitset rows, without recursion.  The `Pf` builder ANDs per-point
-membership masks, and the `Mn` builder tests Hall's condition with one
-cached mask of multisets per union of up-sets and threshold.
+found by a top-down greedy pass and completed by breadth-first
+augmenting-path searches over bitset rows, without recursion.  The `Pf`
+builder ANDs per-point membership masks.  The `Mn` builder tests Hall's
+condition with one cached mask of multisets per union of up-sets and
+threshold, counted bit-parallel over all multisets at once.  The words
+builder computes each word's up-set one length at a time from that of
+its tail, by the replicate-by-multiplication step of the product builder.
 """
 
 from __future__ import annotations
@@ -398,37 +401,53 @@ def _pf(p: FinitePoset, include_empty: bool) -> FinitePoset:
 def _multisets_n(p: FinitePoset, k: int) -> FinitePoset:
     # Hall's condition: xs <= ys iff for every non-empty set S of positions
     # of xs, ys has at least |S| entries in U_S, the union of the up-sets
-    # of xs[S].  For each union U keep at[U][t], the mask of multisets with
-    # at least t entries in U; a row is the AND of at[U_S][|S|] over S.
+    # of xs[S].  For each union U keep at[U][c], the mask of multisets with
+    # at least c entries in U; a row is the AND of at[U_S][|S|] over S.
+    # pos[t][x] is the mask of multisets whose t-th entry is x, so the
+    # counters for U are bit-parallel: position by position, a multiset
+    # whose entry falls in U moves from "at least c - 1" to "at least c".
     elems = list(itertools.combinations_with_replacement(range(p.n), k))
     n = len(elems)
+    pos = [[0] * p.n for _ in range(k)]
+    for j, ys in enumerate(elems):
+        bit = 1 << j
+        for t, y in enumerate(ys):
+            pos[t][y] |= bit
     at: dict[int, list[int]] = {}
 
     def at_least(u: int) -> list[int]:
         got = at.get(u)
         if got is None:
-            got = [0] * (k + 1)
-            for j, ys in enumerate(elems):
-                got[sum(u >> y & 1 for y in ys)] |= 1 << j
-            for t in range(k - 1, -1, -1):
-                got[t] |= got[t + 1]
+            got = [(1 << n) - 1] + [0] * k
+            for t, masks in enumerate(pos):
+                hit = 0
+                m = u
+                while m:
+                    low = m & -m
+                    hit |= masks[low.bit_length() - 1]
+                    m ^= low
+                for c in range(t + 1, 0, -1):
+                    got[c] |= got[c - 1] & hit
             at[u] = got
         return got
 
     rows = []
     for xs in elems:
         # the largest |S| for each union U_S: S ranges over the sets of
-        # distinct values of xs, taken with all their repeats
+        # distinct values of xs, taken with all their repeats; each subset
+        # s of the values (a bitmask) extends s without its lowest member
         need: dict[int, int] = {}
         values = sorted(set(xs))
-        for r in range(1, len(values) + 1):
-            for vs in itertools.combinations(values, r):
-                u = 0
-                for v in vs:
-                    u |= p.rows[v]
-                t = sum(xs.count(v) for v in vs)
-                if need.get(u, 0) < t:
-                    need[u] = t
+        counts = [xs.count(v) for v in values]
+        us, ts = [0], [0]
+        for s in range(1, 1 << len(values)):
+            b = (s & -s).bit_length() - 1
+            u = us[s & (s - 1)] | p.rows[values[b]]
+            t = ts[s & (s - 1)] + counts[b]
+            us.append(u)
+            ts.append(t)
+            if need.get(u, 0) < t:
+                need[u] = t
         m = (1 << n) - 1
         for u, t in need.items():
             m &= at_least(u)[t]
@@ -437,32 +456,42 @@ def _multisets_n(p: FinitePoset, k: int) -> FinitePoset:
 
 
 def _words(p: FinitePoset, cap: int) -> FinitePoset:
-    elems = []
-    for length in range(cap + 1):
-        elems.extend(itertools.product(range(p.n), repeat=length))
-    n = len(elems)
-    rows = []
-    for u in elems:
-        m = 0
-        for j, v in enumerate(elems):
-            if _embeds_word(p, u, v):
-                m |= 1 << j
-        rows.append(m)
-    return FinitePoset(n, tuple(rows))
-
-
-def _embeds_word(p: FinitePoset, u, v) -> bool:
-    # greedy earliest-match scan; correct because letter compatibility
-    # does not depend on position
-    j = 0
-    for x in u:
-        row = p.rows[x]
-        while j < len(v) and not row >> v[j] & 1:
-            j += 1
-        if j >= len(v):
-            return False
-        j += 1
-    return True
+    # Words of at most `cap` letters, by length and then lexicographically:
+    # a·v of length L has index start[L] + a * size[L-1] + (v's index in
+    # its block).  R(u, L), the words of length L that u embeds into, is a
+    # mask over that block.  u = x·u' embeds into a·v iff it embeds into
+    # v, or x <= a and u' embeds into v (matching x first is never worse),
+    # so
+    #     R(u, L) = R(u, L-1) * every[L] | R(u', L-1) * spread[x][L],
+    # where spread[x][L] has a bit at a * size[L-1] for each a >= x and
+    # every[L] one for each letter a: as in `_cart`, the product places a
+    # copy of the mask in each of those disjoint sub-blocks.
+    size = [p.n**length for length in range(cap + 1)]
+    start = [sum(size[:length]) for length in range(cap + 1)]
+    every = [0] * (cap + 1)
+    spread = [[0] * (cap + 1) for _ in range(p.n)]
+    for length in range(1, cap + 1):
+        for a in range(p.n):
+            every[length] |= 1 << (a * size[length - 1])
+        for x, row in enumerate(p.rows):
+            for a in _bits(row):
+                spread[x][length] |= 1 << (a * size[length - 1])
+    # the empty word embeds into every word
+    level = [[(1 << s) - 1 for s in size]]
+    rows = [sum(r << at for r, at in zip(level[0], start))]
+    for length in range(1, cap + 1):
+        shorter, level = level, []
+        for i in range(size[length]):
+            x, tail = divmod(i, size[length - 1])
+            sub, ups = shorter[tail], spread[x]
+            r = [0] * (cap + 1)  # R(u, L) for each L
+            row = 0
+            for L in range(length, cap + 1):
+                r[L] = r[L - 1] * every[L] | sub[L - 1] * ups[L]
+                row |= r[L] << start[L]
+            level.append(r)
+            rows.append(row)
+    return FinitePoset(len(rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +570,23 @@ def width(p: FinitePoset) -> int:
     """Largest antichain via Dilworth + Koenig: the quotient's size minus a
     maximum matching on its strict comparability bipartite graph.
 
-    The matching starts greedy and is completed by one breadth-first
-    augmenting-path search per unmatched vertex, all over bitset rows and
-    without recursion.  A failed search leaves the matching as it was, so
-    the right vertices it saw cannot reach a free one and stay excluded
-    until the next augmentation."""
+    The matching starts greedy, top-down: elements are visited by
+    ascending up-set size, as in `height`, so each is matched after all
+    its strict successors and the chains grow downwards from the maximal
+    elements.  It is completed by one breadth-first augmenting-path search
+    per unmatched vertex, all over bitset rows and without recursion.  A
+    failed search leaves the matching as it was, so the right vertices it
+    saw cannot reach a free one and stay excluded until the next
+    augmentation."""
     q = quotient(p)
     n = q.n
-    adj = [r & ~(1 << i) for i, r in enumerate(q.rows)]
+    rows = q.rows
+    adj = [r & ~(1 << i) for i, r in enumerate(rows)]
     mate_l = [-1] * n  # right vertex matched to each left vertex
     mate_r = [-1] * n  # left vertex matched to each right vertex
     free = (1 << n) - 1  # unmatched right vertices
-    for i in range(n):
+    order = sorted(range(n), key=lambda i: rows[i].bit_count())
+    for i in order:
         a = adj[i] & free
         if a:
             j = (a & -a).bit_length() - 1
@@ -560,7 +594,7 @@ def width(p: FinitePoset) -> int:
             free ^= 1 << j
     parent = [-1] * n  # left vertex whose edge reached each left's mate
     seen = 0
-    for u in range(n):
+    for u in order:
         if mate_l[u] >= 0:
             continue
         parent[u] = -1
@@ -576,10 +610,12 @@ def width(p: FinitePoset) -> int:
                 j = (hit & -hit).bit_length() - 1
                 break
             seen |= new
-            for j in _bits(new):
-                w = mate_r[j]
+            while new:
+                low = new & -new
+                w = mate_r[low.bit_length() - 1]
                 parent[w] = v
                 queue.append(w)
+                new ^= low
         if end < 0:
             continue
         free ^= 1 << j

@@ -71,16 +71,18 @@ _NAT_EXP_LIMIT = (
 )
 # The least integer too long to print, if there is such a limit.
 _MAX_NAT = 10**_MAX_STR_DIGITS if _MAX_STR_DIGITS else 0
+# The least coefficient refused: _MAX_NAT, or 2^1000001 without a limit.
+_NAT_CAP = _MAX_NAT or 1 << _NAT_EXP_LIMIT + 1
 
 
 def _printable(a: "Ordinal", deep: bool = True) -> bool:
-    """Whether every coefficient of `a` is below 2^(_NAT_EXP_LIMIT + 1),
-    and so prints within Python's digit limit; the coefficients of the
-    exponents are checked too unless `deep` is false."""
+    """Whether every coefficient of `a` is below _NAT_CAP, and so prints
+    within Python's digit limit; the coefficients of the exponents are
+    checked too unless `deep` is false."""
     stack = [a]
     while stack:
         for x, c in stack.pop().terms:
-            if c >> _NAT_EXP_LIMIT + 1:
+            if c >= _NAT_CAP:
                 return False
             if deep and x.terms:
                 stack.append(x)

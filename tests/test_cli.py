@@ -406,6 +406,23 @@ def test_unprintable_values_are_refused(argv, code):
         assert proc.stderr.startswith("unsupported computation: two-pow-finite-too-large")
 
 
+def test_without_a_digit_limit_coefficients_stop_at_two_to_the_million():
+    # an interpreter without a limit on printing integers keeps the
+    # 2^1000001 cap, far past 4,300 digits
+    script = (
+        "from wqometer.ordinal import Ordinal, _printable\n"
+        "cap = 1 << 1000001\n"
+        "print(_printable(Ordinal.from_nat(cap - 1)), _printable(Ordinal.from_nat(cap)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout == "True False\n", proc.stderr
+
+
 @pytest.mark.parametrize(
     "text, code",
     [

@@ -15,6 +15,7 @@ from wqometer import (
     LexSum,
     Multisets,
     Ord,
+    Ordinal,
     Pf,
     Phi,
     Sim,
@@ -645,11 +646,11 @@ def test_values_too_large_to_print_are_refused():
     r = invariants(CartProd(big, big))  # o = 10^8000, past the print limit
     assert r.mot.kind == "unsupported" and r.mot.reason == "value-too-large"
     assert exact(r.height) == o("1")
-    # sums too: o = w = 2 * 10^4299 has more than 14,281 bits
-    r = invariants(DisjUnion(Gamma(10**4299), Gamma(10**4299)))
+    # sums too: o = w = 5 * 10^4299 + 5 * 10^4299 has 4,301 digits
+    r = invariants(DisjUnion(Gamma(5 * 10**4299), Gamma(5 * 10**4299)))
     assert r.mot.reason == r.width.reason == "value-too-large"
-    # the coefficients of exponents count too: o = w^(2 * 10^4299)
-    m = Multisets(Gamma(10**4299))
+    # the coefficients of exponents count too: o = w^(10^4300)
+    m = Multisets(Gamma(5 * 10**4299))
     assert invariants(m).mot.kind == "exact"
     assert invariants(CartProd(m, m)).mot.reason == "value-too-large"
     # lexicographic products too: w = w^n (.) w^n = w^(2n), n of 4,300 digits
@@ -668,6 +669,19 @@ def test_values_too_large_to_print_are_refused():
     r = rep("Pf(G(14000))|Pf(G(14000))")
     assert r.mot.kind == "interval"
     assert r.mot.upper == nat_prod(two_pow(o("14000")), o("2"))
+
+
+def test_values_that_print_are_not_refused():
+    # the edge is Python's digit limit, 10^4300, not a power of two below
+    # it: o(w*c)|o(w) has o = w*(c + 1)
+    c = 2**14282  # 4,300 digits
+    assert exact(rep(f"o(w*{c})|o(w)").mot) == omega_pow(ONE, c + 1)
+    n = 10**4300
+    assert exact(rep(f"o(w*{n - 2})|o(w)").mot) == omega_pow(ONE, n - 1)
+    assert rep(f"o(w*{n - 1})|o(w)").mot.reason == "value-too-large"
+    assert _printable(Ordinal.from_nat(n - 1)) and not _printable(Ordinal.from_nat(n))
+    assert not _printable(omega_pow(Ordinal.from_nat(n), 1))
+    assert _printable(omega_pow(Ordinal.from_nat(n), 1), deep=False)
 
 
 def test_sums_keep_the_exponents_of_their_arguments():

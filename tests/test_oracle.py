@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wqometer import (
     FinitePoset,
@@ -29,6 +29,7 @@ from wqometer.oracle import (
     _multisets_n,
     _pf,
     _transitive_close,
+    _words,
     est_size,
     residual_height,
     residual_mot,
@@ -121,6 +122,11 @@ def test_words_builder_is_capped():
     # over a singleton alphabet the capped word order is a chain
     c = build(parse_expr("G(1)^<w"), word_len_cap=4)
     assert iso(c, p("o(5)"))
+    # 3,280 words, built by the bitset recurrence without pairwise tests
+    q = build(parse_expr("G(3)^<w"), word_len_cap=7)
+    assert q.n == mot(q) == sum(3**i for i in range(8))
+    assert height(q) == 8
+    assert q.rows[0] == (1 << q.n) - 1  # the empty word is the least
 
 
 def test_est_size_matches_build():
@@ -415,6 +421,15 @@ def test_pf_rows_match_subset_definition(base, include_empty):
 
 @settings(max_examples=60, deadline=None)
 @given(_quasi_orders(max_n=5), st.integers(0, 4))
+# the sizes the benchmark builds, then k = 0, k = 1 and the empty base
+@example(p("G(8)"), 3)
+@example(p("G(6)"), 4)
+@example(p("G(16)"), 2)
+@example(p("o(9)"), 3)
+@example(p("G(3)"), 0)
+@example(p("o(4)"), 1)
+@example(p("0"), 0)
+@example(p("0"), 2)
 def test_multisets_rows_match_injection_search(base, k):
     # xs <= ys iff some ordering of ys dominates xs position by position
     elems = list(itertools.combinations_with_replacement(range(base.n), k))
@@ -429,6 +444,36 @@ def test_multisets_rows_match_injection_search(base, k):
             ):
                 want |= 1 << j
         assert got.rows[i] == want
+
+
+def _embeds_word(base, u, v) -> bool:
+    """Does word u embed into word v?  A greedy earliest-match scan;
+    correct because letter compatibility does not depend on position."""
+    j = 0
+    for x in u:
+        while j < len(v) and not base.le(x, v[j]):
+            j += 1
+        if j >= len(v):
+            return False
+        j += 1
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quasi_orders(max_n=4), st.integers(0, 4))
+def test_words_rows_match_pairwise_embedding(base, cap):
+    # the words of length <= cap, by length and then lexicographically
+    elems = [
+        w
+        for length in range(cap + 1)
+        for w in itertools.product(range(base.n), repeat=length)
+    ]
+    got = _words(base, cap)
+    assert got.n == len(elems)
+    for i, u in enumerate(elems):
+        assert got.rows[i] == sum(
+            1 << j for j, v in enumerate(elems) if _embeds_word(base, u, v)
+        )
 
 
 def test_width_matches_networkx_hopcroft_karp():
@@ -452,8 +497,29 @@ def test_width_matches_networkx_hopcroft_karp():
     rng = random.Random(11)
     cases = [random_quasi_order(rng, rng.randint(30, 150), 0.5) for _ in range(20)]
     cases += [p(src) for src in ("Pf(G(8))", "Mn(o(6),3)", "Pf(o(2)*o(3))", "o(9)*o(14)")]
+    # dense orders shaped as the benchmark draws them, where the top-down
+    # greedy leaves few vertices to augment
+    for n, degree, glue in ((300, 10, 0), (450, 40, 20), (600, 10, 0), (600, 40, 10)):
+        cases.append(FinitePoset.from_pairs(n, _random_dag_pairs(rng, n, degree, glue)))
     for q in cases:
         assert width(q) == nx_width(q)
+
+
+def _random_dag_pairs(rng, n, degree, glue):
+    """Pairs of a random DAG on a shuffled order with mean out-degree
+    about `degree`, plus `glue` pairs related both ways."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [
+        (perm[a], perm[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < degree / n
+    ]
+    for _ in range(glue):
+        i, j = rng.randrange(n), rng.randrange(n)
+        pairs += [(i, j), (j, i)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------
