@@ -55,19 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    common.add_argument(
+    # the commands that build finite orders
+    builds = argparse.ArgumentParser(add_help=False, parents=[common])
+    builds.add_argument(
         "--word-len-cap",
         type=int,
-        default=None,
         metavar="N",
         help="truncate word constructors at N letters in oracle builds",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seed for sampling commands (WQO_METER_SEED overrides)",
     )
 
     ap = argparse.ArgumentParser(
@@ -104,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = sub.add_parser(
-        "oracle", parents=[common], help="brute-force invariants of a finite order"
+        "oracle", parents=[builds], help="brute-force invariants of a finite order"
     )
     p.add_argument("expr", nargs="?")
     p.add_argument(
@@ -118,13 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="sample a random quasi-order on N elements (see --seed)",
     )
+    p.add_argument(
+        "--seed", type=int, metavar="N", help="seed for --random (WQO_METER_SEED overrides)"
+    )
 
     p = sub.add_parser(
-        "check", parents=[common], help="compare engine and oracle on a finite expression"
+        "check", parents=[builds], help="compare engine and oracle on a finite expression"
     )
     p.add_argument("expr")
 
-    p = sub.add_parser("iso", parents=[common], help="finite isomorphism test")
+    p = sub.add_parser("iso", parents=[builds], help="finite isomorphism test")
     p.add_argument("expr1")
     p.add_argument("expr2")
 
@@ -139,6 +136,13 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise ParseError(env, 0, "an integer WQO_METER_SEED") from None
     return args.seed if args.seed is not None else 0
+
+
+def _word_len_cap(args) -> int | None:
+    cap = args.word_len_cap
+    if cap is not None and cap < 0:
+        raise ParseError(str(cap), 0, "a non-negative --word-len-cap")
+    return cap
 
 
 def _print_report(rep: engine.InvariantReport, heading: str, as_json: bool) -> None:
@@ -227,7 +231,7 @@ def _cmd_oracle(args) -> int:
         sampled = p.to_json()
     elif args.expr is not None:
         e = parse_expr(args.expr)
-        p, heading = oracle.build(e, args.word_len_cap), print_expr(e)
+        p, heading = oracle.build(e, _word_len_cap(args)), print_expr(e)
     else:
         print("oracle: need an expression, --poset FILE or --random N", file=sys.stderr)
         return EXIT_PARSE
@@ -253,7 +257,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     e = parse_expr(args.expr)
-    res = oracle.check_engine(e, args.word_len_cap)
+    res = oracle.check_engine(e, _word_len_cap(args))
     if args.json:
         print(json.dumps(res.to_json(), indent=2))
     else:
@@ -268,8 +272,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    p = oracle.build(parse_expr(args.expr1), args.word_len_cap)
-    q = oracle.build(parse_expr(args.expr2), args.word_len_cap)
+    cap = _word_len_cap(args)
+    p = oracle.build(parse_expr(args.expr1), cap)
+    q = oracle.build(parse_expr(args.expr2), cap)
     ans = oracle.iso(p, q)
     if args.json:
         print(json.dumps({"isomorphic": ans}))
@@ -293,7 +298,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # each error's message begins with its kind, so it is printed as is
     try:
-        _resolve_seed(args)  # validated up front so a bad env var fails loudly
         return _COMMANDS[args.cmd](args)
     except ParseError as exc:
         print(exc, file=sys.stderr)

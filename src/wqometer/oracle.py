@@ -248,7 +248,12 @@ def _bits(mask: int):
 
 
 def est_size(e: WqoExpr, word_len_cap: int | None = None) -> int:
-    """Upper estimate of the number of elements `build` enumerates."""
+    """Upper estimate of the number of elements `build` enumerates; past
+    SIZE_LIMIT it stops at SIZE_LIMIT + 1 instead of counting on."""
+    return min(_est(e, word_len_cap), SIZE_LIMIT + 1)
+
+
+def _est(e: WqoExpr, cap: int | None) -> int:
     if isinstance(e, Ord):
         if not e.value.is_finite:
             raise UnsupportedComputation("not-a-finite-order", print_expr(e))
@@ -256,23 +261,23 @@ def est_size(e: WqoExpr, word_len_cap: int | None = None) -> int:
     if isinstance(e, Gamma):
         return e.size
     if isinstance(e, (DisjUnion, LexSum)):
-        return est_size(e.left, word_len_cap) + est_size(e.right, word_len_cap)
+        return est_size(e.left, cap) + est_size(e.right, cap)
     if isinstance(e, (CartProd, LexProd)):
-        return est_size(e.left, word_len_cap) * est_size(e.right, word_len_cap)
+        return est_size(e.left, cap) * est_size(e.right, cap)
     if isinstance(e, Pf):
-        return 2 ** est_size(e.arg, word_len_cap)
+        return 2 ** est_size(e.arg, cap)
     if isinstance(e, PfPlus):
-        return 2 ** est_size(e.arg, word_len_cap) - 1
+        return 2 ** est_size(e.arg, cap) - 1
     if isinstance(e, MultisetsN):
-        s = est_size(e.arg, word_len_cap)
-        return comb(s + e.size - 1, e.size) if e.size else 1
+        k = min(e.size, SIZE_LIMIT + 1)  # a larger k changes no verdict
+        return comb(est_size(e.arg, cap) + k - 1, k) if k else 1
     if isinstance(e, Words):
-        if word_len_cap is None:
-            raise UnsupportedComputation(
-                "words-need-length-cap", print_expr(e)
-            )
-        s = est_size(e.arg, word_len_cap)
-        return sum(s**i for i in range(word_len_cap + 1))
+        if cap is None:
+            raise UnsupportedComputation("words-need-length-cap", print_expr(e))
+        s = est_size(e.arg, cap)
+        # two letters give more than SIZE_LIMIT words of this length alone
+        longest = SIZE_LIMIT.bit_length() if s > 1 else SIZE_LIMIT
+        return sum(s**i for i in range(min(cap, longest) + 1))
     raise UnsupportedComputation("not-a-finite-order", print_expr(e))
 
 
@@ -284,9 +289,9 @@ def build(e: WqoExpr, word_len_cap: int | None = None) -> FinitePoset:
     constructors).  Estimated sizes beyond `SIZE_LIMIT` raise TooLargeError
     before any enumeration starts.
     """
-    est = est_size(e, word_len_cap)
-    if est > SIZE_LIMIT:
-        raise TooLargeError(f"oracle build of {print_expr(e)}", est, SIZE_LIMIT)
+    if est_size(e, word_len_cap) > SIZE_LIMIT:
+        what = f"oracle build of {print_expr(e)}"
+        raise TooLargeError(what, f"more than {SIZE_LIMIT}", SIZE_LIMIT)
     return _build(e, word_len_cap)
 
 
@@ -466,6 +471,8 @@ def _words(p: FinitePoset, cap: int) -> FinitePoset:
     # where spread[x][L] has a bit at a * size[L-1] for each a >= x and
     # every[L] one for each letter a: as in `_cart`, the product places a
     # copy of the mask in each of those disjoint sub-blocks.
+    if not p.n:
+        cap = 0  # over no letters the empty word is the only word
     size = [p.n**length for length in range(cap + 1)]
     start = [sum(size[:length]) for length in range(cap + 1)]
     every = [0] * (cap + 1)

@@ -186,18 +186,6 @@ class Ordinal(Record):
             _set_hash(self, h)
         return h
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -222,14 +210,6 @@ def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
     _set_terms(a, terms)
     _set_hash(a, None)
     return a
-
-
-def _coerce(x) -> Ordinal:
-    if isinstance(x, Ordinal):
-        return x
-    if isinstance(x, int):
-        return Ordinal.from_nat(x)
-    raise TypeError(f"cannot interpret {x!r} as an ordinal")
 
 
 def _term_str(e: Ordinal, c: int) -> str:

@@ -9,16 +9,16 @@ be exponentially larger than the term, so `normalize_elementary` counts
 its nodes from the term first and refuses it past `NF_SIZE_LIMIT`; the
 engine reads its values off the term and never builds it.
 
-`eliminate_pf`, used by the invariant engine, runs the same innermost
-pass with its own rules: it pushes every finite-powerset constructor down
-through unions and lexicographic sums until it either disappears into an
-ordinal leaf or gets stuck on a constructor with no elimination rule.
+`eliminate_pf`, used by the invariant engine, is one post-order pass with
+its own rules: it pushes every finite-powerset constructor down through
+unions and lexicographic sums until it either disappears into an ordinal
+leaf or gets stuck on a constructor with no elimination rule.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import inf
+from operator import is_not
 
 from .errors import TooLargeError, UnsupportedComputation
 from .expr import (
@@ -212,7 +212,7 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     if size > NF_SIZE_LIMIT:
         raise TooLargeError("normal form", size, NF_SIZE_LIMIT, "nodes")
     log: list[tuple[str, tuple[int, ...], WqoExpr]] = []
-    nf = _norm(e, _raw_match, (), log, 4 ** expr_size(e))
+    nf = _norm(e, (), log, 4 ** expr_size(e))
     return nf, RewriteTrace(e, log)
 
 
@@ -248,21 +248,21 @@ def _nf_shape(e: WqoExpr) -> tuple[int, int, int]:
     return 1, 0, 2 * n - 1 + size - leaves
 
 
-def _norm(e: WqoExpr, match, path: tuple[int, ...], log: list, fuel) -> WqoExpr:
-    """The normal form of `e`, the subterm at `path`, under the local rule
-    function `match` (node -> (rule, reduct) or None), logging each step
-    as (rule, path, reduct).  It returns `e` itself when no rule fires."""
+def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
+    """The normal form of `e`, the subterm at `path`, under `_raw_match`,
+    logging each step as (rule, path, reduct); after a step it walks the
+    reduct's children again.  It returns `e` itself when no rule fires."""
     while True:
         kids = e.children()
         new_kids = []
         changed = False
         for i, k in enumerate(kids):
-            nk = _norm(k, match, path + (i,), log, fuel)
+            nk = _norm(k, path + (i,), log, fuel)
             new_kids.append(nk)
             changed = changed or nk is not k
         if changed:
             e = e.with_children(tuple(new_kids))
-        m = match(e)
+        m = _raw_match(e)
         if m is None:
             return e
         rule, e = m
@@ -283,42 +283,48 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     Pf(X ++ Y) = Pf(X) ++ Pf+(Y), and for the empty-set-less variant
     Pf+(a) = a and Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y).  Sums and lexicographic
     products of raw ordinals fuse into a single ordinal leaf along the way.
-    One innermost pass (`_norm`) applies them; it returns `e` itself when
-    no rule fires.
+    One post-order pass applies them, visiting each node once; it returns
+    `e` itself when no rule fires.  It recurses through `_elim`, so a
+    wrapper on this name (such as `bench/tracing.py`'s) sees one call.
     """
-    return _norm(e, _elim_local, (), [], inf)
+    return _elim(e)
 
 
-def _elim_local(e: WqoExpr):
-    """Return (rule name, reduct) when an elimination rule matches the root.
-    A rule that would make an ordinal leaf too large to print does not
-    fire, so the engine's general rules refuse the value with a reason."""
+def _elim(e: WqoExpr) -> WqoExpr:
+    kids = e.children()
+    new_kids = tuple(map(_elim, kids))
+    if any(map(is_not, new_kids, kids)):
+        e = e.with_children(new_kids)
+    return _elim_root(e)
+
+
+def _elim_root(e: WqoExpr) -> WqoExpr:
+    """`e`, whose children are already eliminated, with the rules applied
+    at its root and at the root of every node a rule builds."""
     if isinstance(e, Pf):
         x = e.arg
         if isinstance(x, Ord):
-            if not x.value.is_finite:
-                # 1 + a = a: the leaf itself, so no new value to check
-                return "powerset-of-ordinal", x
-            return _fused("powerset-of-ordinal", add(ONE, x.value), deep=False)
+            # 1 + a = a over an infinite leaf, so no new value to check
+            return x if not x.value.is_finite else _fused(e, add(ONE, x.value), False)
         if isinstance(x, DisjUnion):
-            return "powerset-over-union", CartProd(Pf(x.left), Pf(x.right))
+            return CartProd(_elim_root(Pf(x.left)), _elim_root(Pf(x.right)))
         if isinstance(x, LexSum):
-            return "powerset-over-sum", LexSum(Pf(x.left), PfPlus(x.right))
-    if isinstance(e, PfPlus):
+            return _elim_root(LexSum(_elim_root(Pf(x.left)), _elim_root(PfPlus(x.right))))
+    elif isinstance(e, PfPlus):
         x = e.arg
         if isinstance(x, Ord):
-            return "nonempty-powerset-of-ordinal", x
+            return x
         if isinstance(x, LexSum):
-            return "nonempty-powerset-over-sum", LexSum(PfPlus(x.left), PfPlus(x.right))
-    if isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return _fused("fuse-ordinal-sum", add(e.left.value, e.right.value), deep=False)
-    if isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return _fused("fuse-ordinal-product", mul(e.left.value, e.right.value), deep=True)
-    return None
+            return _elim_root(LexSum(_elim_root(PfPlus(x.left)), _elim_root(PfPlus(x.right))))
+    elif isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
+        return _fused(e, add(e.left.value, e.right.value), False)
+    elif isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
+        return _fused(e, mul(e.left.value, e.right.value), True)
+    return e
 
 
-def _fused(rule: str, value: Ordinal, deep: bool):
-    """(rule, leaf) when `value` prints, else None.  A sum takes its
-    exponents from its arguments, so only its top-level coefficients can
-    grow (`deep` false); a product adds exponents, so all are checked."""
-    return (rule, Ord(value)) if _printable(value, deep) else None
+def _fused(e: WqoExpr, value: Ordinal, deep: bool) -> WqoExpr:
+    """The leaf `value` when it prints, else `e`, whose value the engine
+    then refuses with a reason.  A sum's exponents come from its arguments
+    (`deep` false); a product adds exponents, so all are checked."""
+    return Ord(value) if _printable(value, deep) else e

@@ -323,6 +323,73 @@ def test_iso_command(capsys):
     assert json.loads(out) == {"isomorphic": False}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "G(2)^<w"),
+        ("check", "G(2)^<w"),
+        ("iso", "G(2)^<w", "G(2)^<w"),
+    ],
+)
+def test_negative_word_len_cap_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--word-len-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "parse error" in err and "--word-len-cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "Pf(Pf(G(14)))"),
+        ("check", "Pf(Pf(G(14)))"),
+        ("iso", "Pf(Pf(G(14)))", "G(2)"),
+        ("oracle", "G(2)^<w", "--word-len-cap", "300000"),
+    ],
+)
+def test_oracle_builds_past_the_limit_are_refused_in_one_line(capsys, argv):
+    # the exact estimates (2^16384 elements, or a sum over 300,001 word
+    # lengths) are neither computed nor printed
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert err == f"too large: oracle build of {argv[1]} needs more than 5000 elements, limit is 5000\n"
+
+
+def test_words_over_no_letters_ignore_the_cap(capsys):
+    code, out, _ = run(capsys, "oracle", "0^<w", "--word-len-cap", "1000000000")
+    assert code == 0
+    assert "n = 1\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "w", "--seed", "3"),
+        ("normalize", "o(w^w)", "--word-len-cap", "2"),
+        ("check", "G(2)", "--seed", "3"),
+        ("iso", "G(2)", "G(2)", "--seed", "3"),
+        ("bounds", "w", "--word-len-cap", "2"),
+    ],
+)
+def test_flags_belong_to_the_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_seed_is_read_only_when_sampling(monkeypatch, capsys):
+    monkeypatch.setenv("WQO_METER_SEED", "x")
+    code, out, err = run(capsys, "invariants", "w")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "oracle", "G(2)")
+    assert code == 0 and err == ""
+
+
 def test_oracle_random_negative_is_a_parse_error(capsys):
     code, out, err = run(capsys, "oracle", "--random", "-1")
     assert code == 2

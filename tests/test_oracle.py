@@ -10,10 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqometer import (
     FinitePoset,
+    InvariantReport,
+    InvariantResult,
+    Ordinal,
     TooLargeError,
     UnsupportedComputation,
     build,
     check_engine,
+    engine,
     height,
     iso,
     mot,
@@ -24,6 +28,7 @@ from wqometer import (
 )
 from wqometer.oracle import (
     ISO_CAP,
+    SIZE_LIMIT,
     RESIDUAL_CAP,
     _cart,
     _multisets_n,
@@ -142,6 +147,27 @@ def test_est_size_matches_build():
         assert got.n <= est  # estimate never undercounts
 
 
+def test_size_estimates_stop_past_the_limit():
+    # exact counts would be 2^16384 (too many digits to print), 2^(2^40)
+    # (too large to compute) and sum(2^i) over 300,001 lengths
+    for src, cap in [
+        ("Pf(Pf(G(14)))", None),
+        ("Pf(Pf(G(40)))", None),
+        ("G(2)^<w", 300_000),
+        ("Mn(G(5000),100000)", None),
+        ("Mn(G(2),1000000000000)", None),
+    ]:
+        assert est_size(parse_expr(src), cap) == SIZE_LIMIT + 1, src
+        with pytest.raises(TooLargeError, match=f"more than {SIZE_LIMIT}"):
+            build(parse_expr(src), cap)
+    assert est_size(parse_expr("G(1)^<w"), 10**9) == SIZE_LIMIT + 1
+    assert est_size(parse_expr("Mn(G(1),1000000000000)")) == 1
+    assert est_size(parse_expr("Mn(0,3)")) == 0
+    # over no letters only the empty word exists, whatever the cap
+    assert est_size(parse_expr("0^<w"), 10**9) == 1
+    assert build(parse_expr("0^<w"), 10**9).n == 1
+
+
 def test_size_limit_guards_before_enumeration():
     with pytest.raises(TooLargeError):
         build(parse_expr("Pf(Pf(G(4)))"))  # estimated 2^16 elements
@@ -187,6 +213,20 @@ def test_iso_basic():
     # iso is insensitive to element numbering
     perm = FinitePoset.from_pairs(4, [(3, 2), (3, 1), (2, 0), (1, 0)])
     assert iso(diamond, perm)
+
+
+def test_iso_search_rejects_orders_with_equal_degree_profiles():
+    # both have the (up-set, down-set) sizes (2, 1) and (1, 2) twice and
+    # (3, 1) and (1, 3) once, so only the backtracking search tells them apart
+    a = FinitePoset.from_pairs(6, [(0, 3), (1, 3), (2, 4), (2, 5)])
+    b = FinitePoset.from_pairs(6, [(0, 4), (1, 2), (1, 4), (3, 5)])
+
+    def profiles(q):
+        return sorted((r.bit_count(), c.bit_count()) for r, c in zip(q.rows, q.cols()))
+
+    assert profiles(a) == profiles(b)
+    assert not iso(a, b)
+    assert iso(a, a) and iso(b, b)
 
 
 def test_pf_distributes_over_disjoint_union_iso():
@@ -271,6 +311,20 @@ def test_check_engine_exact_expression():
     res = check_engine(parse_expr("(o(2)|o(3))*G(2)"))
     assert res.ok
     assert [e.status for e in res.entries] == ["match", "match", "skipped"]
+
+
+def test_check_engine_flags_a_report_the_oracle_refutes(monkeypatch):
+    # G(2) has o = 2: a report claiming exactly 3 is a mismatch, and the
+    # other two invariants are still compared
+    e = parse_expr("G(2)")
+    rep = engine.invariants(e)
+    three = InvariantResult.exact(Ordinal.from_nat(3))
+    wrong = InvariantReport(three, rep.height, rep.width, rep.weak_mot, rep.notes)
+    monkeypatch.setattr(engine, "invariants", lambda x: wrong)
+    res = check_engine(e)
+    assert not res.ok
+    assert [x.status for x in res.entries] == ["mismatch", "match", "match"]
+    assert res.entries[0].expected == 2 and res.entries[0].result == three
 
 
 def test_check_engine_pf_bounds_contained():

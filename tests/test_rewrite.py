@@ -29,7 +29,7 @@ from wqometer import (
 from wqometer.ordinal import ONE, add, mul
 
 from wqometer import rewrite
-from wqometer.expr import expr_size
+from wqometer.expr import WqoExpr, _Binary, _Unary, expr_size
 from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size, _raw_match
 
 from genlib import random_any_expr, random_elementary
@@ -365,3 +365,25 @@ def test_eliminate_pf_matches_fixpoint_reference():
         assert (got is e) == (want == e), print_expr(e)
         changed += got is not e
     assert changed >= 1000, changed
+
+
+@pytest.mark.parametrize("op, part", [("|", "w^w"), ("++", "G(2)")])
+def test_eliminate_pf_visits_each_node_a_bounded_number_of_times(monkeypatch, op, part):
+    # `children()` runs once per node the pass visits (and once per node
+    # a constructor builds), so its calls grow linearly in the chain
+    # length; a pass that walks simplified subterms again after every rule
+    # makes about 50 calls per node at n = 100 and 200 at n = 400
+    calls = [0]
+    for cls in (WqoExpr, _Unary, _Binary):
+        original = cls.__dict__["children"]
+
+        def counted(self, original=original):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "children", counted)
+    for n in (100, 200, 400):
+        e = Pf(parse_expr(op.join([part] * n)))
+        calls[0] = 0
+        eliminate_pf(e)
+        assert calls[0] <= 3 * expr_size(e), (n, calls[0])
