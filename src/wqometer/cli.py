@@ -22,25 +22,23 @@ Plain output renders ordinals in the parser's own literal syntax, so every
 value printed can be fed back in.  ``--json`` switches to a stable
 machine-readable schema.  The environment variable ``WQO_METER_SEED``
 overrides ``--seed``.
+
+Only ``argparse`` and the error types are imported with this module; each
+command imports the modules it runs in its own body, so ``normalize``
+never loads the engine or the oracle, and ``oracle`` and ``iso`` never
+load the rewrite layer or the engine.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
-import random
 import sys
 
-from . import engine, oracle
 from .errors import (
     HypothesisNotMet,
     ParseError,
     TooLargeError,
     UnsupportedComputation,
 )
-from .expr import parse_expr, print_expr
-from .rewrite import normalize_elementary
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -145,10 +143,15 @@ def _word_len_cap(args) -> int | None:
     return cap
 
 
-def _print_report(rep: engine.InvariantReport, heading: str, as_json: bool) -> None:
+def _print_json(payload, indent: int | None = 2) -> None:
+    import json
+
+    print(json.dumps(payload, indent=indent))
+
+
+def _print_report(rep, heading: str, as_json: bool) -> None:
     if as_json:
-        payload = {"expression": heading, **rep.to_json()}
-        print(json.dumps(payload, indent=2))
+        _print_json({"expression": heading, **rep.to_json()})
         return
     print(f"expression: {heading}")
     print(f"o = {rep.mot}")
@@ -165,6 +168,9 @@ def _fmt_path(path: tuple[int, ...]) -> str:
 
 
 def _cmd_invariants(args) -> int:
+    from . import engine
+    from .expr import parse_expr, print_expr
+
     e = parse_expr(args.expr)
     rep = engine.invariants(e)
     _print_report(rep, print_expr(e), args.json)
@@ -172,6 +178,9 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .expr import parse_expr, print_expr
+    from .rewrite import normalize_elementary
+
     e = parse_expr(args.expr)
     nf, trace = normalize_elementary(e)
     if args.json:
@@ -180,7 +189,7 @@ def _cmd_normalize(args) -> int:
             "normal_form": print_expr(nf),
             "trace": trace.to_json(),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return EXIT_OK
     print(print_expr(nf))
     if args.trace:
@@ -190,6 +199,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import engine
+    from .expr import parse_expr, print_expr
+
     e = parse_expr(args.expr)
     rep = engine.pf_bounds(e)
     _print_report(rep, f"Pf({print_expr(e)})", args.json)
@@ -197,25 +209,33 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_weakmot(args) -> int:
+    from . import engine
+    from .expr import parse_expr, print_expr
+
     e = parse_expr(args.expr)
     v = engine.weak_mot(e)
     if args.json:
-        print(json.dumps({"expression": print_expr(e), "weak_mot": str(v)}, indent=2))
+        _print_json({"expression": print_expr(e), "weak_mot": str(v)})
     else:
         print(v)
     return EXIT_OK
 
 
-def _load_poset(path: str) -> oracle.FinitePoset:
+def _load_poset(path: str):
+    from . import oracle
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return oracle.FinitePoset.from_json(text)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # a json.JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, 0, "a poset JSON file", str(exc)) from exc
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     sampled = None
     if args.poset is not None:
         p = _load_poset(args.poset)
@@ -225,11 +245,15 @@ def _cmd_oracle(args) -> int:
             raise ParseError(str(args.random), 0, "a non-negative --random size")
         if args.random > oracle.SIZE_LIMIT:
             raise TooLargeError("random quasi-order", args.random, oracle.SIZE_LIMIT)
+        import random
+
         seed = _resolve_seed(args)
         p = oracle.random_quasi_order(random.Random(seed), args.random)
         heading = f"random(n={args.random}, seed={seed})"
         sampled = p.to_json()
     elif args.expr is not None:
+        from .expr import parse_expr, print_expr
+
         e = parse_expr(args.expr)
         p, heading = oracle.build(e, _word_len_cap(args)), print_expr(e)
     else:
@@ -242,10 +266,12 @@ def _cmd_oracle(args) -> int:
         "width": oracle.width(p),
     }
     if args.json:
+        import json
+
         payload = {"expression": heading, **values}
         if sampled is not None:
             payload["poset"] = json.loads(sampled)
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"expression: {heading}")
         for k in ("n", "mot", "height", "width"):
@@ -256,10 +282,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import oracle
+    from .expr import parse_expr
+
     e = parse_expr(args.expr)
     res = oracle.check_engine(e, _word_len_cap(args))
     if args.json:
-        print(json.dumps(res.to_json(), indent=2))
+        _print_json(res.to_json())
     else:
         print(f"expression: {res.expression}")
         for entry in res.entries:
@@ -272,12 +301,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import oracle
+    from .expr import parse_expr
+
     cap = _word_len_cap(args)
     p = oracle.build(parse_expr(args.expr1), cap)
     q = oracle.build(parse_expr(args.expr2), cap)
     ans = oracle.iso(p, q)
     if args.json:
-        print(json.dumps({"isomorphic": ans}))
+        _print_json({"isomorphic": ans}, indent=None)
     else:
         print("isomorphic" if ans else "not isomorphic")
     return EXIT_OK

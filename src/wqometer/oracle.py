@@ -39,7 +39,6 @@ its tail, by the replicate-by-multiplication step of the product builder.
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb
 
 from .errors import TooLargeError, UnsupportedComputation
@@ -122,6 +121,8 @@ class FinitePoset(Record):
         SIZE_LIMIT are refused before the closure runs.  JSON booleans
         are not numbers here: `n` must be an integer and `leq` a list of
         two-integer pairs, else ValueError."""
+        import json
+
         data = json.loads(text)
         if not isinstance(data, dict) or "n" not in data or "leq" not in data:
             raise ValueError('expected an object with keys "n" and "leq"')
@@ -140,6 +141,8 @@ class FinitePoset(Record):
         return cls.from_pairs(n, leq)
 
     def to_json(self) -> str:
+        import json
+
         pairs = [
             [i, j]
             for i in range(self.n)
@@ -473,6 +476,10 @@ def _words(p: FinitePoset, cap: int) -> FinitePoset:
     # copy of the mask in each of those disjoint sub-blocks.
     if not p.n:
         cap = 0  # over no letters the empty word is the only word
+    if p.n == 1:
+        # over one letter a word embeds into every word at least as long,
+        # and the words are numbered by length: a chain
+        return _chain(cap + 1)
     size = [p.n**length for length in range(cap + 1)]
     start = [sum(size[:length]) for length in range(cap + 1)]
     every = [0] * (cap + 1)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wqometer import Ordinal, cli, parse_expr
+from wqometer import Ordinal, cli, oracle, parse_expr
 from wqometer.oracle import CheckEntry, CheckResult
 from wqometer.engine import InvariantResult
 
@@ -262,7 +262,7 @@ def test_check_mismatch_exit_one(monkeypatch, capsys):
     bogus.entries.append(
         CheckEntry("mot", 2, InvariantResult.exact(Ordinal.from_nat(3)), "mismatch")
     )
-    monkeypatch.setattr(cli.oracle, "check_engine", lambda e, cap=None: bogus)
+    monkeypatch.setattr(oracle, "check_engine", lambda e, cap=None: bogus)
     code, out, _ = run(capsys, "check", "G(2)")
     assert code == 1
     assert out.splitlines()[-1] == "result: mismatch"
@@ -402,8 +402,8 @@ def test_oracle_random_checks_size_limit_before_sampling(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("sampled despite the size limit")
 
-    monkeypatch.setattr(cli.oracle, "random_quasi_order", refuse)
-    n = cli.oracle.SIZE_LIMIT + 1
+    monkeypatch.setattr(oracle, "random_quasi_order", refuse)
+    n = oracle.SIZE_LIMIT + 1
     code, out, err = run(capsys, "oracle", "--random", str(n))
     assert code == 5
     assert out == ""
@@ -414,8 +414,8 @@ def test_oracle_poset_checks_size_limit_before_closure(tmp_path, monkeypatch, ca
     def refuse(cls, *args):
         raise AssertionError("built the poset despite the size limit")
 
-    monkeypatch.setattr(cli.oracle.FinitePoset, "from_pairs", classmethod(refuse))
-    n = cli.oracle.SIZE_LIMIT + 1
+    monkeypatch.setattr(oracle.FinitePoset, "from_pairs", classmethod(refuse))
+    n = oracle.SIZE_LIMIT + 1
     f = tmp_path / "big.json"
     f.write_text(json.dumps({"n": n, "leq": []}))
     code, out, err = run(capsys, "oracle", "--poset", str(f))

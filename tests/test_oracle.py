@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +32,7 @@ from wqometer.oracle import (
     SIZE_LIMIT,
     RESIDUAL_CAP,
     _cart,
+    _chain,
     _multisets_n,
     _pf,
     _transitive_close,
@@ -513,9 +515,7 @@ def _embeds_word(base, u, v) -> bool:
     return True
 
 
-@settings(max_examples=80, deadline=None)
-@given(_quasi_orders(max_n=4), st.integers(0, 4))
-def test_words_rows_match_pairwise_embedding(base, cap):
+def _assert_words_match_pairwise_embedding(base, cap):
     # the words of length <= cap, by length and then lexicographically
     elems = [
         w
@@ -528,6 +528,25 @@ def test_words_rows_match_pairwise_embedding(base, cap):
         assert got.rows[i] == sum(
             1 << j for j, v in enumerate(elems) if _embeds_word(base, u, v)
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quasi_orders(max_n=4), st.integers(0, 4))
+def test_words_rows_match_pairwise_embedding(base, cap):
+    _assert_words_match_pairwise_embedding(base, cap)
+
+
+@pytest.mark.parametrize("cap", range(7))
+def test_words_over_one_letter_match_pairwise_embedding(cap):
+    _assert_words_match_pairwise_embedding(FinitePoset(1, (1,)), cap)
+
+
+def test_words_over_one_letter_are_built_as_a_chain():
+    # the general recurrence is quadratic in the cap here: 1.7 s at 4,999
+    start = time.perf_counter()
+    got = _words(FinitePoset(1, (1,)), 4999)
+    assert time.perf_counter() - start < 0.1
+    assert got == _chain(5000)
 
 
 def test_width_matches_networkx_hopcroft_karp():

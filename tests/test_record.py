@@ -200,6 +200,7 @@ def test_poset_and_check_entry_are_immutable_values():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor any module of the package that a command imports for itself
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -210,10 +211,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
-    assert "wqometer.cli" in added
-    assert not added & {"dataclasses", "inspect"}, sorted(added)
+    package = {m for m in added if m.partition(".")[0] == "wqometer"}
+    assert package == {"wqometer", "wqometer.cli", "wqometer.errors"}
+    assert not added & {"dataclasses", "inspect", "json", "random"}, sorted(added)
