@@ -14,7 +14,10 @@ expression a component comes out
 
 `_eval` is one bottom-up fold over the expression: it evaluates each
 child once, takes one stack frame per nesting level, and picks one of
-two strategies per subtree:
+two strategies per subtree.  The rules are compositional, so a node's
+triple depends on the node alone; `parse_expr` makes equal subterms one
+object, and one `invariants` call evaluates each distinct object once,
+looking it up by identity when it comes again.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are read
@@ -87,7 +90,7 @@ from .ordinal import (
     two_pow,
 )
 from .record import Record
-from .rewrite import eliminate_pf
+from .rewrite import _elim_root, eliminate_pf
 
 _TWO = Ordinal.from_nat(2)
 
@@ -441,16 +444,30 @@ def pf_bounds(e: WqoExpr) -> InvariantReport:
 # ---------------------------------------------------------------------------
 
 
+class _Notes(list):
+    """The notes of one `invariants` call, in the order the rules fired,
+    plus `seen`: the triple of each node evaluated so far in the call, by
+    id, kept with the node, which so stays alive and keeps its id.  The
+    table rides on the notes, so `_eval` keeps its two arguments.  A node
+    met again (`parse_expr` shares equal subterms) is not evaluated again:
+    its notes are in the list already, from its first time, so the
+    deduplicated notes come out the same."""
+
+    __slots__ = ("seen",)
+    seen: dict[int, tuple[WqoExpr, _Triple]]
+
+
 def invariants(e: WqoExpr) -> InvariantReport:
     """Compute (o, h, w) of ``e``, together with the weakened order type
     when ``e`` simplifies to an elementary expression."""
     e2 = eliminate_pf(e)
-    notes: list[str] = []
+    notes = _Notes()
     if e2 is not e:
         notes.append("simplification-applied")
     if e2.fragment == "elementary":
         (o, h, w), wm = _eval_elementary(e2, notes)
     else:
+        notes.seen = {}
         (o, h, w), wm = _eval(e2, notes), None
         if e2.fragment == "omega":
             assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
@@ -468,44 +485,57 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
 
 
 def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
-    """The triple of `e`, evaluating each child once, bottom-up."""
-    if e.fragment == "elementary":
-        return _eval_elementary(e, notes)[0]
+    """The triple of `e`, evaluating each child once, bottom-up.
 
-    if isinstance(e, Ord):
+    With the `_Notes` of an `invariants` call, each distinct node is
+    evaluated once per call (a plain list of notes keeps no table).  The
+    lookup is inline and the body has one exit, which records the triple,
+    so a nesting level still costs one frame.
+    """
+    seen = getattr(notes, "seen", None)
+    if seen is not None:
+        hit = seen.get(id(e))
+        if hit is not None:
+            return hit[1]
+
+    if e.fragment == "elementary":
+        t = _eval_elementary(e, notes)[0]
+
+    elif isinstance(e, Ord):
         a = e.value
         if a.is_zero:
-            return _EMPTY
-        if a == OMEGA:
-            # the general rules keep h = w exactly at every node built
-            # from w by the elementary constructors
-            notes.append("omega-elementary-height")
-        return (
-            InvariantResult.exact(a),
-            InvariantResult.exact(a),
-            InvariantResult.exact(ONE),
-        )
+            t = _EMPTY
+        else:
+            if a == OMEGA:
+                # the general rules keep h = w exactly at every node built
+                # from w by the elementary constructors
+                notes.append("omega-elementary-height")
+            t = (
+                InvariantResult.exact(a),
+                InvariantResult.exact(a),
+                InvariantResult.exact(ONE),
+            )
 
-    if isinstance(e, Gamma):
+    elif isinstance(e, Gamma):
         k = Ordinal.from_nat(e.size)
-        return (
+        t = (
             InvariantResult.exact(k),
             InvariantResult.exact(ONE),
             InvariantResult.exact(k),
         )
 
-    if isinstance(e, Phi):
+    elif isinstance(e, Phi):
         # o = w = a and h = w^a1, a1 the leading exponent of a (an
         # ordinal-indexed lexicographic sum of antichains)
         notes.append("family:phi")
         a = e.value
-        return _exact3(a, omega_pow(a.leading_exponent), a)
+        t = _exact3(a, omega_pow(a.leading_exponent), a)
 
-    if isinstance(e, (Sim, SimExt)):
+    elif isinstance(e, (Sim, SimExt)):
         notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
-        return _eval(_desugar(e), notes)
+        t = _eval(_desugar(e), notes)
 
-    if isinstance(e, (DisjUnion, LexSum)):
+    elif isinstance(e, (DisjUnion, LexSum)):
         # each component of a chain A1|...|An or A1++...++An is an
         # associative function of its parts, so the left spine is walked
         # down to its first node of another kind (or elementary union),
@@ -513,71 +543,88 @@ def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
         # lifted once
         node = type(e)
         parts = []
-        while isinstance(e, node) and e.fragment != "elementary":
-            parts.append(e.right)
-            e = e.left
-        parts.append(e)
+        x = e
+        while isinstance(x, node) and x.fragment != "elementary":
+            parts.append(x.right)
+            x = x.left
+        parts.append(x)
         mots, heights, widths = zip(*[_eval(p, notes) for p in reversed(parts)])
         fo, fh, fw = _CHAIN_FNS[node]
-        return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
+        t = _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
-    if isinstance(e, (CartProd, LexProd)):
-        # a singleton factor leaves the other factor unchanged, and an
-        # empty factor, however its emptiness was found, empties the product
+    elif isinstance(e, (CartProd, LexProd)):
+        # a singleton factor leaves the other factor unchanged
         for mine, other in ((e.left, e.right), (e.right, e.left)):
             if isinstance(mine, Ord) and mine.value == ONE:
                 notes.append("product-with-singleton-factor")
-                return _eval(other, notes)
-        left, right = _eval(e.left, notes), _eval(e.right, notes)
-        if _is_empty(left) or _is_empty(right):
-            notes.append("product-with-empty-factor")
-            return _EMPTY
-        if isinstance(e, CartProd):
-            o = _lift(nat_prod, left[0], right[0])
-            h = _lift(hat_nat_sum, left[1], right[1])
-            w = _product_width(e, left, right, notes)
-            return o, h, w
-        ro = right[0]
-        if ro.reason is not None:
-            o = InvariantResult.unsupported(ro.reason)
-        elif ro.kind != "exact":
-            o = InvariantResult.unsupported("needs-exact-value:lex-product-mot")
-        elif ro.value.is_limit:
-            o = _lift(mul, left[0], ro)
+                t = _eval(other, notes)
+                break
         else:
-            o = InvariantResult.unsupported(
-                HypothesisNotMet("lex-product-mot", "o(B) is a limit ordinal").reason
-            )
-        h = _lift(mul, left[1], right[1])
-        w = _lex_prod_width(left[2], right[2])
-        return o, h, w
+            t = _product_parts(e, _eval(e.left, notes), _eval(e.right, notes), notes)
 
-    if isinstance(e, Words):
-        return _words_parts(_eval(e.arg, notes), notes)
+    elif isinstance(e, Words):
+        t = _words_parts(_eval(e.arg, notes), notes)
 
-    if isinstance(e, Multisets):
-        return _multisets_parts(_eval(e.arg, notes), notes)
+    elif isinstance(e, Multisets):
+        t = _multisets_parts(_eval(e.arg, notes), notes)
 
-    if isinstance(e, MultisetsN):
+    elif isinstance(e, MultisetsN):
         if e.size == 0:
             notes.append("fixed-size-multisets: only the empty multiset")
-            return _SINGLETON
-        u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
-        return u, u, u
+            t = _SINGLETON
+        else:
+            u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
+            t = u, u, u
 
-    if isinstance(e, Pf):
+    elif isinstance(e, Pf):
         if isinstance(e.arg, (Phi, Sim, SimExt)):
-            return _pf_family_parts(e.arg, notes)
-        base = _eval(e.arg, notes)
-        if _is_empty(base):
-            notes.append("powerset-of-empty-order")
-            return _SINGLETON
-        return _pf_table_parts(base, notes)
+            t = _pf_family_parts(e.arg, notes)
+        else:
+            base = _eval(e.arg, notes)
+            if _is_empty(base):
+                notes.append("powerset-of-empty-order")
+                t = _SINGLETON
+            else:
+                t = _pf_table_parts(base, notes)
 
-    if isinstance(e, PfPlus):
-        return _pf_plus_parts(e, notes)
+    elif isinstance(e, PfPlus):
+        t = _pf_plus_parts(e, notes)
 
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    else:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+
+    if seen is not None:
+        seen[id(e)] = e, t
+    return t
+
+
+def _product_parts(
+    e: CartProd | LexProd, left: _Triple, right: _Triple, notes: list[str]
+) -> _Triple:
+    """A product's triple from its factors' triples `left` and `right`."""
+    # an empty factor, however its emptiness was found, empties the product
+    if _is_empty(left) or _is_empty(right):
+        notes.append("product-with-empty-factor")
+        return _EMPTY
+    if isinstance(e, CartProd):
+        o = _lift(nat_prod, left[0], right[0])
+        h = _lift(hat_nat_sum, left[1], right[1])
+        w = _product_width(e, left, right, notes)
+        return o, h, w
+    ro = right[0]
+    if ro.reason is not None:
+        o = InvariantResult.unsupported(ro.reason)
+    elif ro.kind != "exact":
+        o = InvariantResult.unsupported("needs-exact-value:lex-product-mot")
+    elif ro.value.is_limit:
+        o = _lift(mul, left[0], ro)
+    else:
+        o = InvariantResult.unsupported(
+            HypothesisNotMet("lex-product-mot", "o(B) is a limit ordinal").reason
+        )
+    h = _lift(mul, left[1], right[1])
+    w = _lex_prod_width(left[2], right[2])
+    return o, h, w
 
 
 def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str]) -> _Triple:
@@ -718,7 +765,7 @@ def _pf_family_parts(x: Phi | Sim | SimExt, notes: list[str]) -> _Triple:
         return t, InvariantResult.interval(hl, two_pow(hl)), t
     if isinstance(x, Sim):
         notes.append("family:sim-powerset")
-        return _eval(eliminate_pf(Pf(_desugar(x))), notes)
+        return _eval(_elim_root(Pf(_desugar(x))), notes)
     notes.append("family:sim-extended-powerset")
     o, h, w = _pf_table_parts(_eval(_desugar(x), notes), notes)
     # this family attains the powerset height bound: h >= 2^a * m
@@ -730,7 +777,7 @@ def _pf_family_parts(x: Phi | Sim | SimExt, notes: list[str]) -> _Triple:
 
 def _pf_plus_parts(e: PfPlus, notes: list[str]) -> _Triple:
     notes.append("nonempty-powerset: derived from Pf minus its bottom")
-    bo, bh, bw = _eval(eliminate_pf(Pf(e.arg)), notes)
+    bo, bh, bw = _eval(_elim_root(Pf(e.arg)), notes)
     if bo.kind == "exact" and bo.value == ONE:
         # Pf(X) is the singleton {empty set}, so X is empty and so is Pf+(X)
         return _EMPTY

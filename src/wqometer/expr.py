@@ -30,7 +30,10 @@ The tokens, precedences and constructor names live in one table
 (``_INFIX``, ``_WORDS`` and ``_CALLS`` below), the one source that both
 ``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
 keeps its stacks on the heap, so expression nesting costs it no Python
-frames.
+frames, and it makes equal subterms of one text one object: a term that
+repeats a part many times holds it once, and the layers above treat
+each distinct object once.  Equality, hashing and pickling are as for
+unshared terms.
 
 Each node's `fragment` (elementary, omega-elementary or neither) is set by
 its constructor from its children's, so classifying a term takes no walk
@@ -376,6 +379,15 @@ _OPERAND = "a constructor (%s), '(', 'w' or a natural number" % ", ".join(
     name for name in _CALLS if name.isalpha()
 )
 _LEAF = {"a": ord_mod.parse_ordinal_prefix, "n": ord_mod._parse_nat}
+# A leaf met before is looked up by its text, not read again.  The text a
+# leaf call's arguments span, and that of a bare w's exponent (if any), is
+# ordinal text balanced in parentheses; matched here up to two deep, it
+# ends where reading it would (each ordinal reader stops at a non-blank
+# after the blanks that follow it).  Deeper text is read, not looked up.
+_BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
+_LEAF_CALLS = {name for name, (_cls, kinds) in _CALLS.items() if "e" not in kinds}
+_LEAF_ARGS = re.compile(r"[ \t]*+" + _BALANCED)
+_EXPONENT = re.compile(r"\^(?!<)[ \t]*+(?:[0-9]++|w|%s)[ \t]*+|(?!\^(?!<))" % _BALANCED)
 
 
 def parse_expr(text: str) -> WqoExpr:
@@ -386,9 +398,18 @@ def parse_expr(text: str) -> WqoExpr:
     open groups, innermost last, each a ``(``, a constructor call waiting
     for an expression argument, or the whole text, with the arguments read
     so far and its own pending infix operators.
+
+    Equal subterms come out as one object.  `shared` maps the text of each
+    leaf (an ordinal literal, or a call whose arguments are all ordinals
+    and naturals), and each other node's class with the ids of its
+    subexpressions, to the first node made for it.  Those subexpressions
+    are shared already, so the sharing grows bottom-up, and every node in
+    `out` stays in `shared`, so no id is reused.  A leaf call whose text
+    was seen before is not read again.  The table lives for one call.
     """
     out: list[WqoExpr] = []
     groups: list[tuple[str | None, list, list]] = [(None, [], [])]
+    shared: dict = {}
     pos = 0
     while True:
         # an operand: a leaf, or the opening of a group
@@ -399,21 +420,34 @@ def parse_expr(text: str) -> WqoExpr:
         if tok == "(":
             groups.append((tok, [], []))
             continue
-        if tok in _CALLS:
+        if tok in _LEAF_CALLS or tok == "w":
+            m = (_EXPONENT if tok == "w" else _LEAF_ARGS).match(text, pos)
+            node = shared.get(text[p : m.end()]) if m else None
+            if node is not None:
+                pos = m.end()
+            else:
+                if tok != "w":
+                    node, pos = _call(text, pos, tok, [])
+                else:
+                    # bare single-term ordinal literal: w or w^atom
+                    exponent = ord_mod.ONE
+                    if text.startswith("^", pos) and not text.startswith("^<", pos):
+                        exponent, pos = ord_mod._parse_atom(
+                            text, ord_mod._skip_ws(text, pos + 1)
+                        )
+                    node = Ord(omega_pow(exponent))
+                node = shared.setdefault(text[p:pos], node)
+        elif tok in _CALLS:
             args = []
-            node, pos = _call(text, pos, tok, args)
-            if node is None:
-                groups.append((tok, args, []))
-                continue
-        elif tok == "w":
-            # bare single-term ordinal literal: w or w^atom
-            exponent = ord_mod.ONE
-            if text.startswith("^", pos) and not text.startswith("^<", pos):
-                exponent, pos = ord_mod._parse_atom(text, pos + 1)
-            node = Ord(omega_pow(exponent))
+            pos = _call(text, pos, tok, args)[1]
+            groups.append((tok, args, []))
+            continue
         elif tok in "0123456789":
             n, pos = ord_mod._parse_nat(text, p)
-            node = Ord(Ordinal.from_nat(n))
+            key = text[p:pos]
+            node = shared.get(key)
+            if node is None:
+                node = shared[key] = Ord(Ordinal.from_nat(n))
         else:
             raise ParseError(text, p, _OPERAND)
         out.append(node)
@@ -422,15 +456,18 @@ def parse_expr(text: str) -> WqoExpr:
             m = _TOKEN.match(text, pos)
             tok, p = m[1], m.start(1)
             if tok == _WORDS:
-                out[-1] = Words(out[-1])
+                x = out[-1]
+                out[-1] = shared.setdefault((Words, id(x)), Words(x))
                 pos = m.end()
                 continue
             name, args, ops = groups[-1]
             infix = _INFIX.get(tok)
             prec = infix[0] if infix else 0
             while ops and ops[-1][0] >= prec:
+                cls = ops.pop()[1]
                 right = out.pop()
-                out[-1] = ops.pop()[1](out[-1], right)
+                left = out[-1]
+                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
             if infix:
                 ops.append(infix)
                 pos = m.end()
@@ -450,7 +487,8 @@ def parse_expr(text: str) -> WqoExpr:
             if node is None:
                 groups.append((name, args, []))
                 break
-            out.append(node)
+            # the expression argument comes first, any natural after it
+            out.append(shared.setdefault((type(node), id(args[0]), *args[1:]), node))
 
 
 def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, int]:
@@ -460,10 +498,11 @@ def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, i
     closing ')'.  Returns the node and the position after it, or None and
     the position where the expression argument starts."""
     cls, kinds = _CALLS[name]
+    if not args:
+        pos = ord_mod._skip_ws(text, pos)  # the blanks after the name
     while True:
         i = len(args)
         sep = "(" if i == 0 else "," if i < len(kinds) else ")"
-        pos = ord_mod._skip_ws(text, pos)
         if not text.startswith(sep, pos):
             raise ParseError(text, pos, f"'{sep}'")
         pos += 1
@@ -476,6 +515,7 @@ def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, i
                 raise ParseError(text, start, str(exc)) from None
         if kinds[i] == "e":
             return None, pos
+        # a leaf reader also skips the blanks after its argument
         start = ord_mod._skip_ws(text, pos)
         value, pos = _LEAF[kinds[i]](text, start)
         args.append(value)

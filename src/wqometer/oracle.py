@@ -316,7 +316,8 @@ def _build(e: WqoExpr, cap: int | None) -> FinitePoset:
     if isinstance(e, PfPlus):
         return _pf(_build(e.arg, cap), include_empty=False)
     if isinstance(e, MultisetsN):
-        return _multisets_n(_build(e.arg, cap), e.size)
+        # Mn(A, 0) holds only the empty multiset, whatever A is
+        return _multisets_n(_build(e.arg, cap), e.size) if e.size else _chain(1)
     if isinstance(e, Words):
         return _words(_build(e.arg, cap), cap)
     raise UnsupportedComputation("not-a-finite-order", print_expr(e))

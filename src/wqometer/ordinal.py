@@ -34,6 +34,7 @@ run of the ASCII digits 0-9.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from functools import cmp_to_key
 
@@ -507,86 +508,88 @@ def odot(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the textual ordinal syntax (see module docstring)."""
-    value, pos = parse_ordinal_prefix(text, 0)
-    pos = _skip_ws(text, pos)
+    value, pos = parse_ordinal_prefix(text, _skip_ws(text, 0))
     if pos != len(text):
         raise ParseError(text, pos, "end of ordinal")
     return value
 
 
+# Each reader below starts at a non-blank position, whose blanks its caller
+# has skipped, and returns its value with the position past the blanks
+# that follow what it read; so blanks are skipped once, after each token.
+
+_DIGITS = tuple("0123456789")
+# a run of ASCII digits and the blanks after it
+_NAT = re.compile(r"([0-9]*)[ \t]*")
+
+
 def parse_ordinal_prefix(text: str, pos: int) -> tuple[Ordinal, int]:
-    """Parse an ordinal starting at `pos`; returns (value, next position).
+    """Parse an ordinal starting at the non-blank `pos`; returns (value,
+    position past the blanks after it).
 
     Exposed so the expression parser can read ordinal arguments in place.
     Sums are folded left with ordinal addition, so non-normal spellings
     like ``1+w`` are accepted and normalised.  A sum that merges terms
     into a coefficient too long to print is refused.
     """
-    start = _skip_ws(text, pos)
-    value, pos = _parse_term(text, start)
+    start = pos
+    value, pos = _parse_term(text, pos)
     summed = False
-    while True:
-        p = _skip_ws(text, pos)
-        # a lone '+' continues the sum; '++' belongs to the expression layer
-        if text.startswith("+", p) and not text.startswith("++", p):
-            term, pos = _parse_term(text, p + 1)
-            value = add(value, term)
-            summed = True
-        elif summed and _MAX_NAT and any(c >= _MAX_NAT for _, c in value.terms):
-            # the exponents were parsed, and checked, on their own
-            raise ParseError(text, start, "a sum small enough to print")
-        else:
-            return value, pos
+    # a lone '+' continues the sum; '++' belongs to the expression layer
+    while text.startswith("+", pos) and not text.startswith("++", pos):
+        term, pos = _parse_term(text, _skip_ws(text, pos + 1))
+        value = add(value, term)
+        summed = True
+    if summed and _MAX_NAT and any(c >= _MAX_NAT for _, c in value.terms):
+        # the exponents were parsed, and checked, on their own
+        raise ParseError(text, start, "a sum small enough to print")
+    return value, pos
 
 
 def _parse_term(text: str, pos: int) -> tuple[Ordinal, int]:
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] == "w":
-        pos += 1
+    if text.startswith("w", pos):
         exponent = ONE
-        if pos < len(text) and text[pos] == "^":
-            exponent, pos = _parse_atom(text, pos + 1)
+        if text.startswith("^", pos + 1):
+            exponent, pos = _parse_atom(text, _skip_ws(text, pos + 2))
+        else:
+            pos = _skip_ws(text, pos + 1)
         coeff = 1
-        p = _skip_ws(text, pos)
-        if text.startswith("*", p):
-            p = _skip_ws(text, p + 1)
+        if text.startswith("*", pos):
+            p = _skip_ws(text, pos + 1)
             coeff, pos = _parse_nat(text, p)
             if coeff == 0:
                 raise ParseError(text, p, "a coefficient of at least 1")
         return omega_pow(exponent, coeff), pos
-    if pos < len(text) and text[pos] in "0123456789":
+    if text.startswith(_DIGITS, pos):
         n, pos = _parse_nat(text, pos)
         return Ordinal.from_nat(n), pos
     raise ParseError(text, pos, "'w' or a natural number")
 
 
 def _parse_atom(text: str, pos: int) -> tuple[Ordinal, int]:
-    pos = _skip_ws(text, pos)
-    if pos < len(text) and text[pos] in "0123456789":
+    if text.startswith(_DIGITS, pos):
         n, pos = _parse_nat(text, pos)
         return Ordinal.from_nat(n), pos
-    if pos < len(text) and text[pos] == "w":
-        return OMEGA, pos + 1
-    if pos < len(text) and text[pos] == "(":
-        value, pos = parse_ordinal_prefix(text, pos + 1)
-        pos = _skip_ws(text, pos)
+    if text.startswith("w", pos):
+        return OMEGA, _skip_ws(text, pos + 1)
+    if text.startswith("(", pos):
+        value, pos = parse_ordinal_prefix(text, _skip_ws(text, pos + 1))
         if not text.startswith(")", pos):
             raise ParseError(text, pos, "')'")
-        return value, pos + 1
+        return value, _skip_ws(text, pos + 1)
     raise ParseError(text, pos, "a natural number, 'w' or '('")
 
 
 def _parse_nat(text: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(text) and text[pos] in "0123456789":
-        pos += 1
-    if start == pos:
+    m = _NAT.match(text, pos)
+    digits = m[1]
+    if not digits:
         raise ParseError(text, pos, "a natural number")
-    if _MAX_STR_DIGITS and pos - start > _MAX_STR_DIGITS:
+    if _MAX_STR_DIGITS and len(digits) > _MAX_STR_DIGITS:
         raise ParseError(
-            text, start, f"a natural number of at most {_MAX_STR_DIGITS} digits"
+            text, pos, f"a natural number of at most {_MAX_STR_DIGITS} digits"
         )
-    return int(text[start:pos]), pos
+    return int(digits), m.end()
 
 
 def _skip_ws(text: str, pos: int) -> int:

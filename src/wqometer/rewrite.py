@@ -284,18 +284,33 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     Pf+(a) = a and Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y).  Sums and lexicographic
     products of raw ordinals fuse into a single ordinal leaf along the way.
     One post-order pass applies them, visiting each node once; it returns
-    `e` itself when no rule fires.  It recurses through `_elim`, so a
+    `e` itself when no rule fires.  A subterm that occurs more than once as
+    one object (as `parse_expr` shares them) is eliminated once, and its
+    result is shared the same way.  It recurses through `_elim`, so a
     wrapper on this name (such as `bench/tracing.py`'s) sees one call.
     """
-    return _elim(e)
+    return _elim(e, {})
 
 
-def _elim(e: WqoExpr) -> WqoExpr:
+def _elim(e: WqoExpr, done: dict[int, WqoExpr]) -> WqoExpr:
+    """`e` eliminated; `done` maps the id of each inner node of the input
+    met so far in this pass to its result (every such node stays alive,
+    being part of the input)."""
     kids = e.children()
-    new_kids = tuple(map(_elim, kids))
-    if any(map(is_not, new_kids, kids)):
-        e = e.with_children(new_kids)
-    return _elim_root(e)
+    if not kids:
+        return e  # every rule rewrites an inner node
+    key = id(e)
+    out = done.get(key)
+    if out is None:
+        # a node has one or two children
+        if len(kids) == 1:
+            new_kids = (_elim(kids[0], done),)
+        else:
+            new_kids = (_elim(kids[0], done), _elim(kids[1], done))
+        if any(map(is_not, new_kids, kids)):
+            e = e.with_children(new_kids)
+        out = done[key] = _elim_root(e)
+    return out
 
 
 def _elim_root(e: WqoExpr) -> WqoExpr:

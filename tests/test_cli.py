@@ -364,6 +364,25 @@ def test_words_over_no_letters_ignore_the_cap(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("oracle", "Mn(o(w^w),0)"), "n = 1"),
+        (("check", "Mn(w,0)"), "result: ok"),
+        (("iso", "Mn(w,0)", "1"), "isomorphic"),
+    ],
+    ids=["oracle", "check", "iso"],
+)
+def test_fixed_size_zero_multisets_over_an_infinite_order_are_one_element(
+    capsys, argv, line
+):
+    # Mn(A, 0) is the one empty multiset, so A is never built
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("invariants", "w", "--seed", "3"),
