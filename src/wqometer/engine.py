@@ -12,27 +12,28 @@ expression a component comes out
 * unsupported      -- no sound rule applies (the reason says which
                       hypothesis failed or which rule is missing).
 
-`_eval` is one bottom-up fold over the expression: it evaluates each
-child once, takes one stack frame per nesting level, and picks one of
-two strategies per subtree.  The rules are compositional, so a node's
-triple depends on the node alone; `parse_expr` makes equal subterms one
-object, and one `invariants` call evaluates each distinct object once,
-looking it up by identity when it comes again.  The strategies:
+`_evaluate` is one `fold` over the expression with one rule set:
+`_parts` names the nodes a node's triple is made from, and `_rule` makes
+it.  It picks one of two strategies per subtree.  The rules are
+compositional, so a node's value depends on the node alone; `parse_expr`
+makes equal subterms one object, and a fold treats each distinct object
+once, with no stack frame per nesting level.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
-   over multiplicatively indecomposable ordinal leaves >= w^w) are read
-   off exactly, with the weakened order type used for powerset heights, by
-   one structural pass that never builds their normal form;
+   over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
+   of that fold, each read off exactly, with the weakened order type used
+   for powerset heights, by a fold of `_summary`, which never builds
+   their normal form;
 2. everything else goes through the general compositional rules, with
    powersets handled by the sound bound table (1 + x <= f(Pf(A)) <= 2^x
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
 
 A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
-union are natural sums and ``h`` a maximum, both associative, so the left
-spine is walked down to the first node that is not a union or is
-elementary, the parts are evaluated left to right, and each component
-is lifted once with an n-ary natural sum or maximum.  A chain of
+union are natural sums and ``h`` a maximum, both associative, so its
+parts are the nodes off its left spine, down to the first node that is
+not a union or is elementary, and each component is lifted once with an
+n-ary natural sum or maximum.  A chain of
 lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
 are n-ary ordinal sums and ``w`` a maximum.
 
@@ -48,6 +49,8 @@ bound) are desugared into plain expressions first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import partial
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -67,6 +70,7 @@ from .expr import (
     SimExt,
     Words,
     WqoExpr,
+    fold,
     print_expr,
 )
 from .ordinal import (
@@ -287,23 +291,26 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
 # ---------------------------------------------------------------------------
 
 
-def _summary(e: WqoExpr) -> tuple[Ordinal, Ordinal, Ordinal, Ordinal]:
-    """(L, N, h, sN) of an elementary expression, read off the term: its
-    normal form is a union of union-free components, L sums (naturally)
-    the bare leaves among them, N the other components' o, and sN is the
-    largest weakened o among those (0 if none).  Sound as hat_nat_sum and
-    hstar are monotone, hat_nat_sum is the maximum on the heights met under
-    M and Pf, and every o has only infinite exponents, so 2^x = w^x."""
+_Summary = tuple[Ordinal, Ordinal, Ordinal, Ordinal]
+
+
+def _summary(e: WqoExpr, kids: list[_Summary]) -> _Summary:
+    """(L, N, h, sN) of an elementary node from those of its children:
+    its normal form is a union of union-free components, L sums
+    (naturally) the bare leaves among them, N the other components' o,
+    and sN is the largest weakened o among those (0 if none).  Sound as
+    hat_nat_sum and hstar are monotone, hat_nat_sum is the maximum on the
+    heights met under M and Pf, and every o has only infinite exponents,
+    so 2^x = w^x."""
     if isinstance(e, Ord):
         return e.value, ZERO, e.value, ZERO
     if isinstance(e, (DisjUnion, CartProd)):
-        l1, n1, h1, s1 = _summary(e.left)
-        l2, n2, h2, s2 = _summary(e.right)
+        (l1, n1, h1, s1), (l2, n2, h2, s2) = kids
         if isinstance(e, DisjUnion):
             return nat_sum(l1, l2), nat_sum(n1, n2), max(h1, h2), max(s1, s2)
         o = nat_prod(nat_sum(l1, n1), nat_sum(l2, n2))
         return ZERO, o, hat_nat_sum(h1, h2), max(_weak(l1, s1), _weak(l2, s2))
-    leaves, rest, h, s = _summary(e.arg)
+    ((leaves, rest, h, s),) = kids
     if isinstance(e, Words):
         o = omega_pow(omega_pow(pm(nat_sum(leaves, rest))))
         return ZERO, o, hstar(h), _weak(leaves, s)
@@ -321,22 +328,13 @@ def _weak(leaves: Ordinal, s: Ordinal) -> Ordinal:
     return s if leaves.is_zero else max(omega_pow(leaves.leading_exponent), s)
 
 
-def _eval_elementary(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal]:
-    """Exact (o, h, w) and the weakened o of an elementary expression."""
-    leaves, rest, h, s = _summary(e)
-    notes.append("elementary-exact")
-    # a bare leaf adds 1 to the width, any other component its o
-    m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
-    return _exact3(nat_sum(leaves, rest), h, nat_sum(m, rest)), _weak(leaves, s)
-
-
 def weak_mot(e: WqoExpr) -> Ordinal:
     """The weakened maximal order type that `invariants` reports (it equals
     the powerset height), for expressions that simplify to elementary ones."""
     e2 = eliminate_pf(e)
     if e2.fragment != "elementary":
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
-    return _eval_elementary(e2, [])[1]
+    return _evaluate(e2, [])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +442,16 @@ def pf_bounds(e: WqoExpr) -> InvariantReport:
 # ---------------------------------------------------------------------------
 
 
-class _Notes(list):
-    """The notes of one `invariants` call, in the order the rules fired,
-    plus `seen`: the triple of each node evaluated so far in the call, by
-    id, kept with the node, which so stays alive and keeps its id.  The
-    table rides on the notes, so `_eval` keeps its two arguments.  A node
-    met again (`parse_expr` shares equal subterms) is not evaluated again:
-    its notes are in the list already, from its first time, so the
-    deduplicated notes come out the same."""
-
-    __slots__ = ("seen",)
-    seen: dict[int, tuple[WqoExpr, _Triple]]
-
-
 def invariants(e: WqoExpr) -> InvariantReport:
     """Compute (o, h, w) of ``e``, together with the weakened order type
     when ``e`` simplifies to an elementary expression."""
     e2 = eliminate_pf(e)
-    notes = _Notes()
+    notes: list[str] = []
     if e2 is not e:
         notes.append("simplification-applied")
-    if e2.fragment == "elementary":
-        (o, h, w), wm = _eval_elementary(e2, notes)
-    else:
-        notes.seen = {}
-        (o, h, w), wm = _eval(e2, notes), None
-        if e2.fragment == "omega":
-            assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
+    (o, h, w), wm = _evaluate(e2, notes)
+    if e2.fragment == "omega":
+        assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
     return InvariantReport(o, h, w, wm, tuple(dict.fromkeys(notes)))
 
@@ -484,118 +465,159 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
         )
 
 
-def _eval(e: WqoExpr, notes: list[str]) -> _Triple:
-    """The triple of `e`, evaluating each child once, bottom-up.
+def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
+    """The triple of `e` and, when `e` is elementary, its weakened o.
 
-    With the `_Notes` of an `invariants` call, each distinct node is
-    evaluated once per call (a plain list of notes keeps no table).  The
-    lookup is inline and the body has one exit, which records the triple,
-    so a nesting level still costs one frame.
-    """
-    seen = getattr(notes, "seen", None)
-    if seen is not None:
-        hit = seen.get(id(e))
-        if hit is not None:
-            return hit[1]
+    An elementary term is one fold of `_summary`; any other is one fold
+    of `_rule` over the nodes `_parts` names, in which each elementary
+    subterm is a leaf evaluated here.  The rules that fire are appended to
+    `notes` in the order a recursive walk fires them: `_parts` appends
+    those of a rule before the nodes it reads are evaluated, `_rule` those
+    after.  A node met again adds no notes, as its notes are in the list
+    already."""
+    if e.fragment != "elementary":
+        return fold(e, partial(_rule, notes), partial(_parts, notes)), None
+    notes.append("elementary-exact")
+    leaves, rest, h, s = fold(e, _summary)
+    # a bare leaf adds 1 to the width, any other component its o
+    m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
+    return _exact3(nat_sum(leaves, rest), h, nat_sum(m, rest)), _weak(leaves, s)
 
+
+def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
+    """The parts A1, ..., An of the chain A1|...|An or A1++...++An at `e`,
+    left to right: the nodes off its left spine, down to the first node of
+    another kind (or an elementary union)."""
+    node = type(e)
+    parts = []
+    while isinstance(e, node) and e.fragment != "elementary":
+        parts.append(e.right)
+        e = e.left
+    parts.append(e)
+    parts.reverse()
+    return parts
+
+
+def _parts(notes: list[str], e: WqoExpr) -> Sequence[WqoExpr]:
+    """The nodes whose values `_rule` makes the value of `e` from."""
+    if e.fragment == "elementary" or isinstance(e, _READ_NOTHING):
+        return ()
+    if isinstance(e, (DisjUnion, LexSum)):
+        return _chain_parts(e)
+    if isinstance(e, (CartProd, LexProd)):
+        # a singleton factor leaves the other factor unchanged
+        for mine, other in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(mine, Ord) and mine.value == ONE:
+                notes.append("product-with-singleton-factor")
+                return (other,)
+        return e.left, e.right
+    if isinstance(e, (Words, Multisets)):
+        return (e.arg,)
+    if isinstance(e, Pf):
+        x = e.arg
+        if isinstance(x, Sim):
+            notes.append("family:sim-powerset")
+            return (_elim_root(Pf(_desugar(x))),)
+        if isinstance(x, SimExt):
+            notes.append("family:sim-extended-powerset")
+            return (_desugar(x),)
+        return () if isinstance(x, Phi) else (x,)
+    if isinstance(e, PfPlus):
+        notes.append("nonempty-powerset: derived from Pf minus its bottom")
+        return (_elim_root(Pf(e.arg)),)
+    if isinstance(e, (Sim, SimExt)):
+        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
+        return (_desugar(e),)
+    return ()
+
+
+# the leaves evaluated from their own values, and Mn, whose rules do not
+# read the argument
+_READ_NOTHING = (Ord, Gamma, Phi, MultisetsN)
+
+
+def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
+    """The triple of `e` from the triples `kids` of the nodes `_parts`
+    names."""
     if e.fragment == "elementary":
-        t = _eval_elementary(e, notes)[0]
+        return _evaluate(e, notes)[0]
 
-    elif isinstance(e, Ord):
+    if isinstance(e, Ord):
         a = e.value
         if a.is_zero:
-            t = _EMPTY
-        else:
-            if a == OMEGA:
-                # the general rules keep h = w exactly at every node built
-                # from w by the elementary constructors
-                notes.append("omega-elementary-height")
-            t = (
-                InvariantResult.exact(a),
-                InvariantResult.exact(a),
-                InvariantResult.exact(ONE),
-            )
+            return _EMPTY
+        if a == OMEGA:
+            # the general rules keep h = w exactly at every node built
+            # from w by the elementary constructors
+            notes.append("omega-elementary-height")
+        return (
+            InvariantResult.exact(a),
+            InvariantResult.exact(a),
+            InvariantResult.exact(ONE),
+        )
 
-    elif isinstance(e, Gamma):
+    if isinstance(e, Gamma):
         k = Ordinal.from_nat(e.size)
-        t = (
+        return (
             InvariantResult.exact(k),
             InvariantResult.exact(ONE),
             InvariantResult.exact(k),
         )
 
-    elif isinstance(e, Phi):
+    if isinstance(e, Phi):
         # o = w = a and h = w^a1, a1 the leading exponent of a (an
         # ordinal-indexed lexicographic sum of antichains)
         notes.append("family:phi")
         a = e.value
-        t = _exact3(a, omega_pow(a.leading_exponent), a)
+        return _exact3(a, omega_pow(a.leading_exponent), a)
 
-    elif isinstance(e, (Sim, SimExt)):
-        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
-        t = _eval(_desugar(e), notes)
+    if isinstance(e, (DisjUnion, LexSum)):
+        mots, heights, widths = zip(*kids)
+        fo, fh, fw = _CHAIN_FNS[type(e)]
+        return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
-    elif isinstance(e, (DisjUnion, LexSum)):
-        # each component of a chain A1|...|An or A1++...++An is an
-        # associative function of its parts, so the left spine is walked
-        # down to its first node of another kind (or elementary union),
-        # the parts are evaluated left to right, and each component is
-        # lifted once
-        node = type(e)
-        parts = []
-        x = e
-        while isinstance(x, node) and x.fragment != "elementary":
-            parts.append(x.right)
-            x = x.left
-        parts.append(x)
-        mots, heights, widths = zip(*[_eval(p, notes) for p in reversed(parts)])
-        fo, fh, fw = _CHAIN_FNS[node]
-        t = _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
+    if isinstance(e, (CartProd, LexProd)):
+        if len(kids) == 1:
+            return kids[0]  # the other factor was the singleton
+        return _product_parts(e, *kids, notes)
 
-    elif isinstance(e, (CartProd, LexProd)):
-        # a singleton factor leaves the other factor unchanged
-        for mine, other in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(mine, Ord) and mine.value == ONE:
-                notes.append("product-with-singleton-factor")
-                t = _eval(other, notes)
-                break
-        else:
-            t = _product_parts(e, _eval(e.left, notes), _eval(e.right, notes), notes)
+    if isinstance(e, Words):
+        return _words_parts(kids[0], notes)
 
-    elif isinstance(e, Words):
-        t = _words_parts(_eval(e.arg, notes), notes)
+    if isinstance(e, Multisets):
+        return _multisets_parts(kids[0], notes)
 
-    elif isinstance(e, Multisets):
-        t = _multisets_parts(_eval(e.arg, notes), notes)
-
-    elif isinstance(e, MultisetsN):
+    if isinstance(e, MultisetsN):
         if e.size == 0:
             notes.append("fixed-size-multisets: only the empty multiset")
-            t = _SINGLETON
-        else:
-            u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
-            t = u, u, u
+            return _SINGLETON
+        u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
+        return u, u, u
 
-    elif isinstance(e, Pf):
-        if isinstance(e.arg, (Phi, Sim, SimExt)):
-            t = _pf_family_parts(e.arg, notes)
-        else:
-            base = _eval(e.arg, notes)
-            if _is_empty(base):
-                notes.append("powerset-of-empty-order")
-                t = _SINGLETON
-            else:
-                t = _pf_table_parts(base, notes)
+    if isinstance(e, Pf):
+        x = e.arg
+        if isinstance(x, Phi):
+            return _pf_phi_parts(x, notes)
+        if isinstance(x, Sim):
+            return kids[0]
+        if isinstance(x, SimExt):
+            o, _h, w = _pf_table_parts(kids[0], notes)
+            # this family attains the powerset height bound: h >= 2^a * m
+            bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
+            notes.append("powerset-height: family lower bound 2^a * m")
+            return o, InvariantResult.lower_only(bound), w
+        if _is_empty(kids[0]):
+            notes.append("powerset-of-empty-order")
+            return _SINGLETON
+        return _pf_table_parts(kids[0], notes)
 
-    elif isinstance(e, PfPlus):
-        t = _pf_plus_parts(e, notes)
+    if isinstance(e, PfPlus):
+        return _pf_plus_parts(kids[0])
 
-    else:
-        raise TypeError(f"unknown expression node {type(e).__name__}")
+    if isinstance(e, (Sim, SimExt)):
+        return kids[0]
 
-    if seen is not None:
-        seen[id(e)] = e, t
-    return t
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 def _product_parts(
@@ -746,38 +768,28 @@ def _multisets_parts(base: _Triple, notes: list[str]) -> _Triple:
     return o, h, w
 
 
-def _pf_family_parts(x: Phi | Sim | SimExt, notes: list[str]) -> _Triple:
-    """Pf of a family member, from its index rather than from its triple."""
-    if isinstance(x, Phi):
-        # both o and w equal 2^a exactly (binomial at finite indices),
-        # while h is only known inside the general powerset bounds
-        notes.append("family:phi-powerset")
-        a = x.value
-        if a.is_finite:
-            k = a.nat
-            return (
-                InvariantResult.exact(two_pow(a)),
-                InvariantResult.interval(_TWO, _TWO, finite_multiple=True),
-                InvariantResult.exact(_central_binomial(k)),
-            )
-        t = InvariantResult.exact(two_pow(a))
-        hl = omega_pow(a.leading_exponent)
-        return t, InvariantResult.interval(hl, two_pow(hl)), t
-    if isinstance(x, Sim):
-        notes.append("family:sim-powerset")
-        return _eval(_elim_root(Pf(_desugar(x))), notes)
-    notes.append("family:sim-extended-powerset")
-    o, h, w = _pf_table_parts(_eval(_desugar(x), notes), notes)
-    # this family attains the powerset height bound: h >= 2^a * m
-    bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
-    h = InvariantResult.lower_only(bound)
-    notes.append("powerset-height: family lower bound 2^a * m")
-    return o, h, w
+def _pf_phi_parts(x: Phi, notes: list[str]) -> _Triple:
+    """Pf of a Phi member, from its index rather than from its triple:
+    both o and w equal 2^a exactly (binomial at finite indices), while h
+    is only known inside the general powerset bounds."""
+    notes.append("family:phi-powerset")
+    a = x.value
+    if a.is_finite:
+        k = a.nat
+        return (
+            InvariantResult.exact(two_pow(a)),
+            InvariantResult.interval(_TWO, _TWO, finite_multiple=True),
+            InvariantResult.exact(_central_binomial(k)),
+        )
+    t = InvariantResult.exact(two_pow(a))
+    hl = omega_pow(a.leading_exponent)
+    return t, InvariantResult.interval(hl, two_pow(hl)), t
 
 
-def _pf_plus_parts(e: PfPlus, notes: list[str]) -> _Triple:
-    notes.append("nonempty-powerset: derived from Pf minus its bottom")
-    bo, bh, bw = _eval(_elim_root(Pf(e.arg)), notes)
+def _pf_plus_parts(pf: _Triple) -> _Triple:
+    """Pf+(X) from the triple `pf` of Pf(X), which has one more element,
+    the empty set, below all others."""
+    bo, bh, bw = pf
     if bo.kind == "exact" and bo.value == ONE:
         # Pf(X) is the singleton {empty set}, so X is empty and so is Pf+(X)
         return _EMPTY

@@ -31,9 +31,12 @@ The tokens, precedences and constructor names live in one table
 ``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
 keeps its stacks on the heap, so expression nesting costs it no Python
 frames, and it makes equal subterms of one text one object: a term that
-repeats a part many times holds it once, and the layers above treat
-each distinct object once.  Equality, hashing and pickling are as for
-unshared terms.
+repeats a part many times holds it once.  Equality, hashing and pickling
+are as for unshared terms.
+
+Every walk over a term in the package, here and in the layers above,
+is one `fold`: a bottom-up pass over an explicit stack that treats each
+distinct node object once, so neither depth nor repetition costs frames.
 
 Each node's `fragment` (elementary, omega-elementary or neither) is set by
 its constructor from its children's, so classifying a term takes no walk
@@ -254,6 +257,60 @@ _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 # ---------------------------------------------------------------------------
+# walking a term
+# ---------------------------------------------------------------------------
+
+
+def fold(e: WqoExpr, up, down=None):
+    """``up(node, values)`` of `e`, bottom-up, once per distinct node object.
+
+    `values` lists the results for the nodes ``down(node)`` names (by
+    default the node's children), in order.  `down` runs once per distinct
+    node, when the walk first reaches it; the nodes it names are then
+    folded left to right, each completely, and `up` runs after the last,
+    in the order of a recursive walk, so side effects of `down` and `up`
+    come in that order too.  A node met again (`parse_expr` shares equal
+    subterms, and `down` may name one twice) is looked up by identity.
+    The stack lives on the heap, so nesting costs no Python frames, and
+    every node stays referenced until the fold returns, so no id is
+    reused, also for nodes that `down` builds.
+    """
+    done = {}
+    keep = []  # the sequences of named nodes, which hold every node but `e`
+    # each node waiting for the values of the nodes it names, as (node,
+    # id, count), above those of the nodes not reached yet; the values of
+    # the nodes named by the waiting ones, in order
+    stack = []
+    values = []
+    x = e
+    while True:
+        key = id(x)
+        if key in done:
+            v = done[key]
+        else:
+            kids = x.children() if down is None else down(x)
+            if kids:
+                keep.append(kids)
+                stack.append((x, key, len(kids)))
+                stack += kids[:0:-1]  # all but the first, last first
+                x = kids[0]
+                continue
+            v = done[key] = up(x, kids)
+        values.append(v)
+        # finish the waiting nodes whose named nodes are all folded, up to
+        # the next node to reach
+        while stack:
+            x = stack.pop()
+            if type(x) is not tuple:
+                break
+            x, key, n = x
+            v = done[key] = up(x, values[-n:])
+            values[-n:] = (v,)
+        else:
+            return v
+
+
+# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -271,13 +328,19 @@ def is_omega_elementary(e: WqoExpr) -> bool:
 def is_finite_expr(e: WqoExpr) -> bool:
     """True when `e` denotes a finite quasi-order the oracle can build
     outright (words need an explicit length cap and are excluded here)."""
+    return fold(e, _finite)
+
+
+def _finite(e: WqoExpr, kids: list[bool]) -> bool:
     if isinstance(e, Ord):
         return e.value.is_finite
-    if isinstance(e, Gamma):
-        return True
-    if isinstance(e, (DisjUnion, LexSum, CartProd, LexProd, Pf, PfPlus, MultisetsN)):
-        return all(is_finite_expr(k) for k in e.children())
-    return False
+    if isinstance(e, MultisetsN) and not e.size:
+        return True  # only the empty multiset, whatever the argument
+    return isinstance(e, _FINITE) and all(kids)
+
+
+# the constructors that keep a finite order finite
+_FINITE = (Gamma, DisjUnion, LexSum, CartProd, LexProd, Pf, PfPlus, MultisetsN)
 
 
 def expr_size(e: WqoExpr) -> int:
@@ -335,28 +398,49 @@ _CONSTRUCTOR = {
 
 
 def print_expr(e: WqoExpr) -> str:
-    """Render `e` in the concrete syntax; parse_expr(print_expr(e)) == e."""
-    return _pp(e, 0)
+    """Render `e` in the concrete syntax; parse_expr(print_expr(e)) == e.
+
+    A fold gives each node its layout, which holds its subexpressions'
+    layouts rather than their text, so a deep term keeps one copy of each
+    piece; the text is read off the root's layout in one pass."""
+    out, todo = [], [fold(e, _layout)]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        else:
+            todo += reversed(x[1])
+    return "".join(out)
 
 
-def _pp(e: WqoExpr, min_prec: int) -> str:
+def _layout(e: WqoExpr, kids: list[tuple]) -> tuple[int, tuple]:
+    """(precedence, pieces) of `e`: the precedence of its operator (that
+    of a leaf or a call binds tightest), and its text as strings and the
+    layouts of its subexpressions, each in parentheses when it binds
+    looser than its place needs."""
     cls = type(e)
     call = _CONSTRUCTOR.get(cls)
     if call is not None:
         if cls is Ord and e.value.is_finite:
-            return str(e.value.nat)
+            return _TIGHTEST, (str(e.value.nat),)
         name, params = call
-        args = []
-        for field, kind in params:
-            value = getattr(e, field)
-            args.append(_pp(value, 0) if kind == "e" else str(value))
-        return f"{name}({','.join(args)})"
+        # an expression argument, if any, is the one and the first
+        first, *rest = (kids[0] if k == "e" else str(getattr(e, f)) for f, k in params)
+        return _TIGHTEST, (name + "(", first, "".join("," + a for a in rest) + ")")
     prec, tok = _OPERATOR[cls]
+    # the left operand may bind as loosely as the operator, the right one
+    # must bind tighter (every operator associates to the left)
+    first = _operand(kids[0], prec)
     if cls is Words:
-        s = _pp(e.arg, prec) + tok
-    else:
-        s = f"{_pp(e.left, prec)}{tok}{_pp(e.right, prec + 1)}"
-    return f"({s})" if prec < min_prec else s
+        return prec, (*first, tok)
+    return prec, (*first, tok, *_operand(kids[1], prec + 1))
+
+
+def _operand(layout: tuple[int, tuple], min_prec: int) -> tuple:
+    return ("(", layout, ")") if layout[0] < min_prec else (layout,)
+
+
+_TIGHTEST = _WORDS_PREC + 1
 
 
 # ---------------------------------------------------------------------------

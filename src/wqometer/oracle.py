@@ -39,6 +39,8 @@ its tail, by the replicate-by-multiplication step of the product builder.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import partial
 from math import comb
 
 from .errors import TooLargeError, UnsupportedComputation
@@ -54,6 +56,7 @@ from .expr import (
     PfPlus,
     Words,
     WqoExpr,
+    fold,
     is_finite_expr,
     print_expr,
 )
@@ -253,35 +256,41 @@ def _bits(mask: int):
 def est_size(e: WqoExpr, word_len_cap: int | None = None) -> int:
     """Upper estimate of the number of elements `build` enumerates; past
     SIZE_LIMIT it stops at SIZE_LIMIT + 1 instead of counting on."""
-    return min(_est(e, word_len_cap), SIZE_LIMIT + 1)
+    return fold(e, partial(_est, word_len_cap), partial(_est_parts, word_len_cap))
 
 
-def _est(e: WqoExpr, cap: int | None) -> int:
+def _est_parts(cap: int | None, e: WqoExpr) -> tuple[WqoExpr, ...]:
+    """The subexpressions `build` builds for `e`, refusing a node it
+    cannot build before any of them."""
+    if isinstance(e, Ord) and not e.value.is_finite or not isinstance(e, _BUILDABLE):
+        raise UnsupportedComputation("not-a-finite-order", print_expr(e))
+    if isinstance(e, Words) and cap is None:
+        raise UnsupportedComputation("words-need-length-cap", print_expr(e))
+    return _build_parts(e)
+
+
+def _est(cap: int | None, e: WqoExpr, kids: list[int]) -> int:
     if isinstance(e, Ord):
-        if not e.value.is_finite:
-            raise UnsupportedComputation("not-a-finite-order", print_expr(e))
-        return e.value.nat
-    if isinstance(e, Gamma):
-        return e.size
-    if isinstance(e, (DisjUnion, LexSum)):
-        return est_size(e.left, cap) + est_size(e.right, cap)
-    if isinstance(e, (CartProd, LexProd)):
-        return est_size(e.left, cap) * est_size(e.right, cap)
-    if isinstance(e, Pf):
-        return 2 ** est_size(e.arg, cap)
-    if isinstance(e, PfPlus):
-        return 2 ** est_size(e.arg, cap) - 1
-    if isinstance(e, MultisetsN):
+        n = e.value.nat
+    elif isinstance(e, Gamma):
+        n = e.size
+    elif isinstance(e, (DisjUnion, LexSum)):
+        n = kids[0] + kids[1]
+    elif isinstance(e, (CartProd, LexProd)):
+        n = kids[0] * kids[1]
+    elif isinstance(e, (Pf, PfPlus)):
+        # 2^b - 1 > SIZE_LIMIT for b its bit length, so a larger power of
+        # two changes no verdict
+        n = 2 ** min(kids[0], SIZE_LIMIT.bit_length()) - isinstance(e, PfPlus)
+    elif isinstance(e, MultisetsN):
         k = min(e.size, SIZE_LIMIT + 1)  # a larger k changes no verdict
-        return comb(est_size(e.arg, cap) + k - 1, k) if k else 1
-    if isinstance(e, Words):
-        if cap is None:
-            raise UnsupportedComputation("words-need-length-cap", print_expr(e))
-        s = est_size(e.arg, cap)
+        n = comb(kids[0] + k - 1, k) if k else 1
+    else:
+        s = kids[0]
         # two letters give more than SIZE_LIMIT words of this length alone
         longest = SIZE_LIMIT.bit_length() if s > 1 else SIZE_LIMIT
-        return sum(s**i for i in range(min(cap, longest) + 1))
-    raise UnsupportedComputation("not-a-finite-order", print_expr(e))
+        n = sum(s**i for i in range(min(cap, longest) + 1))
+    return min(n, SIZE_LIMIT + 1)
 
 
 def build(e: WqoExpr, word_len_cap: int | None = None) -> FinitePoset:
@@ -290,37 +299,61 @@ def build(e: WqoExpr, word_len_cap: int | None = None) -> FinitePoset:
     Words constructors are truncated at `word_len_cap` letters (an
     under-approximation of the infinite order, still exact for the other
     constructors).  Estimated sizes beyond `SIZE_LIMIT` raise TooLargeError
-    before any enumeration starts.
+    before any enumeration starts.  Each distinct subexpression is built
+    once, and its poset is dropped after the last node built from it, so
+    a deep term holds few posets at a time.
     """
     if est_size(e, word_len_cap) > SIZE_LIMIT:
         what = f"oracle build of {print_expr(e)}"
         raise TooLargeError(what, f"more than {SIZE_LIMIT}", SIZE_LIMIT)
-    return _build(e, word_len_cap)
+    readers: Counter[int] = Counter()
+    fold(e, lambda x, _: readers.update(map(id, _build_parts(x))), _build_parts)
+    return fold(e, partial(_build_once, word_len_cap, readers), _build_parts)[0]
 
 
-def _build(e: WqoExpr, cap: int | None) -> FinitePoset:
+def _build_parts(e: WqoExpr) -> tuple[WqoExpr, ...]:
+    # Mn(A, 0) holds only the empty multiset, whatever A is
+    return () if isinstance(e, MultisetsN) and not e.size else e.children()
+
+
+def _build_once(
+    cap: int | None, readers: Counter[int], e: WqoExpr, boxes: list[list[FinitePoset]]
+) -> list[FinitePoset]:
+    """A box holding the poset of `e`, from the boxes of its parts, each
+    emptied at its last read: `readers` counts the reads left per node."""
+    kids = []
+    for k, box in zip(_build_parts(e), boxes):
+        kids.append(box[0])
+        readers[id(k)] -= 1
+        if not readers[id(k)]:
+            box.clear()
+    return [_build(cap, e, kids)]
+
+
+def _build(cap: int | None, e: WqoExpr, kids: list[FinitePoset]) -> FinitePoset:
     if isinstance(e, Ord):
         return _chain(e.value.nat)
     if isinstance(e, Gamma):
         return FinitePoset(e.size, tuple(1 << i for i in range(e.size)))
     if isinstance(e, DisjUnion):
-        return _disj(_build(e.left, cap), _build(e.right, cap))
+        return _disj(*kids)
     if isinstance(e, LexSum):
-        return _lexsum(_build(e.left, cap), _build(e.right, cap))
+        return _lexsum(*kids)
     if isinstance(e, CartProd):
-        return _cart(_build(e.left, cap), _build(e.right, cap))
+        return _cart(*kids)
     if isinstance(e, LexProd):
-        return _lexprod(_build(e.left, cap), _build(e.right, cap))
+        return _lexprod(*kids)
     if isinstance(e, Pf):
-        return _pf(_build(e.arg, cap), include_empty=True)
+        return _pf(kids[0], include_empty=True)
     if isinstance(e, PfPlus):
-        return _pf(_build(e.arg, cap), include_empty=False)
+        return _pf(kids[0], include_empty=False)
     if isinstance(e, MultisetsN):
-        # Mn(A, 0) holds only the empty multiset, whatever A is
-        return _multisets_n(_build(e.arg, cap), e.size) if e.size else _chain(1)
-    if isinstance(e, Words):
-        return _words(_build(e.arg, cap), cap)
-    raise UnsupportedComputation("not-a-finite-order", print_expr(e))
+        return _multisets_n(kids[0], e.size) if e.size else _chain(1)
+    return _words(kids[0], cap)
+
+
+# the constructors `build` builds
+_BUILDABLE = (Ord, Gamma, DisjUnion, LexSum, CartProd, LexProd, Pf, PfPlus, MultisetsN, Words)
 
 
 def _chain(n: int) -> FinitePoset:

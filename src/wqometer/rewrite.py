@@ -9,10 +9,12 @@ be exponentially larger than the term, so `normalize_elementary` counts
 its nodes from the term first and refuses it past `NF_SIZE_LIMIT`; the
 engine reads its values off the term and never builds it.
 
-`eliminate_pf`, used by the invariant engine, is one post-order pass with
-its own rules: it pushes every finite-powerset constructor down through
-unions and lexicographic sums until it either disappears into an ordinal
-leaf or gets stuck on a constructor with no elimination rule.
+`eliminate_pf`, used by the invariant engine, is one `fold` with its own
+rules: it pushes every finite-powerset constructor down through unions
+and lexicographic sums until it either disappears into an ordinal leaf
+or gets stuck on a constructor with no elimination rule.  `_norm` and
+`_step_at` still recurse, once per nesting level; `normalize_elementary`
+refuses terms whose normal form is large before it calls them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .expr import (
     PfPlus,
     Words,
     WqoExpr,
-    expr_size,
+    fold,
     print_expr,
 )
 from .ordinal import ONE, Ordinal, _printable, add, mul
@@ -200,52 +202,52 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     a path has been rewritten, everything to its left is normal, so the
     leftmost guarded redex lies inside that reduct or after it.  Both
     strategy names take the same steps (see `step`).  The fuel bound
-    4**size on the number of steps is a safety net only; the system
-    terminates well before it.
+    4**n on the number of steps, n the number of nodes in `e`, is a safety
+    net only; the system terminates well before it.
     """
     _check_strategy(strategy)
     if e.fragment != "elementary":
         raise UnsupportedComputation(
             "normalize-requires-elementary", print_expr(e)
         )
-    size = _nf_size(e)
+    size, nodes = _nf_size(e)
     if size > NF_SIZE_LIMIT:
         raise TooLargeError("normal form", size, NF_SIZE_LIMIT, "nodes")
     log: list[tuple[str, tuple[int, ...], WqoExpr]] = []
-    nf = _norm(e, (), log, 4 ** expr_size(e))
+    nf = _norm(e, (), log, 4 ** nodes)
     return nf, RewriteTrace(e, log)
 
 
-def _nf_size(e: WqoExpr) -> int:
-    """The number of nodes in the normal form of the elementary `e`,
-    counted from its structure without rewriting."""
-    components, _, size = _nf_shape(e)
-    return components - 1 + size
+def _nf_size(e: WqoExpr) -> tuple[int, int]:
+    """The numbers of nodes in the normal form of the elementary `e`,
+    counted from its structure without rewriting, and in `e` itself."""
+    components, _, size, nodes = fold(e, _nf_shape)
+    return components - 1 + size, nodes
 
 
-def _nf_shape(e: WqoExpr) -> tuple[int, int, int]:
+def _nf_shape(e: WqoExpr, kids: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
     """(components, bare leaves among them, nodes in all of them) of the
-    normal form of the elementary `e`, a union of union-free components."""
+    normal form of the elementary `e`, a union of union-free components,
+    and the number of nodes in `e`, from those of its children."""
     if isinstance(e, Ord):
-        return 1, 1, 1
+        return 1, 1, 1, 1
     if isinstance(e, (DisjUnion, CartProd)):
-        n1, l1, s1 = _nf_shape(e.left)
-        n2, l2, s2 = _nf_shape(e.right)
+        (n1, l1, s1, t1), (n2, l2, s2, t2) = kids
         if isinstance(e, DisjUnion):
-            return n1 + n2, l1 + l2, s1 + s2
+            return n1 + n2, l1 + l2, s1 + s2, t1 + t2 + 1
         # one product component per pair of components
-        return n1 * n2, 0, n1 * n2 + n2 * s1 + n1 * s2
-    n, leaves, size = _nf_shape(e.arg)
+        return n1 * n2, 0, n1 * n2 + n2 * s1 + n1 * s2, t1 + t2 + 1
+    ((n, leaves, size, t),) = kids
     if isinstance(e, Words):
         # no rule splits words: the one component Words(nf)
-        return 1, 0, n + size
+        return 1, 0, n + size, t + 1
     if isinstance(e, Multisets):
         # the product of M(C) over the components C
-        return 1, 0, 2 * n - 1 + size
+        return 1, 0, 2 * n - 1 + size, t + 1
     if n == leaves == 1:
-        return 1, 1, 1  # Pf of a leaf is the leaf
+        return 1, 1, 1, t + 1  # Pf of a leaf is the leaf
     # the product of Pf(C) over the components C, with Pf(a) = a
-    return 1, 0, 2 * n - 1 + size - leaves
+    return 1, 0, 2 * n - 1 + size - leaves, t + 1
 
 
 def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
@@ -254,6 +256,8 @@ def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
     reduct's children again.  It returns `e` itself when no rule fires."""
     while True:
         kids = e.children()
+        if not kids:
+            return e  # every rule rewrites an inner node
         new_kids = []
         changed = False
         for i, k in enumerate(kids):
@@ -283,34 +287,20 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     Pf(X ++ Y) = Pf(X) ++ Pf+(Y), and for the empty-set-less variant
     Pf+(a) = a and Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y).  Sums and lexicographic
     products of raw ordinals fuse into a single ordinal leaf along the way.
-    One post-order pass applies them, visiting each node once; it returns
-    `e` itself when no rule fires.  A subterm that occurs more than once as
-    one object (as `parse_expr` shares them) is eliminated once, and its
-    result is shared the same way.  It recurses through `_elim`, so a
-    wrapper on this name (such as `bench/tracing.py`'s) sees one call.
+    One `fold` applies them, so each distinct node is eliminated once, a
+    shared subterm comes out shared, and depth costs no frames; it returns
+    `e` itself when no rule fires.
     """
-    return _elim(e, {})
+    return fold(e, _elim)
 
 
-def _elim(e: WqoExpr, done: dict[int, WqoExpr]) -> WqoExpr:
-    """`e` eliminated; `done` maps the id of each inner node of the input
-    met so far in this pass to its result (every such node stays alive,
-    being part of the input)."""
-    kids = e.children()
+def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
+    """`e` over its eliminated children `kids`, with the rules applied."""
     if not kids:
         return e  # every rule rewrites an inner node
-    key = id(e)
-    out = done.get(key)
-    if out is None:
-        # a node has one or two children
-        if len(kids) == 1:
-            new_kids = (_elim(kids[0], done),)
-        else:
-            new_kids = (_elim(kids[0], done), _elim(kids[1], done))
-        if any(map(is_not, new_kids, kids)):
-            e = e.with_children(new_kids)
-        out = done[key] = _elim_root(e)
-    return out
+    if any(map(is_not, kids, e.children())):
+        e = e.with_children(tuple(kids))
+    return _elim_root(e)
 
 
 def _elim_root(e: WqoExpr) -> WqoExpr:
@@ -321,21 +311,41 @@ def _elim_root(e: WqoExpr) -> WqoExpr:
         if isinstance(x, Ord):
             # 1 + a = a over an infinite leaf, so no new value to check
             return x if not x.value.is_finite else _fused(e, add(ONE, x.value), False)
-        if isinstance(x, DisjUnion):
-            return CartProd(_elim_root(Pf(x.left)), _elim_root(Pf(x.right)))
-        if isinstance(x, LexSum):
-            return _elim_root(LexSum(_elim_root(Pf(x.left)), _elim_root(PfPlus(x.right))))
+        if isinstance(x, (DisjUnion, LexSum)):
+            return fold(e, _pf_rule, _pf_parts)
     elif isinstance(e, PfPlus):
         x = e.arg
         if isinstance(x, Ord):
             return x
         if isinstance(x, LexSum):
-            return _elim_root(LexSum(_elim_root(PfPlus(x.left)), _elim_root(PfPlus(x.right))))
+            return fold(e, _pf_rule, _pf_parts)
     elif isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
         return _fused(e, add(e.left.value, e.right.value), False)
     elif isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
         return _fused(e, mul(e.left.value, e.right.value), True)
     return e
+
+
+def _pf_parts(e: Pf | PfPlus) -> tuple[WqoExpr, ...]:
+    """The nodes whose results the rule at `e` joins: Pf or Pf+ of the two
+    sides of the union or sum under `e`, if it has a rule for it."""
+    x = e.arg
+    if isinstance(x, LexSum):
+        return type(e)(x.left), PfPlus(x.right)
+    if isinstance(x, DisjUnion) and isinstance(e, Pf):
+        return Pf(x.left), Pf(x.right)
+    return ()
+
+
+def _pf_rule(e: Pf | PfPlus, kids: list[WqoExpr]) -> WqoExpr:
+    """Pf(X | Y) = Pf(X) * Pf(Y), Pf(X ++ Y) = Pf(X) ++ Pf+(Y) and
+    Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y), given the results `kids` for the nodes
+    `_pf_parts` names; the other rules at a node it names none for."""
+    if not kids:
+        return _elim_root(e)
+    if isinstance(e.arg, DisjUnion):
+        return CartProd(*kids)
+    return _elim_root(LexSum(*kids))
 
 
 def _fused(e: WqoExpr, value: Ordinal, deep: bool) -> WqoExpr:

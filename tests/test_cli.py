@@ -364,22 +364,27 @@ def test_words_over_no_letters_ignore_the_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, line",
+    "argv, lines",
     [
-        (("oracle", "Mn(o(w^w),0)"), "n = 1"),
-        (("check", "Mn(w,0)"), "result: ok"),
-        (("iso", "Mn(w,0)", "1"), "isomorphic"),
+        (("oracle", "Mn(o(w^w),0)"), ["n = 1"]),
+        (
+            ("check", "Mn(w,0)"),
+            [f"{name}: engine 1, oracle 1 [match]" for name in ("mot", "height", "width")]
+            + ["result: ok"],
+        ),
+        (("iso", "Mn(w,0)", "1"), ["isomorphic"]),
     ],
     ids=["oracle", "check", "iso"],
 )
 def test_fixed_size_zero_multisets_over_an_infinite_order_are_one_element(
-    capsys, argv, line
+    capsys, argv, lines
 ):
-    # Mn(A, 0) is the one empty multiset, so A is never built
+    # Mn(A, 0) is the one empty multiset, so A is never built, and the
+    # oracle's order is exact, so `check` compares every component
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert err == ""
-    assert line in out.splitlines()
+    assert set(lines) <= set(out.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -514,16 +519,18 @@ def test_without_a_digit_limit_coefficients_stop_at_two_to_the_million():
     [
         ("|".join(["o(w+1)"] * 800), 0),
         ("*".join(["2"] * 800), 0),
-        ("|".join(["o(w+1)"] * 1200), 4),
+        ("|".join(["o(w+1)"] * 1200), 0),
         ("(" * 200 + "w" + ")" * 200, 0),
-        ("Pf(" * 3000 + "w" + ")" * 3000, 4),
+        ("Pf(" * 3000 + "w" + ")" * 3000, 0),
+        ("o(" + "w^(" * 400 + "w" + ")" * 401, 4),
     ],
-    ids=["union-800", "product-800", "union-1200", "parens-200", "powerset-3000"],
+    ids=["union-800", "product-800", "union-1200", "parens-200", "powerset-3000",
+         "exponent-tower-400"],
 )
 def test_deep_expressions_end_in_a_documented_exit_code(text, code):
-    # the parser takes no frames per level, and long chains evaluate at
-    # one frame per level; past the recursion limit (in `eliminate_pf` or
-    # the engine) the expression is refused in one line
+    # neither the parser nor the folds over a term take frames per level;
+    # the ordinal literal reader takes three per exponent level, and past
+    # the recursion limit the expression is refused in one line
     proc = subprocess.run(
         [sys.executable, "-m", "wqometer", "invariants", text],
         capture_output=True,

@@ -36,7 +36,7 @@ from wqometer import (
     weak_mot,
 )
 from wqometer import engine, normalize_elementary, rewrite
-from wqometer.engine import _SUMS, _eval, _eval_elementary, _lift
+from wqometer.engine import _SUMS, _evaluate, _lift
 from wqometer.ordinal import ONE, _printable, hat_nat_sum, hstar, omega_pow, pm
 
 from genlib import random_any_expr, random_elementary, random_ordinal
@@ -168,7 +168,7 @@ def test_elementary_values_match_the_normal_form_reference():
     rng = random.Random(1101)
     for i in range(1500):
         e = random_elementary(rng, rng.randint(1, 120))
-        (mot, height, width), wm = _eval_elementary(e, [])
+        (mot, height, width), wm = _evaluate(e, [])
         got = (mot.value, height.value, width.value, wm)
         assert got == _nf_eval(normalize_elementary(e)[0]), print_expr(e)
         if i % 10 == 0:
@@ -243,6 +243,34 @@ def test_powerset_sandwich_coherence():
         assert bounds.width.admits(full.width.value)
 
 
+@pytest.mark.parametrize(
+    "text, notes",
+    [
+        ("Pf+(w^<w)++M(w)", ("nonempty-powerset: derived from Pf minus its bottom",
+                             "omega-elementary-height", "words-width-equals-mot",
+                             "powerset-bounds", "width-cap: w <= 2^o = w^(w^(w^w))",
+                             "multisets-width-equals-mot")),
+        ("Sim(w)*M(w)", ("family:sim", "omega-elementary-height", "multisets-width-equals-mot",
+                         "product-width: lower bound w(B) * o(A)")),
+        ("1*(w^<w)|Phi(2)", ("product-with-singleton-factor", "omega-elementary-height",
+                             "words-width-equals-mot", "family:phi")),
+        ("Pf(Sim(w))++Pf(G(2))", ("family:sim-powerset", "omega-elementary-height",
+                                  "powerset-bounds", "width-cap: w <= 2^o = 4")),
+        ("Pf(SimExt(w^w,2))|w^<w", ("family:sim-extended-powerset", "elementary-exact",
+                                    "product-width: lower bound w(B) * o(A)", "powerset-bounds",
+                                    "width-cap: w <= 2^o = w^(w^(w^(w^(w^w)))*2)*4",
+                                    "powerset-height: family lower bound 2^a * m",
+                                    "omega-elementary-height", "words-width-equals-mot")),
+        ("SimExt(w,1).M(G(2))", ("family:sim-extended", "omega-elementary-height")),
+    ],
+)
+def test_notes_come_in_the_order_the_rules_fire(text, notes):
+    # a rule that reads other nodes notes itself before their notes when
+    # it applies before reading them (a family member desugared, Pf+ read
+    # off Pf, a singleton factor dropped), and after them otherwise
+    assert rep(text).notes == notes
+
+
 # --- omega-elementary height --------------------------------------------------
 
 
@@ -282,7 +310,7 @@ def test_general_rules_give_omega_elementary_terms_height_w():
             if not is_omega_elementary(sub):
                 continue
             notes = []
-            _o, h, _w = _eval(sub, notes)
+            (_o, h, _w), _wm = _evaluate(sub, notes)
             assert exact(h) == OMEGA, sub
             assert "omega-elementary-height" in notes
             r = invariants(sub)
@@ -625,8 +653,8 @@ def test_families_compose_inside_expressions():
 
 
 def test_long_chains_evaluate_at_the_default_recursion_limit():
-    # the evaluator, the elimination pass and the classifier each take
-    # one frame per level
+    # the evaluator and the elimination pass take no frame per level
+    # (tests/test_depth.py goes to 10,000 levels)
     r = rep("|".join(["o(w+1)"] * 800))
     assert exact(r.mot) == o("w*800+800")
     assert exact(r.height) == o("w+1")
@@ -698,23 +726,6 @@ def test_sums_keep_the_exponents_of_their_arguments():
             assert {e for e, _ in fn(a, b, c).terms} <= exponents | {e for e, _ in c.terms}
 
 
-def _pairwise_chain_eval(e, notes):
-    """`_eval` with every union chain and every lexicographic chain folded
-    one pair at a time, through n - 1 growing partial results: the
-    reference for the one-pass fold."""
-    if isinstance(e, DisjUnion) and e.fragment != "elementary":
-        lo, lh, lw = _pairwise_chain_eval(e.left, notes)
-        ro, rh, rw = _pairwise_chain_eval(e.right, notes)
-        return _lift(nat_sum, lo, ro), _lift(max, lh, rh), _lift(nat_sum, lw, rw)
-    if isinstance(e, LexSum):
-        lo, lh, lw = _pairwise_chain_eval(e.left, notes)
-        ro, rh, rw = _pairwise_chain_eval(e.right, notes)
-        return _lift(add, lo, ro), _lift(add, lh, rh), _lift(max, lw, rw)
-    # the engine's own `_eval`, whose recursive calls come back here
-    # while `engine._eval` is patched
-    return _eval(e, notes)
-
-
 def _components(r):
     results = (r.mot, r.height, r.width)
     parts = [(x.kind, x.lower, x.upper, x.finite_multiple, x.reason) for x in results]
@@ -770,7 +781,8 @@ def test_union_fold_matches_pairwise_reference(monkeypatch):
             continue
         got = _components(invariants(e))
         with monkeypatch.context() as m:
-            m.setattr(engine, "_eval", _pairwise_chain_eval)
+            # the pairwise fold: each chain node's parts are its two children
+            m.setattr(engine, "_chain_parts", lambda node: node.children())
             want = _components(invariants(e))
         assert got == want, print_expr(e)
 

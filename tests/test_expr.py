@@ -247,6 +247,10 @@ def test_classifiers():
 
     assert is_finite_expr(parse_expr("Pf(G(3))*2++Pf+(G(2).3)"))
     assert is_finite_expr(parse_expr("Mn(G(2), 2)"))
+    # Mn(A, 0) is the one empty multiset, whatever A is
+    assert is_finite_expr(parse_expr("Mn(w, 0)"))
+    assert is_finite_expr(parse_expr("Pf(Mn(M(w)^<w, 0))|1"))
+    assert not is_finite_expr(parse_expr("Mn(w, 1)"))
     assert not is_finite_expr(parse_expr("w"))
     assert not is_finite_expr(parse_expr("G(2)^<w"))
     assert not is_finite_expr(parse_expr("M(G(2))"))
@@ -307,7 +311,7 @@ def test_classifier_matches_recursive_predicates():
         reduct = eliminate_pf(e)
         _check_fragment(reduct)
         for term in (e, reduct):
-            if is_elementary(term) and _nf_size(term) <= NF_SIZE_LIMIT:
+            if is_elementary(term) and _nf_size(term)[0] <= NF_SIZE_LIMIT:
                 _check_fragment(normalize_elementary(term)[0])
                 normalised += 1
     assert min(kinds.values()) >= 50, kinds
@@ -354,7 +358,7 @@ def test_classifier_cache_is_invisible():
 
 def test_deep_nesting_parses_at_default_recursion_limit():
     # the parser keeps its stacks on the heap, so depth costs no frames;
-    # `==` and `print_expr` recurse, so the results are measured instead
+    # `==` recurses, so the results are measured instead
     n = 10_000
     assert parse_expr("(" * n + "w" + ")" * n) == W
     for op, cls in (("|", DisjUnion), ("*", CartProd)):

@@ -136,6 +136,23 @@ def test_words_builder_is_capped():
     assert q.rows[0] == (1 << q.n) - 1  # the empty word is the least
 
 
+def test_build_builds_each_distinct_subterm_once(monkeypatch):
+    import wqometer.oracle as oracle
+
+    calls = []
+    real = oracle._build
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_build", counted)
+    p = build(parse_expr("Pf(G(3)|G(3))*Pf(G(3)|G(3))++Pf(G(3)|G(3))"))
+    # G(3), G(3)|G(3), its powerset of 64 elements, the product and the sum
+    assert len(calls) == 5
+    assert p.n == 64 * 64 + 64
+
+
 def test_est_size_matches_build():
     for src, cap in [
         ("Pf(G(3))", None),

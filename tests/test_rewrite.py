@@ -221,8 +221,8 @@ def test_trace_is_printed_only_when_read(monkeypatch):
 
 
 def test_deep_tower_normalises_at_default_recursion_limit():
-    # 450 alternating M/Pf levels over a union; the pass takes one frame
-    # per level, like the classifier and `step`
+    # 450 alternating M/Pf levels over a union; the rewriting pass takes
+    # one frame per level, like `step`
     e = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
     for i in range(450):
         e = Multisets(e) if i % 2 == 0 else Pf(e)
@@ -236,12 +236,12 @@ def test_normal_form_size_is_predicted_without_rewriting():
     for _ in range(600):
         e = random_elementary(rng, rng.randint(1, 60))
         nf, _ = normalize_elementary(e)
-        assert _nf_size(e) == expr_size(nf), print_expr(e)
+        assert _nf_size(e) == (expr_size(nf), expr_size(e)), print_expr(e)
     # the 450-level tower's normal form grows by one node per level
     e = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
     for i in range(450):
         e = Multisets(e) if i % 2 == 0 else Pf(e)
-    assert _nf_size(e) == expr_size(normalize_elementary(e)[0]) == 454 <= NF_SIZE_LIMIT
+    assert _nf_size(e)[0] == expr_size(normalize_elementary(e)[0]) == 454 <= NF_SIZE_LIMIT
 
 
 def test_oversized_normal_forms_are_refused_before_rewriting(monkeypatch):
@@ -253,14 +253,14 @@ def test_oversized_normal_forms_are_refused_before_rewriting(monkeypatch):
     def pf_m_product(k):
         return parse_expr("Pf(M(" + "*".join(["(o(w^w)|o(w^(w^2)))"] * k) + "))")
 
-    assert _nf_size(pf_m_product(7)) == 1920
+    assert _nf_size(pf_m_product(7))[0] == 1920
     normalize_elementary(pf_m_product(7))
     assert calls
     calls.clear()
     for k in (8, 15, 40):
         with pytest.raises(TooLargeError) as ei:
             normalize_elementary(pf_m_product(k))
-        assert ei.value.size == _nf_size(pf_m_product(k)) > NF_SIZE_LIMIT
+        assert ei.value.size == _nf_size(pf_m_product(k))[0] > NF_SIZE_LIMIT
     assert calls == []
     assert str(ei.value).endswith(f"nodes, limit is {NF_SIZE_LIMIT}")
 

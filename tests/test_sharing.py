@@ -5,7 +5,6 @@ report."""
 import json
 import pickle
 import random
-import sys
 
 import pytest
 
@@ -87,17 +86,8 @@ def test_shared_terms_pickle_to_equal_terms():
     assert back.right is back.left.right
 
 
-@pytest.fixture
-def deep_recursion():
-    # `eliminate_pf` recurses once per level of a chain's left spine
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 3000)
-    yield
-    sys.setrecursionlimit(limit)
-
-
 @pytest.mark.parametrize("op", ["|", "++"])
-def test_a_repeated_part_is_evaluated_once(monkeypatch, deep_recursion, op):
+def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
     # the part is rewritten by powerset elimination, so it is one object
     # only if both the parse and the elimination share it; each distinct
     # Sim node is desugared once per call
