@@ -9,8 +9,8 @@ Subcommands
 * ``weakmot <expr>``      weakened maximal order type (elementary once Pf
   is eliminated; the ``weak-o`` that ``invariants`` reports)
 * ``oracle <expr|--poset f|--random n>``  brute-force invariants of a
-  finite order, given as an expression, a JSON poset file, or a random
-  quasi-order sampled reproducibly from ``--seed``
+  finite order, given as exactly one of an expression, a JSON poset file
+  or a random quasi-order sampled reproducibly from ``--seed``
 * ``check <expr>``        engine-vs-oracle comparison on a finite expression
 * ``iso <expr1> <expr2>`` finite isomorphism test
 
@@ -236,6 +236,10 @@ def _load_poset(path: str):
 def _cmd_oracle(args) -> int:
     from . import oracle
 
+    if sum(a is not None for a in (args.expr, args.poset, args.random)) != 1:
+        print("oracle: need exactly one of an expression, --poset FILE or --random N",
+              file=sys.stderr)
+        return EXIT_PARSE
     sampled = None
     if args.poset is not None:
         p = _load_poset(args.poset)
@@ -251,14 +255,11 @@ def _cmd_oracle(args) -> int:
         p = oracle.random_quasi_order(random.Random(seed), args.random)
         heading = f"random(n={args.random}, seed={seed})"
         sampled = p.to_json()
-    elif args.expr is not None:
+    else:
         from .expr import parse_expr, print_expr
 
         e = parse_expr(args.expr)
         p, heading = oracle.build(e, _word_len_cap(args)), print_expr(e)
-    else:
-        print("oracle: need an expression, --poset FILE or --random N", file=sys.stderr)
-        return EXIT_PARSE
     values = {
         "n": p.n,
         "mot": oracle.mot(p),

@@ -344,12 +344,8 @@ _FINITE = (Gamma, DisjUnion, LexSum, CartProd, LexProd, Pf, PfPlus, MultisetsN)
 
 
 def expr_size(e: WqoExpr) -> int:
-    """Number of nodes in the tree."""
-    n, stack = 0, [e]
-    while stack:
-        n += 1
-        stack.extend(stack.pop().children())
-    return n
+    """Number of nodes in the tree, a shared subterm counted each time."""
+    return fold(e, lambda _, kids: 1 + sum(kids))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ engine reads its values off the term and never builds it.
 `eliminate_pf`, used by the invariant engine, is one `fold` with its own
 rules: it pushes every finite-powerset constructor down through unions
 and lexicographic sums until it either disappears into an ordinal leaf
-or gets stuck on a constructor with no elimination rule.  `_norm` and
-`_step_at` still recurse, once per nesting level; `normalize_elementary`
-refuses terms whose normal form is large before it calls them.
+or gets stuck on a constructor with no elimination rule.  `step`,
+`is_normal` and `normalize_elementary` all read one rewriting pass,
+`_pass`, which keeps its stack on the heap, so nesting costs it no
+Python frames.
 """
 
 from __future__ import annotations
@@ -157,51 +158,28 @@ def _check_strategy(strategy: str) -> None:
 def step(e: WqoExpr, strategy: str = "innermost"):
     """One rewrite step, or None if `e` is normal.
 
-    Returns (rule name, path from the root, new expression).  A rule fires
-    only at a node whose children are all normal: the union-splitting
-    rules duplicate or reorder subterms, so firing one on a child that can
-    still rewrite would make the result depend on the traversal order.  A
-    term admits no guarded step iff no rule pattern occurs anywhere in it,
-    so the guard leaves the normal forms unchanged.  It also means no
-    allowed redex lies below another, so the leftmost-innermost and the
-    leftmost-outermost redex are the same one: `innermost` and `outermost`
-    both name the one search below and take the same steps.
+    Returns (rule name, path from the root, new expression): the first
+    step of `_pass`.  Both strategy names take the same steps (see there).
     """
     _check_strategy(strategy)
-    return _step_at(e)
-
-
-def _step_at(e: WqoExpr):
-    """The first guarded step in post-order: the leftmost child that can
-    step, else a rule at `e` itself, whose children are then all normal."""
-    kids = e.children()
-    for i, k in enumerate(kids):
-        got = _step_at(k)
-        if got is not None:
-            rule, path, nk = got
-            new_kids = list(kids)
-            new_kids[i] = nk
-            return rule, (i,) + path, e.with_children(tuple(new_kids))
-    m = _raw_match(e)
-    if m is not None:
-        return m[0], (), m[1]
-    return None
+    got = next(_pass(e), None)
+    if got is None:
+        return None
+    rule, path, reduct = got
+    return rule, path, _replace_at(e, path, reduct)
 
 
 def is_normal(e: WqoExpr) -> bool:
-    return _step_at(e) is None
+    return next(_pass(e), None) is None
 
 
 def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     """Reduce an elementary expression to normal form.
 
-    Returns (normal form, RewriteTrace).  One innermost pass normalises
-    the children of each node left to right, then rewrites at the node
-    until no rule matches, normalising each reduct the same way.  It
-    takes exactly the steps of repeated `step` calls: once the subterm at
-    a path has been rewritten, everything to its left is normal, so the
-    leftmost guarded redex lies inside that reduct or after it.  Both
-    strategy names take the same steps (see `step`).  The fuel bound
+    Returns (normal form, RewriteTrace) from the steps of `_pass`, which
+    are those of repeated `step` calls: once the subterm at a path has
+    been rewritten, everything to its left is normal, so the leftmost
+    guarded redex lies inside that reduct or after it.  The fuel bound
     4**n on the number of steps, n the number of nodes in `e`, is a safety
     net only; the system terminates well before it.
     """
@@ -214,8 +192,14 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
     if size > NF_SIZE_LIMIT:
         raise TooLargeError("normal form", size, NF_SIZE_LIMIT, "nodes")
     log: list[tuple[str, tuple[int, ...], WqoExpr]] = []
-    nf = _norm(e, (), log, 4 ** nodes)
-    return nf, RewriteTrace(e, log)
+    steps, fuel = _pass(e), 4 ** nodes
+    try:
+        while True:
+            log.append(next(steps))
+            if len(log) > fuel:  # pragma: no cover
+                raise RuntimeError(f"rewrite fuel exhausted on {print_expr(e)}")
+    except StopIteration as done:
+        return done.value, RewriteTrace(e, log)
 
 
 def _nf_size(e: WqoExpr) -> tuple[int, int]:
@@ -250,29 +234,51 @@ def _nf_shape(e: WqoExpr, kids: list[tuple[int, ...]]) -> tuple[int, int, int, i
     return 1, 0, 2 * n - 1 + size - leaves, t + 1
 
 
-def _norm(e: WqoExpr, path: tuple[int, ...], log: list, fuel: int) -> WqoExpr:
-    """The normal form of `e`, the subterm at `path`, under `_raw_match`,
-    logging each step as (rule, path, reduct); after a step it walks the
-    reduct's children again.  It returns `e` itself when no rule fires."""
+def _pass(e: WqoExpr):
+    """The guarded leftmost-innermost pass under `_raw_match`: a generator
+    that yields each step as (rule, path, reduct) and returns the normal
+    form, `e` itself when no rule fires.
+
+    It normalises the children of a node left to right, then rewrites at
+    the node until no rule matches, walking each reduct again the same
+    way.  So a rule fires only at a node whose children are all normal:
+    the union-splitting rules duplicate or reorder subterms, so firing one
+    on a child that can still rewrite would make the result depend on the
+    traversal order.  A term admits no guarded step iff no rule pattern
+    occurs anywhere in it, so the guard leaves the normal forms unchanged.
+    It also means no allowed redex lies below another, so the leftmost-
+    innermost and the leftmost-outermost redex are the same one, and both
+    strategy names take these steps.  A frame on the stack is (node,
+    children, normal forms of the children so far), so a step's path is
+    read off the stack when it is yielded.
+    """
+    stack = []
+    x = e
     while True:
-        kids = e.children()
-        if not kids:
-            return e  # every rule rewrites an inner node
-        new_kids = []
-        changed = False
-        for i, k in enumerate(kids):
-            nk = _norm(k, path + (i,), log, fuel)
-            new_kids.append(nk)
-            changed = changed or nk is not k
-        if changed:
-            e = e.with_children(tuple(new_kids))
-        m = _raw_match(e)
-        if m is None:
-            return e
-        rule, e = m
-        log.append((rule, path, e))
-        if len(log) > fuel:  # pragma: no cover
-            raise RuntimeError(f"rewrite fuel exhausted on {print_expr(e)}")
+        kids = x.children()
+        if kids:
+            stack.append((x, kids, []))
+            x = kids[0]
+            continue
+        # `x` is normal: every rule rewrites an inner node
+        while stack:
+            node, kids, nfs = stack[-1]
+            nfs.append(x)
+            if len(nfs) < len(kids):
+                x = kids[len(nfs)]
+                break
+            stack.pop()
+            # a node has at most two children; `x` is the last one's normal form
+            if x is not kids[-1] or nfs[0] is not kids[0]:
+                node = node.with_children(tuple(nfs))
+            m = _raw_match(node)
+            if m is not None:
+                rule, x = m
+                yield rule, tuple([len(f[2]) for f in stack]), x
+                break
+            x = node
+        else:
+            return x
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,30 @@ def test_bad_env_seed_is_a_parse_error(monkeypatch, capsys):
 
 
 def test_oracle_without_input_errors(capsys):
-    code, _, err = run(capsys, "oracle")
+    code, out, err = run(capsys, "oracle")
     assert code == 2
     assert "--poset" in err
+    assert out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("G(3)", "--random", "2"),
+        ("G(3)", "--poset", "p.json"),
+        ("--random", "2", "--poset", "p.json"),
+        ("G(3)", "--random", "2", "--poset", "p.json"),
+    ],
+    ids=["expr-random", "expr-poset", "random-poset", "all-three"],
+)
+def test_oracle_needs_exactly_one_source(tmp_path, monkeypatch, capsys, argv):
+    # a second source used to be dropped without a word
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text('{"n": 3, "leq": [[0, 1], [1, 2]]}')
+    code, out, err = run(capsys, "oracle", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "oracle: need exactly one of an expression, --poset FILE or --random N\n"
 
 
 def test_check_ok_exit_zero(capsys):
@@ -541,6 +562,20 @@ def test_deep_expressions_end_in_a_documented_exit_code(text, code):
     assert "Traceback" not in proc.stderr
     if code == 4:
         assert proc.stderr == "unsupported computation: expression-too-deep\n"
+
+
+def test_normalize_takes_no_frame_per_level():
+    # a 1,200-level multiset tower over a union takes one step at its
+    # innermost `M`, and its normal form of 1,204 nodes is under the limit
+    text = "M(" * 1200 + "o(w^w)|o(w^(w^2))" + ")" * 1200
+    proc = subprocess.run(
+        [sys.executable, "-m", "wqometer", "normalize", text],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "M(" * 1199 + "M(o(w^w))*M(o(w^(w^2)))" + ")" * 1199 + "\n"
 
 
 _N = "9" * 4300  # a literal at Python's 4,300-digit print limit

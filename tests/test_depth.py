@@ -1,7 +1,7 @@
-"""Depth: every walk over a term is one `fold` over an explicit stack, so
-terms nested 10,000 levels deep pass through every layer at the default
-recursion limit, which is never raised here.  The walks that still
-recurse are pinned by name."""
+"""Depth: every walk over a term runs on an explicit stack, in one `fold`
+or in the rewriting pass, so terms nested 10,000 levels deep pass through
+every layer at the default recursion limit, which is never raised here.
+The walks that still recurse are pinned by name."""
 
 import ast
 import os
@@ -15,9 +15,11 @@ from wqometer import (
     eliminate_pf,
     invariants,
     is_finite_expr,
+    is_normal,
     parse_expr,
     pf_bounds,
     print_expr,
+    step,
     weak_mot,
 )
 from wqometer.errors import UnsupportedComputation
@@ -75,6 +77,20 @@ def test_deep_terms_pass_every_layer(name):
             assert str(bounds.mot) == "[w^w*10000, w^(w^w*10000)]"
 
 
+def test_deep_terms_are_stepped_without_recursion():
+    # the union and the multiset tower are normal; the powerset tower
+    # takes one step, at its innermost `Pf`
+    for name in ("union", "multiset-tower"):
+        e = parse_expr(SHAPES[name][0])
+        assert is_normal(e)
+        assert step(e) is None
+    e = parse_expr(_tower("Pf", "o(w^w)"))
+    assert not is_normal(e)
+    rule, path, new = step(e)
+    assert rule == "powerset-of-ordinal" and path == (0,) * (N - 1)
+    assert print_expr(new) == "Pf(" * (N - 1) + "o(w^w)" + ")" * (N - 1)
+
+
 def test_deep_chain_folds_to_its_values():
     r = invariants(parse_expr(SHAPES["lex-sum"][0]))
     assert (str(r.mot), str(r.height), str(r.width)) == ("20000", "10000", "2")
@@ -102,13 +118,10 @@ def test_cli_refuses_a_deep_powerset_tower_as_too_large():
     assert proc.stderr.endswith("needs more than 5000 elements, limit is 5000\n")
 
 
-# the functions that still take a frame per level: the rewrite steps of
-# `normalize_elementary` (whose normal form is capped in size first),
-# ordinal comparison, the ordinal literal reader (three frames per
-# exponent level) and the oracle's backtracking `iso` and residual ranks
-# (both capped in size)
+# the functions that still take a frame per level: ordinal comparison,
+# the ordinal literal reader (three frames per exponent level) and the
+# oracle's backtracking `iso` and residual ranks (both capped in size)
 RECURSIVE = {
-    "rewrite.py": {"_norm", "_step_at"},
     "ordinal.py": {"cmp", "parse_ordinal_prefix", "_parse_term", "_parse_atom"},
     "oracle.py": {"assign", "rank"},
 }

@@ -172,10 +172,11 @@ def test_step_matches_guarded_reference():
 
 
 def _stepwise_trace(e, strategy):
-    """The trace of iterating `step`, printing the whole term each time."""
+    """The trace of iterating the guarded reference search `_ref_step`,
+    which shares no code with the pass, printing the whole term each time."""
     steps = []
     while True:
-        got = step(e, strategy)
+        got = _ref_step(e, strategy)
         if got is None:
             return e, steps
         rule, path, new = got
@@ -221,14 +222,16 @@ def test_trace_is_printed_only_when_read(monkeypatch):
 
 
 def test_deep_tower_normalises_at_default_recursion_limit():
-    # 450 alternating M/Pf levels over a union; the rewriting pass takes
-    # one frame per level, like `step`
+    # 1,900 alternating M/Pf levels over a union, whose normal form of
+    # 1,904 nodes stays under the size limit; the rewriting pass keeps its
+    # stack on the heap, so depth costs it no frames
     e = DisjUnion(Ord(o("w^w")), Ord(o("w^(w^2)")))
-    for i in range(450):
+    for i in range(1900):
         e = Multisets(e) if i % 2 == 0 else Pf(e)
     nf, trace = normalize_elementary(e)
+    assert expr_size(nf) == 1904 <= NF_SIZE_LIMIT
     assert is_normal(nf)
-    assert len(trace) == 1 and trace.steps[0].path == (0,) * 449
+    assert len(trace) == 1 and trace.steps[0].path == (0,) * 1899
 
 
 def test_normal_form_size_is_predicted_without_rewriting():
