@@ -12,9 +12,10 @@ expression a component comes out
 * unsupported      -- no sound rule applies (the reason says which
                       hypothesis failed or which rule is missing).
 
-`_evaluate` is one `fold` over the expression with one rule set:
-`_parts` names the nodes a node's triple is made from, and `_rule` makes
-it.  It picks one of two strategies per subtree.  The rules are
+`_evaluate` is one `fold` over the expression with one rule per node
+kind, `_rules`: a generator that names the nodes a node's triple is made
+from and makes the triple, and a rule appends its notes where it fires.
+It picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  The strategies:
@@ -49,8 +50,6 @@ bound) are desugared into plain expressions first.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import partial
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -469,14 +468,28 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     """The triple of `e` and, when `e` is elementary, its weakened o.
 
     An elementary term is one fold of `_summary`; any other is one fold
-    of `_rule` over the nodes `_parts` names, in which each elementary
-    subterm is a leaf evaluated here.  The rules that fire are appended to
-    `notes` in the order a recursive walk fires them: `_parts` appends
-    those of a rule before the nodes it reads are evaluated, `_rule` those
-    after.  A node met again adds no notes, as its notes are in the list
-    already."""
+    of `_rules`, in which each elementary subterm is a leaf evaluated
+    here.  A rule appends its notes where it fires, so they come in the
+    order of a recursive walk.  A node met again adds no notes, as its
+    notes are in the list already."""
     if e.fragment != "elementary":
-        return fold(e, partial(_rule, notes), partial(_parts, notes)), None
+        # the rules waiting for the triples of the nodes they read: `fold`
+        # finishes every node it reaches after `x` before it finishes `x`,
+        # so the rule to finish is always the last one started
+        pending = []
+
+        def down(x):
+            rule = _rules(notes, x)
+            pending.append(rule)
+            return next(rule)
+
+        def up(x, kids):
+            try:
+                pending.pop().send(kids)
+            except StopIteration as stop:
+                return stop.value
+
+        return fold(e, up, down), None
     notes.append("elementary-exact")
     leaves, rest, h, s = fold(e, _summary)
     # a bare leaf adds 1 to the width, any other component its o
@@ -498,51 +511,16 @@ def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
     return parts
 
 
-def _parts(notes: list[str], e: WqoExpr) -> Sequence[WqoExpr]:
-    """The nodes whose values `_rule` makes the value of `e` from."""
-    if e.fragment == "elementary" or isinstance(e, _READ_NOTHING):
-        return ()
-    if isinstance(e, (DisjUnion, LexSum)):
-        return _chain_parts(e)
-    if isinstance(e, (CartProd, LexProd)):
-        # a singleton factor leaves the other factor unchanged
-        for mine, other in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(mine, Ord) and mine.value == ONE:
-                notes.append("product-with-singleton-factor")
-                return (other,)
-        return e.left, e.right
-    if isinstance(e, (Words, Multisets)):
-        return (e.arg,)
-    if isinstance(e, Pf):
-        x = e.arg
-        if isinstance(x, Sim):
-            notes.append("family:sim-powerset")
-            return (_elim_root(Pf(_desugar(x))),)
-        if isinstance(x, SimExt):
-            notes.append("family:sim-extended-powerset")
-            return (_desugar(x),)
-        return () if isinstance(x, Phi) else (x,)
-    if isinstance(e, PfPlus):
-        notes.append("nonempty-powerset: derived from Pf minus its bottom")
-        return (_elim_root(Pf(e.arg)),)
-    if isinstance(e, (Sim, SimExt)):
-        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
-        return (_desugar(e),)
-    return ()
-
-
-# the leaves evaluated from their own values, and Mn, whose rules do not
-# read the argument
-_READ_NOTHING = (Ord, Gamma, Phi, MultisetsN)
-
-
-def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
-    """The triple of `e` from the triples `kids` of the nodes `_parts`
-    names."""
+def _rules(notes: list[str], e: WqoExpr):
+    """The rule for `e`: it appends the notes that fire before it reads
+    anything, yields once the nodes it reads (none for a leaf), is sent
+    their triples, and returns the triple of `e`."""
     if e.fragment == "elementary":
+        yield ()
         return _evaluate(e, notes)[0]
 
     if isinstance(e, Ord):
+        yield ()
         a = e.value
         if a.is_zero:
             return _EMPTY
@@ -557,6 +535,7 @@ def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
         )
 
     if isinstance(e, Gamma):
+        yield ()
         k = Ordinal.from_nat(e.size)
         return (
             InvariantResult.exact(k),
@@ -565,6 +544,7 @@ def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
         )
 
     if isinstance(e, Phi):
+        yield ()
         # o = w = a and h = w^a1, a1 the leading exponent of a (an
         # ordinal-indexed lexicographic sum of antichains)
         notes.append("family:phi")
@@ -572,22 +552,28 @@ def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
         return _exact3(a, omega_pow(a.leading_exponent), a)
 
     if isinstance(e, (DisjUnion, LexSum)):
-        mots, heights, widths = zip(*kids)
+        mots, heights, widths = zip(*(yield _chain_parts(e)))
         fo, fh, fw = _CHAIN_FNS[type(e)]
         return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
     if isinstance(e, (CartProd, LexProd)):
-        if len(kids) == 1:
-            return kids[0]  # the other factor was the singleton
-        return _product_parts(e, *kids, notes)
+        # a singleton factor leaves the other factor unchanged
+        for mine, other in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(mine, Ord) and mine.value == ONE:
+                notes.append("product-with-singleton-factor")
+                return (yield (other,))[0]
+        left, right = yield e.left, e.right
+        return _product_parts(e, left, right, notes)
 
     if isinstance(e, Words):
-        return _words_parts(kids[0], notes)
+        return _words_parts((yield (e.arg,))[0], notes)
 
     if isinstance(e, Multisets):
-        return _multisets_parts(kids[0], notes)
+        return _multisets_parts((yield (e.arg,))[0], notes)
 
     if isinstance(e, MultisetsN):
+        # the rules do not read the argument
+        yield ()
         if e.size == 0:
             notes.append("fixed-size-multisets: only the empty multiset")
             return _SINGLETON
@@ -597,25 +583,31 @@ def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
     if isinstance(e, Pf):
         x = e.arg
         if isinstance(x, Phi):
+            yield ()
             return _pf_phi_parts(x, notes)
         if isinstance(x, Sim):
-            return kids[0]
+            notes.append("family:sim-powerset")
+            return (yield (_elim_root(Pf(_desugar(x))),))[0]
         if isinstance(x, SimExt):
-            o, _h, w = _pf_table_parts(kids[0], notes)
+            notes.append("family:sim-extended-powerset")
+            o, _h, w = _pf_table_parts((yield (_desugar(x),))[0], notes)
             # this family attains the powerset height bound: h >= 2^a * m
             bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
             notes.append("powerset-height: family lower bound 2^a * m")
             return o, InvariantResult.lower_only(bound), w
-        if _is_empty(kids[0]):
+        (base,) = yield (x,)
+        if _is_empty(base):
             notes.append("powerset-of-empty-order")
             return _SINGLETON
-        return _pf_table_parts(kids[0], notes)
+        return _pf_table_parts(base, notes)
 
     if isinstance(e, PfPlus):
-        return _pf_plus_parts(kids[0])
+        notes.append("nonempty-powerset: derived from Pf minus its bottom")
+        return _pf_plus_parts((yield (_elim_root(Pf(e.arg)),))[0])
 
     if isinstance(e, (Sim, SimExt)):
-        return kids[0]
+        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
+        return (yield (_desugar(e),))[0]
 
     raise TypeError(f"unknown expression node {type(e).__name__}")
 

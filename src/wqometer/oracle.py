@@ -75,6 +75,7 @@ __all__ = [
     "residual_height",
     "residual_width",
     "iso",
+    "pf_poset",
     "random_quasi_order",
     "CheckEntry",
     "CheckResult",

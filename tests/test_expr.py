@@ -9,6 +9,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+import wqometer
+
 from wqometer import (
     CartProd,
     DisjUnion,
@@ -37,6 +39,7 @@ from wqometer import (
     parse_ordinal,
     print_expr,
 )
+from wqometer.expr import fold
 from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size
 
 from genlib import one_of_each, random_any_expr, random_infinite_ordinal, random_ordinal
@@ -343,6 +346,43 @@ def test_deep_terms_classify_at_the_default_recursion_limit():
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_facade_export_is_in_its_modules_all():
+    # `from module import *` binds what the package facade exports from it
+    for module, names in wqometer._EXPORTS.items():
+        mod = importlib.import_module(f"wqometer.{module}")
+        if hasattr(mod, "__all__"):
+            assert [n for n in names.split() if n not in mod.__all__] == [], module
+
+
+def test_fold_nests_down_and_up_like_brackets():
+    # each `up(x)` closes the most recent `down` still open, over shared
+    # parts (the parse shares `t`'s nodes), a `down` that names a node
+    # twice and nodes that `down` builds; the engine's evaluator keeps its
+    # pending rules on a stack on the strength of this
+    rng = random.Random(19)
+    for _ in range(300):
+        t = print_expr(random_any_expr(rng, rng.randint(0, 4)))
+        e = parse_expr(f"({t})|Pf({t}).M({t})")
+        open_ = []
+
+        def down(x):
+            if isinstance(x, Pf):
+                kids = (x.arg, x.arg)
+            elif isinstance(x, Multisets):
+                kids = (x.arg, Words(x.arg))
+            else:
+                kids = x.children()
+            open_.append((x, len(kids)))
+            return kids
+
+        def up(x, values):
+            y, n = open_.pop()
+            assert y is x and n == len(values)
+
+        fold(e, up, down)
+        assert open_ == []
 
 
 def test_classifier_cache_is_invisible():
