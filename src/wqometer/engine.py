@@ -12,10 +12,12 @@ expression a component comes out
 * unsupported      -- no sound rule applies (the reason says which
                       hypothesis failed or which rule is missing).
 
-`_evaluate` is one `fold` over the expression with one rule per node
-kind, `_rules`: a generator that names the nodes a node's triple is made
-from and makes the triple, and a rule appends its notes where it fires.
-It picks one of two strategies per subtree.  The rules are
+`invariants` and `weak_mot` evaluate `eliminate_pf` of a term that is
+not elementary, and an elementary term as it is, so each term is walked
+once per layer.  `_evaluate` is one `fold` over the expression with one
+rule per node kind, `_rules`: a generator that names the nodes a node's
+triple is made from and makes the triple, and a rule appends its notes
+where it fires.  It picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  The strategies:
@@ -50,6 +52,7 @@ bound) are desugared into plain expressions first.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -293,14 +296,15 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
 _Summary = tuple[Ordinal, Ordinal, Ordinal, Ordinal]
 
 
-def _summary(e: WqoExpr, kids: list[_Summary]) -> _Summary:
+def _summary(notes: list[str], e: WqoExpr, kids: list[_Summary]) -> _Summary:
     """(L, N, h, sN) of an elementary node from those of its children:
     its normal form is a union of union-free components, L sums
     (naturally) the bare leaves among them, N the other components' o,
     and sN is the largest weakened o among those (0 if none).  Sound as
     hat_nat_sum and hstar are monotone, hat_nat_sum is the maximum on the
     heights met under M and Pf, and every o has only infinite exponents,
-    so 2^x = w^x."""
+    so 2^x = w^x.  At a node `eliminate_pf` would rewrite, a powerset of
+    a leaf or of a union, it notes ``simplification-applied``."""
     if isinstance(e, Ord):
         return e.value, ZERO, e.value, ZERO
     if isinstance(e, (DisjUnion, CartProd)):
@@ -315,6 +319,8 @@ def _summary(e: WqoExpr, kids: list[_Summary]) -> _Summary:
         return ZERO, o, hstar(h), _weak(leaves, s)
     if isinstance(e, Multisets):
         return ZERO, omega_pow(nat_sum(leaves, rest)), hstar(h), _weak(leaves, s)
+    if isinstance(e.arg, (Ord, DisjUnion)):
+        notes.append("simplification-applied")
     if rest.is_zero and leaves.is_additively_indecomposable:
         return leaves, rest, h, s  # Pf of one leaf rewrites to the leaf
     # Pf: the product of each leaf w^(w^g) and of 2^o = w^o per other component
@@ -330,7 +336,7 @@ def _weak(leaves: Ordinal, s: Ordinal) -> Ordinal:
 def weak_mot(e: WqoExpr) -> Ordinal:
     """The weakened maximal order type that `invariants` reports (it equals
     the powerset height), for expressions that simplify to elementary ones."""
-    e2 = eliminate_pf(e)
+    e2 = _simplified(e, [])
     if e2.fragment != "elementary":
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
     return _evaluate(e2, [])[1]
@@ -444,15 +450,26 @@ def pf_bounds(e: WqoExpr) -> InvariantReport:
 def invariants(e: WqoExpr) -> InvariantReport:
     """Compute (o, h, w) of ``e``, together with the weakened order type
     when ``e`` simplifies to an elementary expression."""
-    e2 = eliminate_pf(e)
     notes: list[str] = []
-    if e2 is not e:
-        notes.append("simplification-applied")
+    e2 = _simplified(e, notes)
     (o, h, w), wm = _evaluate(e2, notes)
     if e2.fragment == "omega":
         assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
     return InvariantReport(o, h, w, wm, tuple(dict.fromkeys(notes)))
+
+
+def _simplified(e: WqoExpr, notes: list[str]) -> WqoExpr:
+    """The term to evaluate for `e`: `e` itself when it is elementary, as
+    the fold of `_summary` gives it the values of its elimination and
+    notes where elimination fires; else `eliminate_pf(e)`, noting
+    ``simplification-applied`` if that is not `e`."""
+    if e.fragment == "elementary":
+        return e
+    e2 = eliminate_pf(e)
+    if e2 is not e:
+        notes.append("simplification-applied")
+    return e2
 
 
 def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
@@ -467,11 +484,12 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
 def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     """The triple of `e` and, when `e` is elementary, its weakened o.
 
-    An elementary term is one fold of `_summary`; any other is one fold
-    of `_rules`, in which each elementary subterm is a leaf evaluated
-    here.  A rule appends its notes where it fires, so they come in the
-    order of a recursive walk.  A node met again adds no notes, as its
-    notes are in the list already."""
+    An elementary term is one fold of `_summary`, which also notes where
+    `eliminate_pf` would rewrite it; any other is one fold of `_rules`,
+    in which each elementary subterm is a leaf evaluated here.  A rule
+    appends its notes where it fires, so they come in the order of a
+    recursive walk.  A node met again adds no notes, as its notes are in
+    the list already."""
     if e.fragment != "elementary":
         # the rules waiting for the triples of the nodes they read: `fold`
         # finishes every node it reaches after `x` before it finishes `x`,
@@ -490,8 +508,8 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
                 return stop.value
 
         return fold(e, up, down), None
+    leaves, rest, h, s = fold(e, partial(_summary, notes))
     notes.append("elementary-exact")
-    leaves, rest, h, s = fold(e, _summary)
     # a bare leaf adds 1 to the width, any other component its o
     m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
     return _exact3(nat_sum(leaves, rest), h, nat_sum(m, rest)), _weak(leaves, s)

@@ -332,7 +332,8 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
     """Natural sum: add the coefficients of equal exponents across all the
     normal forms.  Commutative, associative, strictly monotone.
 
-    Two arguments are merged in one linear pass over both normal forms.
+    Two arguments are merged in one linear pass over both normal forms,
+    unless one is 0 and the sum is the other.
     More arguments (a union chain A1|...|An sums all its parts at once)
     add up the coefficients of each exponent and sort the distinct
     exponents once, instead of n-1 merges into a growing accumulator.
@@ -344,9 +345,13 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
                 acc[e] = acc.get(e, 0) + c
         exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
         return _cnf(tuple((e, acc[e]) for e in exps))
+    ta, tb = a.terms, b.terms
+    if not tb:
+        return a
+    if not ta:
+        return b
     out: list[tuple[Ordinal, int]] = []
     i = j = 0
-    ta, tb = a.terms, b.terms
     while i < len(ta) and j < len(tb):
         k = cmp(ta[i][0], tb[j][0])
         if k > 0:

@@ -1,5 +1,7 @@
 """The one base class of the package's immutable records."""
 
+from operator import attrgetter
+
 
 class Record:
     """An immutable value: the slots named by its class's `_fields`.
@@ -19,13 +21,22 @@ class Record:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple in one C call; `attrgetter` of one name gives the
+        # bare value, so a one-field class wraps it
+        if cls._fields:
+            get = attrgetter(*cls._fields)
+            one = len(cls._fields) == 1
+            cls._values = (lambda self: (get(self),)) if one else lambda self: get(self)
+
     def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__qualname__} is immutable")
 
     __delattr__ = __setattr__
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return ()
 
     def __reduce__(self):
         # every record's constructor takes its fields in order, so pickle

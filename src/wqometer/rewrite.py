@@ -240,26 +240,31 @@ def _pass(e: WqoExpr):
     form, `e` itself when no rule fires.
 
     It normalises the children of a node left to right, then rewrites at
-    the node until no rule matches, walking each reduct again the same
-    way.  So a rule fires only at a node whose children are all normal:
-    the union-splitting rules duplicate or reorder subterms, so firing one
-    on a child that can still rewrite would make the result depend on the
-    traversal order.  A term admits no guarded step iff no rule pattern
-    occurs anywhere in it, so the guard leaves the normal forms unchanged.
-    It also means no allowed redex lies below another, so the leftmost-
-    innermost and the leftmost-outermost redex are the same one, and both
-    strategy names take these steps.  A frame on the stack is (node,
+    the node until no rule matches.  So a rule fires only at a node whose
+    children are all normal: the union-splitting rules duplicate or
+    reorder subterms, so firing one on a child that can still rewrite
+    would make the result depend on the traversal order.  A term admits
+    no guarded step iff no rule pattern occurs anywhere in it, so the
+    guard leaves the normal forms unchanged.  It also means no allowed
+    redex lies below another, so the leftmost-innermost and the leftmost-
+    outermost redex are the same one, and both strategy names take these
+    steps.  A node finished without a match is
+    normal, and `normal` holds it by id, so no id is reused: met again, in
+    a shared subterm or in a copy a rule made, it is a leaf, and only the
+    nodes a rule builds are walked again.  A frame on the stack is (node,
     children, normal forms of the children so far), so a step's path is
     read off the stack when it is yielded.
     """
     stack = []
+    normal = {}
     x = e
     while True:
-        kids = x.children()
-        if kids:
-            stack.append((x, kids, []))
-            x = kids[0]
-            continue
+        if id(x) not in normal:
+            kids = x.children()
+            if kids:
+                stack.append((x, kids, []))
+                x = kids[0]
+                continue
         # `x` is normal: every rule rewrites an inner node
         while stack:
             node, kids, nfs = stack[-1]
@@ -276,7 +281,7 @@ def _pass(e: WqoExpr):
                 rule, x = m
                 yield rule, tuple([len(f[2]) for f in stack]), x
                 break
-            x = node
+            x = normal[id(node)] = node
         else:
             return x
 

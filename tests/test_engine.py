@@ -1,6 +1,7 @@
 """Invariant engine: frozen fixtures for every rule family, bounds,
 families, and the report plumbing."""
 
+import json
 import random
 
 import pytest
@@ -222,6 +223,23 @@ def test_weak_mot_agrees_with_invariants():
             assert weak_mot(e) == want
             seen += 1
     assert seen >= 200, seen
+
+
+def test_elementary_reports_equal_those_of_the_eliminated_term():
+    # `invariants` reads an elementary term as parsed; the reference
+    # evaluates its elimination, noting the simplification when elimination
+    # changes the term
+    rng = random.Random(2020)
+    simplified = 0
+    for _ in range(3000):
+        e = random_elementary(rng, rng.randint(1, 40))
+        e2 = rewrite.eliminate_pf(e)
+        notes = ["simplification-applied"] if e2 is not e else []
+        (mot, height, width), wm = _evaluate(e2, notes)
+        want = engine.InvariantReport(mot, height, width, wm, tuple(notes))
+        assert json.dumps(invariants(e).to_json()) == json.dumps(want.to_json()), print_expr(e)
+        simplified += e2 is not e
+    assert 500 <= simplified <= 2500, simplified
 
 
 def test_powerset_sandwich_coherence():

@@ -117,6 +117,12 @@ def test_nat_sum_fixtures():
     assert nat_sum(o("w"), o("1"), o("w^2+w"), o("2")) == o("w^2+w*2+3")
 
 
+def test_nat_sum_with_zero_is_the_other_argument():
+    for x in (ZERO, o("3"), o("w^w+w*2")):
+        assert nat_sum(x, ZERO) is x
+        assert nat_sum(ZERO, x) is x
+
+
 def test_nat_prod_fixtures():
     assert nat_prod(o("w"), o("w")) == o("w^2")
     assert nat_prod(o("w+1"), o("w+1")) == o("w^2+w*2+1")

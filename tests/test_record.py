@@ -199,6 +199,28 @@ def test_poset_and_check_entry_are_immutable_values():
     _assert_round_trips(entry)
 
 
+def test_records_compare_hash_print_and_pickle_as_their_field_tuples():
+    # one-field classes included: their fields are a 1-tuple too
+    step = normalize_elementary(parse_expr("Pf(o(w^w)|o(w^(w^2)))"))[1].steps[0]
+    records = one_of_each() + [
+        InvariantResult.exact(OMEGA),
+        InvariantResult.interval(ONE, OMEGA, True),
+        FinitePoset.from_pairs(3, [(0, 1), (1, 2)]),
+        step,
+    ]
+    for r in records:
+        values = tuple(getattr(r, name) for name in r._fields)
+        assert type(r._values()) is tuple and r._values() == values
+        assert r == type(r)(*values) and not (r != type(r)(*values))
+        assert hash(r) == hash(values)
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(r._fields, values))
+        want = f"{type(r).__qualname__}({shown})"
+        # a poset prints its size only
+        assert repr(r) == ("FinitePoset(n=3)" if isinstance(r, FinitePoset) else want)
+        assert r.__reduce__() == (type(r), values)
+        assert pickle.loads(pickle.dumps(r)) == r
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # nor any module of the package that a command imports for itself
     code = (

@@ -129,3 +129,21 @@ def test_eliminate_pf_runs_once_per_invariants_call(monkeypatch, text):
     assert len(calls) == 1
     pf_bounds(e)
     assert len(calls) == 2
+
+
+def test_invariants_reads_an_elementary_term_without_eliminating(monkeypatch):
+    # elimination would rewrite the first two (a powerset of a union, of a
+    # leaf), whose reports still say so
+    calls = []
+    eliminate_pf = engine.eliminate_pf
+    monkeypatch.setattr(engine, "eliminate_pf", lambda e: calls.append(e) or eliminate_pf(e))
+    for text, simplified in (
+        ("Pf(o(w^w)|o(w^(w^2)))", True),
+        ("M(Pf(o(w^w)))*Pf(o(w^w))^<w", True),
+        ("Pf(M(o(w^w)|o(w^w)))", False),
+    ):
+        e = parse_expr(text)
+        rep = invariants(e)
+        assert rep.notes == ("simplification-applied",) * simplified + ("elementary-exact",)
+        assert rep.weak_mot == engine.weak_mot(e)
+    assert calls == []
