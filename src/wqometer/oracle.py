@@ -17,15 +17,20 @@ report against these numbers.
 
 Orders given by generating pairs (`from_pairs`, `random_quasi_order`) are
 closed by one iterative pass of Tarjan's strongly connected components
-algorithm over the bitmask rows: each component is finished after every
-component it reaches, so its closed row is the OR of its members' rows
-with the closed rows of the outside successors not already covered.
-The cost follows the edges and the components, not all n^2 pairs.
+algorithm over successor lists: each component is finished after every
+component it reaches, so its closed row is its members' bits ORed with
+the closed rows of its outside successors, one shift-and-test per edge
+skipping those already covered.  The cost follows the edges and the
+components, not all n^2 pairs.  The components are the equivalence
+classes, so the same pass caches the quotient, closed over the graph of
+components.
 
-All three work on the quotient, computed once per poset and cached: the
-classes are the groups of equal rows, since i ~ j exactly when their
-up-sets are equal.  `mot` counts them, `height` assigns levels by a
-dynamic program over bitsets, and `width` takes the quotient's size minus
+All three work on the quotient, computed once per poset and cached: for
+an order built any other way the classes are the groups of equal rows,
+since i ~ j exactly when their up-sets are equal.  `mot` counts them.
+`height` and `width` visit them by ascending up-set size, an order also
+cached on the quotient: `height` assigns levels by a dynamic program
+over bitsets, and `width` takes the quotient's size minus
 a maximum matching of its strict comparabilities (Dilworth, Koenig),
 found by a top-down greedy pass and completed by breadth-first
 augmenting-path searches over bitset rows, without recursion.  The `Pf`
@@ -94,7 +99,7 @@ class FinitePoset(Record):
     """Finite quasi-order on {0..n-1}; rows[i] bit j set iff i <= j."""
 
     _fields = ("n", "rows")
-    __slots__ = (*_fields, "_quot")
+    __slots__ = (*_fields, "_quot", "_asc")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         if len(rows) != n:
@@ -106,18 +111,18 @@ class FinitePoset(Record):
                 raise ValueError(f"row {i} has bits beyond n")
         super().__init__(n, tuple(rows))
         object.__setattr__(self, "_quot", None)  # cached by `quotient`
+        object.__setattr__(self, "_asc", None)  # cached by `_ascending`
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "FinitePoset":
         """Build from a list of (i, j) meaning i <= j; the reflexive
-        transitive closure is applied."""
-        rows = [1 << i for i in range(n)]
+        transitive closure is applied and its quotient cached."""
+        succ: list[list[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i}, {j}) out of range")
-            rows[i] |= 1 << j
-        _transitive_close(rows)
-        return cls(n, tuple(rows))
+            succ[i].append(j)
+        return _transitive_close(succ)
 
     @classmethod
     def from_json(cls, text: str) -> "FinitePoset":
@@ -147,12 +152,7 @@ class FinitePoset(Record):
     def to_json(self) -> str:
         import json
 
-        pairs = [
-            [i, j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.rows[i] >> j & 1
-        ]
+        pairs = [[i, j] for i, r in enumerate(self.rows) for j in _bits(r & ~(1 << i))]
         return json.dumps({"n": self.n, "leq": pairs})
 
     def le(self, i: int, j: int) -> bool:
@@ -178,68 +178,89 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _transitive_close(rows: list[int]):
-    """Close the digraph `rows` (bit j of rows[i]: an edge i -> j)
-    transitively, in place, by one Tarjan pass (see the module
-    docstring).  The search keeps its own stack of frames, so a long
+def _transitive_close(succ: list[list[int]]) -> FinitePoset:
+    """The reflexive transitive closure of the digraph `succ` (w in
+    succ[v]: an edge v -> w), with its quotient cached, by one Tarjan
+    pass over the successor lists (see the module docstring).  Each
+    searched vertex passes its row and low-link back to its parent, so a
+    component's root holds the OR of its members' rows when it closes
+    the component.  The search keeps its own stack of frames, so a long
     path costs no Python recursion."""
-    n = len(rows)
-    index = [0] * n
-    low = [0] * n
-    seen = done = 0  # masks: numbered by the search / component closed
+    n = len(succ)
+    index = [-1] * n  # search number, n once the vertex's component closed
+    rows = [0] * n  # closed rows
+    comp = [0] * n  # component of each vertex, numbered as they close
     stack: list[int] = []  # Tarjan's stack of open vertices
-    frames: list[tuple[int, int]] = []  # suspended (vertex, successors)
-    count = 0
-    for root in range(n):
-        if seen >> root & 1:
+    frames = []  # suspended (vertex, successors left, low-link, row)
+    count = ncomp = 0
+    for v in range(n):
+        if index[v] >= 0:
             continue
-        child = root
+        index[v] = lo = count
+        count += 1
+        stack.append(v)
+        todo = iter(succ[v])
+        row = 1 << v
         while True:
-            if child >= 0:
-                v, todo = child, rows[child]
-                index[v] = low[v] = count
-                count += 1
-                seen |= 1 << v
-                stack.append(v)
-            todo &= ~done
-            child = -1
-            while todo:
-                b = todo & -todo
-                todo ^= b
-                w = b.bit_length() - 1
-                if not seen & b:
-                    child = w
+            for w in todo:
+                i = index[w]
+                if i == n:  # w's component is closed
+                    if not row >> w & 1:  # and not yet covered
+                        row |= rows[w]
+                elif i < 0:  # w is new: search it first
+                    frames.append((v, todo, lo, row))
+                    v = w
+                    index[v] = lo = count
+                    count += 1
+                    stack.append(v)
+                    todo = iter(succ[v])
+                    row = 1 << v
                     break
-                if index[w] < low[v]:  # w is still open
-                    low[v] = index[w]
-            if child >= 0:
-                frames.append((v, todo))
-                continue
-            if low[v] == index[v]:  # v roots a component: close it
-                comp = reach = 0
-                members = []
-                while True:
-                    m = stack.pop()
-                    members.append(m)
-                    comp |= 1 << m
-                    reach |= rows[m]
-                    if m == v:
-                        break
-                ext = reach & ~comp
-                while ext:
-                    b = ext & -ext
-                    r = rows[b.bit_length() - 1]
-                    reach |= r
-                    ext &= ~(r | b)
-                for m in members:
-                    rows[m] = reach
-                done |= comp
-            if not frames:
-                break
-            w = v
-            v, todo = frames.pop()
-            if low[w] < low[v]:
-                low[v] = low[w]
+                elif i < lo:  # w is open: v's component reaches back to it
+                    lo = i
+            else:
+                if lo == index[v]:  # v roots a component: close it
+                    while True:
+                        m = stack.pop()
+                        index[m] = n
+                        comp[m] = ncomp
+                        rows[m] = row
+                        if m == v:
+                            break
+                    ncomp += 1
+                if not frames:
+                    break
+                # back to the parent, whose row cannot hold v yet (v was
+                # new to it); a closed component's low-link is its root's
+                # number, above the parent's, so it lowers nothing
+                child_lo, child_row = lo, row
+                v, todo, lo, row = frames.pop()
+                row |= child_row
+                if child_lo < lo:
+                    lo = child_lo
+    p = FinitePoset(n, tuple(rows))
+    q = False  # every class a singleton: p is its own quotient
+    if ncomp < n:
+        # the components are the classes: number them by first member, as
+        # `quotient` does, and close the condensation over the members in
+        # completion order, which puts each component after all it reaches
+        num = [-1] * ncomp
+        k = 0
+        for c in comp:
+            if num[c] < 0:
+                num[c] = k
+                k += 1
+        qrows = [0] * ncomp
+        for m in sorted(range(n), key=comp.__getitem__):
+            c = num[comp[m]]
+            r = qrows[c] or 1 << c
+            for w in succ[m]:
+                r |= qrows[num[comp[w]]]
+            qrows[c] = r
+        q = FinitePoset(ncomp, tuple(qrows))
+        object.__setattr__(q, "_quot", False)
+    object.__setattr__(p, "_quot", q)
+    return p
 
 
 def _bits(mask: int):
@@ -554,7 +575,9 @@ def quotient(p: FinitePoset) -> FinitePoset:
     In a quasi-order i ~ j exactly when their up-sets are equal, so the
     classes are the groups of equal rows, each represented by its first
     element.  The result is computed once and cached on `p`; when every
-    class is a singleton it is `p` itself."""
+    class is a singleton it is `p` itself.  An order closed from pairs
+    has it cached already, taken from the closure's components in the
+    same numbering."""
     q = p._quot
     if q is None:
         first: dict[int, int] = {}
@@ -587,20 +610,31 @@ def mot(p: FinitePoset) -> int:
     return quotient(p).n
 
 
+def _ascending(q: FinitePoset) -> tuple[int, ...]:
+    """The elements of the partial order `q` by ascending up-set size,
+    computed once and cached on `q`: each comes after its whole strict
+    up-set, since a strict successor has a strictly smaller one."""
+    order = q._asc
+    if order is None:
+        sizes = [r.bit_count() for r in q.rows]
+        order = tuple(sorted(range(q.n), key=sizes.__getitem__))
+        object.__setattr__(q, "_asc", order)
+    return order
+
+
 def height(p: FinitePoset) -> int:
     """Longest strictly increasing chain, by a level DP over bitsets.
 
-    In the quotient a strict successor has a strictly smaller up-set, so
-    visiting elements by ascending up-set size puts each after its whole
-    strict up-set.  levels[k] is the mask of elements whose longest chain
-    upwards has k + 1 elements.  A strict up-set that meets levels[k]
-    also meets levels[k - 1] (the successor of a level-k member lies in
-    it too), so a binary search finds the first level it misses, which is
-    the element's own level."""
+    Visiting the quotient's elements in `_ascending` order puts each
+    after its whole strict up-set.  levels[k] is the mask of elements
+    whose longest chain upwards has k + 1 elements.  A strict up-set that
+    meets levels[k] also meets levels[k - 1] (the successor of a level-k
+    member lies in it too), so a binary search finds the first level it
+    misses, which is the element's own level."""
     q = quotient(p)
     rows = q.rows
     levels: list[int] = []
-    for i in sorted(range(q.n), key=lambda i: rows[i].bit_count()):
+    for i in _ascending(q):
         strict = rows[i] & ~(1 << i)
         lo, hi = 0, len(levels)
         while lo < hi:
@@ -619,8 +653,8 @@ def width(p: FinitePoset) -> int:
     """Largest antichain via Dilworth + Koenig: the quotient's size minus a
     maximum matching on its strict comparability bipartite graph.
 
-    The matching starts greedy, top-down: elements are visited by
-    ascending up-set size, as in `height`, so each is matched after all
+    The matching starts greedy, top-down: elements are visited in
+    `_ascending` order, as in `height`, so each is matched after all
     its strict successors and the chains grow downwards from the maximal
     elements.  It is completed by one breadth-first augmenting-path search
     per unmatched vertex, all over bitset rows and without recursion.  A
@@ -634,7 +668,7 @@ def width(p: FinitePoset) -> int:
     mate_l = [-1] * n  # right vertex matched to each left vertex
     mate_r = [-1] * n  # left vertex matched to each right vertex
     free = (1 << n) - 1  # unmatched right vertices
-    order = sorted(range(n), key=lambda i: rows[i].bit_count())
+    order = _ascending(q)
     for i in order:
         a = adj[i] & free
         if a:
@@ -776,19 +810,19 @@ def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
     perm = list(range(n))
     rng.shuffle(perm)
     density = rng.random()
-    rows = [1 << i for i in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
     for ai in range(n):
+        out = succ[perm[ai]]
         for bi in range(ai + 1, n):
             if rng.random() < density:
-                rows[perm[ai]] |= 1 << perm[bi]
+                out.append(perm[bi])
     if n >= 2 and rng.random() < glue_prob:
         for _ in range(rng.randint(1, max(1, n // 3))):
             i = rng.randrange(n)
             j = rng.randrange(n)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    _transitive_close(rows)
-    return FinitePoset(n, tuple(rows))
+            succ[i].append(j)
+            succ[j].append(i)
+    return _transitive_close(succ)
 
 
 # ---------------------------------------------------------------------------

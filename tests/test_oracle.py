@@ -1,6 +1,7 @@
 """Brute-force oracle: builders, invariants, residual recursion, iso."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -315,6 +316,11 @@ def test_json_round_trip():
     q = random_quasi_order(random.Random(5), 7)
     again = FinitePoset.from_json(q.to_json())
     assert again == q
+    # the strict pairs row by row, as a scan of all n^2 pairs lists them
+    for seed in range(20):
+        r = random_quasi_order(random.Random(seed), 3 * seed)
+        pairs = [[i, j] for i in range(r.n) for j in range(r.n) if i != j and r.le(i, j)]
+        assert r.to_json() == json.dumps({"n": r.n, "leq": pairs})
     with pytest.raises(ValueError):
         FinitePoset.from_pairs(2, [(0, 5)])
 
@@ -393,6 +399,10 @@ def test_quotient_is_cached():
     assert quotient(q) is q  # a quotient is a partial order already
     chain = p("o(3)")
     assert quotient(chain) is chain
+    # height and width read one order of the quotient, sorted once
+    assert height(cyc) == 2 and width(cyc) == 1
+    order = q._asc
+    assert order == (1, 0) and width(cyc) == 1 and q._asc is order
     # the cache takes no part in equality or hashing
     fresh = FinitePoset.from_pairs(3, [(0, 1), (1, 0), (1, 2)])
     assert cyc == fresh and hash(cyc) == hash(fresh)
@@ -619,28 +629,48 @@ def _random_dag_pairs(rng, n, degree, glue):
 
 @st.composite
 def _digraphs(draw, max_n=80):
-    """Random digraphs as bitmask rows: any density, cycles, optional
-    self-loops, and some vertices cut off from every edge."""
+    """Random digraphs as successor lists: any density, cycles, optional
+    self-loops, repeated edges in any order, and some vertices cut off
+    from every edge."""
     n = draw(st.integers(0, max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6, 1.0]))
     loops = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    rows = [
-        sum(1 << j for j in range(n) if i != j and rng.random() < density)
-        | (rng.random() < loops) << i
-        for i in range(n)
-    ]
-    isolated = sum(1 << i for i in range(n) if rng.random() < 0.1)
-    return [0 if isolated >> i & 1 else r & ~isolated for i, r in enumerate(rows)]
+    repeats = draw(st.sampled_from([0.0, 0.3]))
+    isolated = {i for i in range(n) if rng.random() < 0.1}
+    succ = []
+    for i in range(n):
+        out = [j for j in range(n) if i != j and j not in isolated and rng.random() < density]
+        out += [j for j in out if rng.random() < repeats]
+        out += [i] * (rng.random() < loops)
+        rng.shuffle(out)
+        succ.append([] if i in isolated else out)
+    return succ
+
+
+def _reflexive_rows(succ):
+    """The digraph's edges as bitmask rows, with every vertex's own bit."""
+    return [sum(1 << w for w in set(out)) | 1 << v for v, out in enumerate(succ)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_digraphs())
-def test_transitive_close_matches_warshall(rows):
-    got, want = list(rows), list(rows)
-    _transitive_close(got)
+def test_transitive_close_matches_warshall(succ):
+    want = _reflexive_rows(succ)
     _warshall(want)
-    assert got == want
+    assert _transitive_close(succ).rows == tuple(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraphs())
+def test_closure_caches_the_quotient_of_its_rows(succ):
+    # the components of the search are the classes, numbered by first
+    # member like those `quotient` finds among equal rows
+    q = FinitePoset.from_pairs(len(succ), [(v, w) for v, out in enumerate(succ) for w in out])
+    got = quotient(q)
+    for want in (quotient(FinitePoset(q.n, q.rows)), _ref_quotient(q)):
+        assert got.rows == want.rows
+        assert got.cols() == want.cols()
 
 
 def test_transitive_close_matches_warshall_on_bench_shaped_order():
@@ -650,20 +680,21 @@ def test_transitive_close_matches_warshall_on_bench_shaped_order():
     n = 600
     perm = list(range(n))
     rng.shuffle(perm)
-    rows = [1 << i for i in range(n)]
+    succ = [[] for _ in range(n)]
     for ai in range(n):
         for bi in range(ai + 1, n):
             if rng.random() < 0.01:
-                rows[perm[ai]] |= 1 << perm[bi]
+                succ[perm[ai]].append(perm[bi])
     for _ in range(200):
         i, j = rng.randrange(n), rng.randrange(n)
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    got, want = list(rows), list(rows)
-    _transitive_close(got)
+        succ[i].append(j)
+        succ[j].append(i)
+    want = _reflexive_rows(succ)
     _warshall(want)
-    assert got == want
-    assert 1 < quotient(FinitePoset(n, tuple(got))).n < n
+    got = _transitive_close(succ)
+    assert got.rows == tuple(want)
+    assert 1 < quotient(got).n < n
+    assert quotient(got) == _ref_quotient(got)
 
 
 def test_from_pairs_matches_networkx_transitive_closure():
@@ -686,17 +717,22 @@ def test_from_pairs_matches_networkx_transitive_closure():
 
 
 def test_transitive_close_does_not_recurse():
-    # a 5,000-element path and cycle take 5,000-deep searches
+    # a 5,000-element path and cycle take 5,000-deep searches; gluing 4,000
+    # back to 1,000 makes one class of the 3,001 elements between them
     n = 5000
+    path_pairs = [(i, i + 1) for i in range(n - 1)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(150)
     try:
-        path = FinitePoset.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+        path = FinitePoset.from_pairs(n, path_pairs)
         cycle = FinitePoset.from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+        glued = FinitePoset.from_pairs(n, path_pairs + [(4000, 1000)])
     finally:
         sys.setrecursionlimit(limit)
     assert height(path) == n
     assert mot(cycle) == 1
+    assert quotient(glued) == _chain(2000)
+    assert glued.rows[1000] == glued.rows[4000] == _chain(n).rows[1000]
 
 
 def _ref_cart(a, b):

@@ -191,7 +191,7 @@ def test_poset_and_check_entry_are_immutable_values():
     p = FinitePoset.from_pairs(3, [(0, 1), (1, 2)])
     assert p == FinitePoset(3, (7, 6, 4)) and hash(p) == hash(FinitePoset(3, (7, 6, 4)))
     assert p != FinitePoset(3, (7, 6, 6))
-    _assert_frozen(p, ("n", "rows", "_quot"))
+    _assert_frozen(p, ("n", "rows", "_quot", "_asc"))
     _assert_round_trips(p)
     entry = check_engine(parse_expr("G(2)*2")).entries[0]
     assert isinstance(entry, CheckEntry)
