@@ -371,14 +371,19 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
 
 def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
     """Natural product: distribute over both normal forms, natural-summing
-    the exponents termwise."""
-    acc: dict[Ordinal, int] = {}
+    the exponents termwise.
+
+    Built in normal form in one pass over the shorter operand's terms:
+    a term w^e*c times the other operand is the row of terms
+    w^(e (+) f)*(c*d), already in normal form because (+) is strictly
+    monotone, and the rows are natural-summed as they come.
+    """
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    out = ZERO
     for e, c in a.terms:
-        for f, d in b.terms:
-            g = nat_sum(e, f)
-            acc[g] = acc.get(g, 0) + c * d
-    exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
-    return _cnf(tuple((e, acc[e]) for e in exps))
+        out = nat_sum(out, _cnf(tuple((nat_sum(e, f), c * d) for f, d in b.terms)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +412,11 @@ def decompose_omega(a: Ordinal) -> tuple[Ordinal, int]:
 
 def two_pow(a: Ordinal) -> Ordinal:
     """2^a.  With a = w*q + n this is w^q * 2^n; in particular 2^w = w and
-    2^(w^2) = w^w."""
+    2^(w^2) = w^w.
+
+    Built in normal form in one pass: for q > 0, w^q * 2^n is the one
+    term w^q with coefficient 2^n (just w^q when n = 0), so nothing is
+    multiplied out."""
     q, n = decompose_omega(a)
     if n > _NAT_EXP_LIMIT:
         raise UnsupportedComputation(
@@ -415,7 +424,7 @@ def two_pow(a: Ordinal) -> Ordinal:
         )
     if q.is_zero:
         return Ordinal.from_nat(2**n)
-    return mul(omega_pow(q), Ordinal.from_nat(2**n))
+    return _cnf(((q, 2**n),))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +448,10 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     with M the natural sum of contributions and E the largest cut,
     the value is (M truncated to terms >= w^E) + w^E: terms below w^E are
     swallowed by suprema of the form sup_{r < w^E} (M' (+) r) = w^E.
+
+    That value is built in normal form in one pass over M: its prefix of
+    exponents >= E is kept, and w^E raises the last coefficient kept if
+    that exponent is E, or is appended after it.
     """
     if a.is_zero or b.is_zero:
         return ZERO
@@ -455,9 +468,17 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
             if cut is None or cmp(e, cut) > 0:
                 cut = e
     assert cut is not None
-    merged = nat_sum(parts[0], parts[1])
-    kept = _cnf(tuple(t for t in merged.terms if cmp(t[0], cut) >= 0))
-    return add(kept, omega_pow(cut))
+    kept: list[tuple[Ordinal, int]] = []
+    c = 1
+    for x, d in nat_sum(parts[0], parts[1]).terms:
+        k = cmp(x, cut)
+        if k <= 0:
+            if k == 0:
+                c += d
+            break
+        kept.append((x, d))
+    kept.append((cut, c))
+    return _cnf(tuple(kept))
 
 
 def _dec_last(x: Ordinal) -> Ordinal:

@@ -67,14 +67,37 @@ def test_deep_terms_pass_every_layer(name):
     if e.fragment == "elementary":
         assert str(weak_mot(e)) == "w^w"  # the largest leaf
     if name != "multiset-tower":
-        # (its o is an exponent tower 10,000 high, and comparing or
-        # hashing such ordinals still takes a frame per level)
+        # (its o is an exponent tower 10,000 high, and the intervals of
+        # `pf_bounds` compare such ordinals, which takes a frame per level;
+        # its `invariants` is tested below)
         # `pf_bounds` runs `invariants` on `e` first
         bounds = pf_bounds(e)
         assert bounds.mot.reason is None
         if name == "union":
             # o(Pf(A)) lies in [1 + o(A), 2^o(A)], o(A) = w^w*10000
             assert str(bounds.mot) == "[w^w*10000, w^(w^w*10000)]"
+
+
+def _omega_tower_height(a) -> int:
+    """The n with a = w^(w^(...(w^0))), n omegas, read without recursion;
+    -1 if `a` is not of that shape."""
+    n = 0
+    while a.terms:
+        if len(a.terms) != 1 or a.terms[0][1] != 1:
+            return -1
+        a = a.terms[0][0]
+        n += 1
+    return n
+
+
+def test_invariants_of_a_deep_multiset_tower():
+    # o(M(A)) = w^o(A) here, so o and w nest one exponent deeper per level;
+    # the natural product that checks o <= h (x) w hashes no ordinal
+    r = invariants(parse_expr(SHAPES["multiset-tower"][0]))
+    assert r.notes == ("elementary-exact",)
+    assert str(r.height) == "w^w"
+    assert _omega_tower_height(r.mot.value) == N + 3
+    assert _omega_tower_height(r.width.value) == N + 3
 
 
 def test_deep_terms_are_stepped_without_recursion():

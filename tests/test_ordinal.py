@@ -4,7 +4,7 @@ import random
 from functools import cmp_to_key, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wqometer import (
     ONE,
@@ -264,6 +264,86 @@ def test_hat_nat_sum_laws(a, b):
         # dominated by the natural sum, dominates each summand's pm
         assert cmp(h, nat_sum(a, b)) <= 0
         assert cmp(h, ZERO) > 0
+
+
+# --- the one-pass natural operations against their former spellings ---------
+
+
+def _sorted_cnf(terms):
+    """The ordinal summing w^e*c over `terms`, through the validating
+    constructor."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
+    return Ordinal(tuple((e, acc[e]) for e in exps))
+
+
+def _ref_nat_prod(a, b):
+    """Natural product by accumulating every term product in a dict keyed
+    by exponent and sorting the exponents."""
+    return _sorted_cnf(
+        (nat_sum(e, f), c * d) for e, c in a.terms for f, d in b.terms
+    )
+
+
+def _ref_hat_nat_sum(a, b):
+    """`hat_nat_sum` by filtering the merged sum, then adding w^cut."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    if a.is_successor and b.is_successor:
+        return add(nat_sum(a.pred(), b.pred()), ONE)
+    parts, cut = [], None
+    for x in (a, b):
+        if x.is_successor:
+            parts.append(x.pred())
+        else:
+            e, c = x.terms[-1]
+            parts.append(Ordinal(x.terms[:-1] + (((e, c - 1),) if c > 1 else ())))
+            if cut is None or cmp(e, cut) > 0:
+                cut = e
+    merged = nat_sum(parts[0], parts[1])
+    kept = Ordinal(tuple(t for t in merged.terms if cmp(t[0], cut) >= 0))
+    return add(kept, omega_pow(cut))
+
+
+def _ref_two_pow(a):
+    """2^a = w^q * 2^n, multiplied out by `mul`."""
+    q, n = decompose_omega(a)
+    if q.is_zero:
+        return Ordinal.from_nat(2**n)
+    return mul(omega_pow(q), Ordinal.from_nat(2**n))
+
+
+# nested normal forms over few small exponents, so that the rows of a
+# natural product often meet at one exponent
+_nested = st.recursive(
+    st.integers(min_value=0, max_value=3).map(Ordinal.from_nat),
+    lambda inner: st.lists(
+        st.tuples(inner, st.integers(min_value=1, max_value=4)), max_size=4
+    ).map(_sorted_cnf),
+    max_leaves=10,
+)
+_one_term = st.builds(omega_pow, _nested, st.integers(min_value=1, max_value=4))
+_cnf_ordinals = st.one_of(st.just(ZERO), _one_term, _nested)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnf_ordinals, _cnf_ordinals)
+@example(o("w^2"), o("w^3+w^2*2+w+4"))  # one term times many
+@example(o("w^w*3+w^2+5"), o("w"))  # many terms times one
+@example(o("w^2+w"), o("w+1"))  # w^(2+0) and w^(1+1) meet across rows
+@example(o("w^w+w^2+w"), o("w^w+w^2+w"))  # every row meets another
+@example(ZERO, o("w^2+1"))
+@example(o("w+3"), ZERO)
+@example(o("w^2+1"), o("w^2"))  # a limit and a successor
+@example(o("w^2*2"), o("w*3"))  # the cut meets a kept exponent
+def test_one_pass_natural_operations_match_their_references(a, b):
+    assert nat_prod(a, b) == _ref_nat_prod(a, b)
+    assert hat_nat_sum(a, b) == _ref_hat_nat_sum(a, b)
+    for x in (a, b):
+        if decompose_omega(x)[1] <= 64:
+            assert two_pow(x) == _ref_two_pow(x)
 
 
 def _revalidated(a: Ordinal) -> Ordinal:
