@@ -20,7 +20,7 @@ _EXPORTS = {
     " omega_pow nat_sum nat_prod hat_nat_sum decompose_omega two_pow pm hstar odot",
     "expr": "WqoExpr Ord Gamma DisjUnion LexSum CartProd LexProd Words Multisets"
     " MultisetsN Pf PfPlus Phi Sim SimExt parse_expr print_expr expr_size"
-    " is_elementary is_omega_elementary is_finite_expr",
+    " is_finite_expr",
     "rewrite": "RewriteStep RewriteTrace step is_normal normalize_elementary"
     " eliminate_pf",
     "engine": "InvariantResult InvariantReport invariants pf_bounds weak_mot",

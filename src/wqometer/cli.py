@@ -33,19 +33,10 @@ import argparse
 import os
 import sys
 
-from .errors import (
-    HypothesisNotMet,
-    ParseError,
-    TooLargeError,
-    UnsupportedComputation,
-)
+from .errors import ParseError, TooLargeError, UnsupportedComputation, WqometerError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_PARSE = 2
-EXIT_HYPOTHESIS = 3
-EXIT_UNSUPPORTED = 4
-EXIT_TOO_LARGE = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,7 +230,7 @@ def _cmd_oracle(args) -> int:
     if sum(a is not None for a in (args.expr, args.poset, args.random)) != 1:
         print("oracle: need exactly one of an expression, --poset FILE or --random N",
               file=sys.stderr)
-        return EXIT_PARSE
+        return ParseError.exit_code
     sampled = None
     if args.poset is not None:
         p = _load_poset(args.poset)
@@ -332,21 +323,12 @@ def main(argv=None) -> int:
     # each error's message begins with its kind, so it is printed as is
     try:
         return _COMMANDS[args.cmd](args)
-    except ParseError as exc:
+    except WqometerError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_PARSE
-    except HypothesisNotMet as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except UnsupportedComputation as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TooLargeError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_TOO_LARGE
+        return exc.exit_code
     except RecursionError:
         print(UnsupportedComputation("expression-too-deep"), file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return UnsupportedComputation.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

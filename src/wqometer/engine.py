@@ -99,12 +99,9 @@ from .record import Record
 from .rewrite import _elim_root, eliminate_pf
 
 _TWO = Ordinal.from_nat(2)
-
-# the handful of product widths that are known exactly without being an
-# instance of a general rule; keyed by the (smaller, larger) factor pair
-_PRODUCT_WIDTH_TABLE: dict[tuple[Ordinal, Ordinal], Ordinal] = {
-    (mul(OMEGA, _TWO), mul(OMEGA, _TWO)): mul(OMEGA, Ordinal.from_nat(3)),
-}
+# w*2, whose square w*2 x w*2 has the one product width known exactly
+# without being an instance of a general rule: w*3
+_OMEGA_TWO = mul(OMEGA, _TWO)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +665,9 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
             if x == OMEGA:
                 notes.append("product-width: w(w x b) = b")
                 return InvariantResult.exact(y)
-        key = (a, b) if cmp(a, b) <= 0 else (b, a)
-        if key in _PRODUCT_WIDTH_TABLE:
+        if a == b == _OMEGA_TWO:
             notes.append("product-width: catalogued value")
-            return InvariantResult.exact(_PRODUCT_WIDTH_TABLE[key])
+            return InvariantResult.exact(mul(OMEGA, Ordinal.from_nat(3)))
 
     for r in (left[2], right[2], left[0], right[0]):
         if r.reason is not None:

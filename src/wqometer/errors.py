@@ -1,18 +1,22 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes, so raising the right class matters:
-parse failures, failed side conditions of a computation rule, computations
-the calculator honestly cannot do, and brute-force size limits are four
-different kinds of "no".
+Each class carries the exit code the CLI returns for it, so raising the
+right class matters: parse failures (2), failed side conditions of a
+computation rule (3), computations the calculator honestly cannot do (4)
+and brute-force size limits (5) are four different kinds of "no".
 """
 
 
 class WqometerError(Exception):
     """Base class for all calculator errors."""
 
+    exit_code: int
+
 
 class ParseError(WqometerError):
     """Syntax error, with position and expectation info."""
+
+    exit_code = 2
 
     def __init__(self, text: str, pos: int, expected: str, found: str | None = None):
         self.text = text
@@ -34,6 +38,8 @@ class HypothesisNotMet(WqometerError):
     ``rule`` names the computation rule, ``condition`` the failed hypothesis.
     """
 
+    exit_code = 3
+
     def __init__(self, rule: str, condition: str):
         self.rule = rule
         self.condition = condition
@@ -47,6 +53,8 @@ class HypothesisNotMet(WqometerError):
 class UnsupportedComputation(WqometerError):
     """The calculator has no sound rule for this input."""
 
+    exit_code = 4
+
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         msg = f"unsupported computation: {reason}"
@@ -57,6 +65,8 @@ class UnsupportedComputation(WqometerError):
 
 class TooLargeError(WqometerError):
     """A brute-force structure or a normal form would exceed its size limit."""
+
+    exit_code = 5
 
     def __init__(self, what: str, size, limit, unit: str = "elements"):
         self.what = what

@@ -70,8 +70,6 @@ __all__ = [
     "SimExt",
     "parse_expr",
     "print_expr",
-    "is_elementary",
-    "is_omega_elementary",
     "is_finite_expr",
     "expr_size",
 ]
@@ -315,16 +313,6 @@ def fold(e: WqoExpr, up, down=None):
 # ---------------------------------------------------------------------------
 
 
-def is_elementary(e: WqoExpr) -> bool:
-    """Whether `e` lies in the elementary fragment (see `WqoExpr`)."""
-    return e.fragment == "elementary"
-
-
-def is_omega_elementary(e: WqoExpr) -> bool:
-    """Whether `e` lies in the omega-elementary fragment (see `WqoExpr`)."""
-    return e.fragment == "omega"
-
-
 def is_finite_expr(e: WqoExpr) -> bool:
     """True when `e` denotes a finite quasi-order the oracle can build
     outright (words need an explicit length cap and are excluded here)."""
@@ -564,9 +552,6 @@ def parse_expr(text: str) -> WqoExpr:
                 continue
             args.append(out.pop())
             node, pos = _call(text, p, name, args)
-            if node is None:
-                groups.append((name, args, []))
-                break
             # the expression argument comes first, any natural after it
             out.append(shared.setdefault((type(node), id(args[0]), *args[1:]), node))
 
@@ -574,9 +559,11 @@ def parse_expr(text: str) -> WqoExpr:
 def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, int]:
     """Read on in constructor call `name` from `pos`, just after its name
     or its last argument read so far (`args`): the separators, and the
-    leaf arguments up to the next expression argument or through the
-    closing ')'.  Returns the node and the position after it, or None and
-    the position where the expression argument starts."""
+    leaf arguments up to its expression argument or through the closing
+    ')'.  Returns None and the position where the expression argument
+    starts, which only a call with no argument read yet can meet (an
+    expression argument is always the first), or else the node and the
+    position after it."""
     cls, kinds = _CALLS[name]
     if not args:
         pos = ord_mod._skip_ws(text, pos)  # the blanks after the name

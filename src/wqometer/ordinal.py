@@ -414,16 +414,14 @@ def two_pow(a: Ordinal) -> Ordinal:
     """2^a.  With a = w*q + n this is w^q * 2^n; in particular 2^w = w and
     2^(w^2) = w^w.
 
-    Built in normal form in one pass: for q > 0, w^q * 2^n is the one
-    term w^q with coefficient 2^n (just w^q when n = 0), so nothing is
-    multiplied out."""
+    Built in normal form in one pass: w^q * 2^n is the one term w^q with
+    coefficient 2^n >= 1 (the natural number 2^n when q = 0, just w^q when
+    n = 0), so nothing is multiplied out."""
     q, n = decompose_omega(a)
     if n > _NAT_EXP_LIMIT:
         raise UnsupportedComputation(
             "two-pow-finite-too-large", f"refusing 2^{n} (limit {_NAT_EXP_LIMIT})"
         )
-    if q.is_zero:
-        return Ordinal.from_nat(2**n)
     return _cnf(((q, 2**n),))
 
 
@@ -441,13 +439,14 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     give pred(a) (+) pred(b) + 1.
 
     Closed form, writing (+) for the natural sum: if either argument is 0
-    the sup is empty.  If both are successors the sup is attained at the
-    predecessors.  Otherwise let each successor argument contribute its
+    the sup is empty.  Otherwise let each successor argument contribute its
     predecessor, each limit argument x = g + w^e*c (e >= 1 its smallest
     exponent) contribute g + w^e*(c-1) together with the candidate cut e;
-    with M the natural sum of contributions and E the largest cut,
-    the value is (M truncated to terms >= w^E) + w^E: terms below w^E are
-    swallowed by suprema of the form sup_{r < w^E} (M' (+) r) = w^E.
+    with M the natural sum of contributions and E the largest cut (E = 0
+    when both arguments are successors, where the sup is attained at the
+    predecessors), the value is (M truncated to terms >= w^E) + w^E: terms
+    below w^E are swallowed by suprema of the form
+    sup_{r < w^E} (M' (+) r) = w^E.
 
     That value is built in normal form in one pass over M: its prefix of
     exponents >= E is kept, and w^E raises the last coefficient kept if
@@ -455,19 +454,16 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """
     if a.is_zero or b.is_zero:
         return ZERO
-    if a.is_successor and b.is_successor:
-        return add(nat_sum(a.pred(), b.pred()), ONE)
     parts: list[Ordinal] = []
-    cut: Ordinal | None = None
+    cut = ZERO
     for x in (a, b):
         if x.is_successor:
             parts.append(x.pred())
         else:
             e = x.terms[-1][0]  # smallest exponent, >= 1 since x is a limit
             parts.append(_dec_last(x))
-            if cut is None or cmp(e, cut) > 0:
+            if cmp(e, cut) > 0:
                 cut = e
-    assert cut is not None
     kept: list[tuple[Ordinal, int]] = []
     c = 1
     for x, d in nat_sum(parts[0], parts[1]).terms:

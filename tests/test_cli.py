@@ -166,6 +166,34 @@ def test_oracle_expression(capsys):
     assert "width = 3" in out
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("oracle", "--json", "Pf(G(3))"),
+            '{\n  "expression": "Pf(G(3))",\n  "n": 8,\n  "mot": 8,\n  "height": 4,\n'
+            '  "width": 3\n}\n',
+        ),
+        (
+            # a sampled order carries the poset it measured
+            ("oracle", "--json", "--random", "3", "--seed", "1"),
+            '{\n  "expression": "random(n=3, seed=1)",\n  "n": 3,\n  "mot": 3,\n'
+            '  "height": 1,\n  "width": 3,\n  "poset": {\n    "n": 3,\n    "leq": []\n'
+            '  }\n}\n',
+        ),
+        (
+            ("weakmot", "--json", "w^w*w^w"),
+            '{\n  "expression": "o(w^w)*o(w^w)",\n  "weak_mot": "w^w"\n}\n',
+        ),
+    ],
+    ids=["oracle-expression", "oracle-random", "weakmot"],
+)
+def test_json_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_oracle_poset_file(tmp_path, capsys):
     f = tmp_path / "poset.json"
     f.write_text('{"n": 3, "leq": [[0, 1], [1, 2]]}')

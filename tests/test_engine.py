@@ -26,7 +26,6 @@ from wqometer import (
     add,
     cmp,
     invariants,
-    is_omega_elementary,
     nat_prod,
     nat_sum,
     parse_expr,
@@ -325,7 +324,7 @@ def test_general_rules_give_omega_elementary_terms_height_w():
     for _ in range(600):
         e = _leaves_to_w(random_any_expr(rng, depth=rng.randint(1, 4)))
         for sub in _subterms(e):
-            if not is_omega_elementary(sub):
+            if sub.fragment != "omega":
                 continue
             notes = []
             (_o, h, _w), _wm = _evaluate(sub, notes)
@@ -381,6 +380,15 @@ def test_cartesian_product_general():
     assert exact(r.height) == o("3")  # 1 hat-sum 3
     assert r.width.kind == "unsupported"
     assert r.width.reason == "width-of-product-non-functional"
+
+
+def test_only_the_catalogued_pair_takes_the_catalogued_width():
+    note = "product-width: catalogued value"
+    assert note in rep("o(w*2)*o(w*2)").notes
+    for text in ("o(w*2)*o(w*3)", "o(w*3)*o(w*2)"):
+        r = rep(text)
+        assert r.width.reason == "width-of-product-non-functional", text
+        assert note not in r.notes, text
 
 
 def test_product_width_lower_bound():

@@ -31,9 +31,7 @@ from wqometer import (
     WqoExpr,
     eliminate_pf,
     expr_size,
-    is_elementary,
     is_finite_expr,
-    is_omega_elementary,
     normalize_elementary,
     parse_expr,
     parse_ordinal,
@@ -236,17 +234,16 @@ def test_parse_errors_have_positions():
 
 def test_classifiers():
     e = parse_expr("Pf(M(o(w^w))|o(w^(w^2))^<w)")
-    assert is_elementary(e)
-    assert not is_omega_elementary(e)
+    assert e.fragment == "elementary"
     assert not is_finite_expr(e)
 
     # leaf w^(w*2) is not multiplicatively indecomposable, leaf w is < w^w
-    assert not is_elementary(parse_expr("o(w^w)|o(w^(w*2))"))
-    assert not is_elementary(parse_expr("Pf(w)"))
-    assert not is_elementary(parse_expr("o(w^w)++o(w^w)"))
+    assert parse_expr("o(w^w)|o(w^(w*2))").fragment is None
+    assert parse_expr("Pf(w)").fragment == "omega"
+    assert parse_expr("o(w^w)++o(w^w)").fragment is None
 
-    assert is_omega_elementary(parse_expr("Pf(M(w)|w^<w)"))
-    assert not is_omega_elementary(parse_expr("Pf(o(w^w))"))
+    assert parse_expr("Pf(M(w)|w^<w)").fragment == "omega"
+    assert parse_expr("Pf(o(w^w))").fragment == "elementary"
 
     assert is_finite_expr(parse_expr("Pf(G(3))*2++Pf+(G(2).3)"))
     assert is_finite_expr(parse_expr("Mn(G(2), 2)"))
@@ -292,8 +289,6 @@ def _check_fragment(e: WqoExpr) -> str | None:
     elem, omega = _ref_is_elementary(e), _ref_is_omega_elementary(e)
     want = "elementary" if elem else "omega" if omega else None
     assert e.fragment == want, print_expr(e)
-    assert is_elementary(e) == elem
-    assert is_omega_elementary(e) == omega
     return want
 
 
@@ -314,7 +309,7 @@ def test_classifier_matches_recursive_predicates():
         reduct = eliminate_pf(e)
         _check_fragment(reduct)
         for term in (e, reduct):
-            if is_elementary(term) and _nf_size(term)[0] <= NF_SIZE_LIMIT:
+            if term.fragment == "elementary" and _nf_size(term)[0] <= NF_SIZE_LIMIT:
                 _check_fragment(normalize_elementary(term)[0])
                 normalised += 1
     assert min(kinds.values()) >= 50, kinds
@@ -333,10 +328,7 @@ def test_deep_terms_classify_at_the_default_recursion_limit():
         ("|".join(["o(w^w)"] * (n - 1) + ["w"]), None),
     )
     for text, want in cases:
-        e = parse_expr(text)
-        assert is_elementary(e) == (want == "elementary")
-        assert is_omega_elementary(e) == (want == "omega")
-        assert e.fragment == want
+        assert parse_expr(text).fragment == want
 
 
 @pytest.mark.parametrize(

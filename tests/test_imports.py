@@ -29,7 +29,7 @@ EXPORTS = {
     "expr": [
         "WqoExpr", "Ord", "Gamma", "DisjUnion", "LexSum", "CartProd", "LexProd", "Words",
         "Multisets", "MultisetsN", "Pf", "PfPlus", "Phi", "Sim", "SimExt", "parse_expr",
-        "print_expr", "expr_size", "is_elementary", "is_omega_elementary", "is_finite_expr",
+        "print_expr", "expr_size", "is_finite_expr",
     ],
     "rewrite": [
         "RewriteStep", "RewriteTrace", "step", "is_normal", "normalize_elementary",

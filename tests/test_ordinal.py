@@ -415,6 +415,12 @@ def test_parse_errors():
             o(bad)
 
 
+def test_unclosed_exponent_is_a_parse_error_at_its_end():
+    with pytest.raises(ParseError) as ei:
+        o("w^(2")
+    assert str(ei.value) == "parse error at position 4: expected ')', found 'end of input'"
+
+
 def test_zero_coefficients_are_parse_errors():
     # w*0 is not a CNF term; the error points at the coefficient
     for bad, pos in (("w*0", 2), ("w^2 * 0", 6), ("w^(w*0)", 5), ("w+w*00", 4)):
