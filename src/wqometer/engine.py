@@ -247,6 +247,7 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
 
 _EMPTY: _Triple = _exact3(ZERO, ZERO, ZERO)
 _SINGLETON: _Triple = _exact3(ONE, ONE, ONE)
+_OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
 
 
 def _is_empty(t: _Triple) -> bool:
@@ -271,7 +272,7 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     lower bound too large to print makes the result unsupported."""
     for p in parts:
         if p.reason is not None:
-            return InvariantResult.unsupported(p.reason)
+            return p
     lo = fn(*(p.lower for p in parts))
     deep = fn not in _SUMS
     if not _printable(lo, deep):
@@ -389,7 +390,7 @@ def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
     h = _pf_table_bound(bh, height=True)
 
     if bw.reason is not None:
-        w = InvariantResult.unsupported(bw.reason)
+        w = bw
     else:
         v = bw.lower
         try:
@@ -412,7 +413,7 @@ def _pf_table_bound(r: InvariantResult, height: bool) -> InvariantResult:
     holds only up to a finite multiple unless the height is a known limit.
     A lower bound too large to print makes the result unsupported."""
     if r.reason is not None:
-        return InvariantResult.unsupported(r.reason)
+        return r
     lo = add(ONE, r.lower)
     if not _printable(lo, deep=False):
         return InvariantResult.unsupported("value-too-large")
@@ -543,20 +544,12 @@ def _rules(notes: list[str], e: WqoExpr):
             # the general rules keep h = w exactly at every node built
             # from w by the elementary constructors
             notes.append("omega-elementary-height")
-        return (
-            InvariantResult.exact(a),
-            InvariantResult.exact(a),
-            InvariantResult.exact(ONE),
-        )
+        return _exact3(a, a, ONE)
 
     if isinstance(e, Gamma):
         yield ()
         k = Ordinal.from_nat(e.size)
-        return (
-            InvariantResult.exact(k),
-            InvariantResult.exact(ONE),
-            InvariantResult.exact(k),
-        )
+        return _exact3(k, ONE, k)
 
     if isinstance(e, Phi):
         yield ()
@@ -642,7 +635,7 @@ def _product_parts(
         return o, h, w
     ro = right[0]
     if ro.reason is not None:
-        o = InvariantResult.unsupported(ro.reason)
+        o = ro
     elif ro.kind != "exact":
         o = InvariantResult.unsupported("needs-exact-value:lex-product-mot")
     elif ro.value.is_limit:
@@ -671,7 +664,7 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
 
     for r in (left[2], right[2], left[0], right[0]):
         if r.reason is not None:
-            return InvariantResult.unsupported(r.reason)
+            return r
 
     # width lower bound: an additively indecomposable infinite factor
     # width multiplies with the other factor's order type
@@ -697,7 +690,7 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
 def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult:
     for r in (wa, wb):
         if r.reason is not None:
-            return InvariantResult.unsupported(r.reason)
+            return r
     if wa.kind == "exact" and wb.kind == "exact":
         try:
             return _lift(odot, wa, wb)
@@ -714,22 +707,16 @@ def _words_parts(base: _Triple, notes: list[str]) -> _Triple:
         return _SINGLETON
     if bo.kind == "exact" and bo.value == ONE:
         notes.append("words-over-singleton-alphabet")
-        return (
-            InvariantResult.exact(OMEGA),
-            InvariantResult.exact(OMEGA),
-            InvariantResult.exact(ONE),
-        )
-    if bo.reason is not None:
-        o = InvariantResult.unsupported(bo.reason)
-    elif bo.lower.is_zero:
+        return _OMEGA_CHAIN
+    if bo.reason is None and bo.lower.is_zero:
         # the alphabet might be empty; all we know is that the empty word exists
         o = InvariantResult.lower_only(ONE)
     else:
         o = _lift(lambda x: omega_pow(omega_pow(pm(x))), bo)
     h = _lift(hstar, bh)
     if o.reason is not None:
-        w = InvariantResult.unsupported(o.reason)
-    elif bo.reason is None and cmp(bo.lower, _TWO) >= 0:
+        w = o
+    elif cmp(bo.lower, _TWO) >= 0:
         w = o
         notes.append("words-width-equals-mot")
     else:
@@ -747,15 +734,11 @@ def _multisets_parts(base: _Triple, notes: list[str]) -> _Triple:
         return _SINGLETON
     if bo.kind == "exact" and bo.value == ONE:
         notes.append("multisets-over-singleton-order")
-        return (
-            InvariantResult.exact(OMEGA),
-            InvariantResult.exact(OMEGA),
-            InvariantResult.exact(ONE),
-        )
+        return _OMEGA_CHAIN
     o = _lift(omega_pow, bo)
     h = _lift(hstar, bh)
     if o.reason is not None:
-        w = InvariantResult.unsupported(o.reason)
+        w = o
     elif (
         bo.kind == "exact"
         and not bo.value.is_finite

@@ -36,9 +36,11 @@ found by a top-down greedy pass and completed by breadth-first
 augmenting-path searches over bitset rows, without recursion.  The `Pf`
 builder ANDs per-point membership masks.  The `Mn` builder tests Hall's
 condition with one cached mask of multisets per union of up-sets and
-threshold, counted bit-parallel over all multisets at once.  The words
-builder computes each word's up-set one length at a time from that of
-its tail, by the replicate-by-multiplication step of the product builder.
+threshold, counted bit-parallel over all multisets at once.  The
+products `_cart` and `_lexprod` and the words builder `_words` share one
+step, `_spread`: a mask times a sum of spaced single bits is a copy of
+the mask in each of those blocks.  The words builder computes each
+word's up-set one length at a time from that of its tail by that step.
 """
 
 from __future__ import annotations
@@ -270,6 +272,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _spread(mask: int, stride: int) -> int:
+    """One bit at i * stride for each bit i of `mask`: times a mask below
+    2^stride, it places a copy of that mask in each of those blocks."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << (i * stride)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # building finite orders from expressions
 # ---------------------------------------------------------------------------
@@ -395,34 +406,28 @@ def _lexsum(a: FinitePoset, b: FinitePoset) -> FinitePoset:
 
 
 def _cart(a: FinitePoset, b: FinitePoset) -> FinitePoset:
-    # element (i, j) gets index i * b.n + j.  spread has one bit at
-    # i2 * b.n for each i2 with i <= i2, so brow * spread places a copy
-    # of brow in each of those disjoint blocks: the product is their OR.
+    # element (i, j) gets index i * b.n + j: brow times the `_spread` of
+    # arow is a copy of brow in the block of each i2 with i <= i2, which
+    # is the row of (i, j)
     rows = []
     for arow in a.rows:
-        spread = 0
-        for i2 in _bits(arow):
-            spread |= 1 << (i2 * b.n)
+        spread = _spread(arow, b.n)
         rows.extend(brow * spread for brow in b.rows)
     return FinitePoset(a.n * b.n, tuple(rows))
 
 
 def _lexprod(a: FinitePoset, b: FinitePoset) -> FinitePoset:
     # A.B: pairs (i, j) with the B coordinate dominant; index j * a.n + i.
-    # (i, j) <= (i2, j2) iff j < j2, or j == j2 (up to equivalence) and
-    # i <= i2.
-    n = a.n * b.n
+    # (i, j) <= (i2, j2) iff j < j2, or j ~ j2 and i <= i2: the row of
+    # (i, j) has a copy of arow in the block of each j2 in j's class
+    # (brow & bcol) and a full block for each j2 strictly above j.
     full_a = (1 << a.n) - 1
-    rows = [0] * n
-    for j in range(b.n):
-        for j2 in range(b.n):
-            if not b.rows[j] >> j2 & 1:
-                continue
-            equiv = bool(b.rows[j2] >> j & 1)
-            for i in range(a.n):
-                block = a.rows[i] if equiv else full_a
-                rows[j * a.n + i] |= block << (j2 * a.n)
-    return FinitePoset(n, tuple(rows))
+    rows = []
+    for brow, bcol in zip(b.rows, b.cols()):
+        same = _spread(brow & bcol, a.n)
+        above = full_a * _spread(brow & ~bcol, a.n)
+        rows.extend(arow * same | above for arow in a.rows)
+    return FinitePoset(a.n * b.n, tuple(rows))
 
 
 def pf_poset(p: FinitePoset) -> FinitePoset:
@@ -527,25 +532,23 @@ def _words(p: FinitePoset, cap: int) -> FinitePoset:
     # v, or x <= a and u' embeds into v (matching x first is never worse),
     # so
     #     R(u, L) = R(u, L-1) * every[L] | R(u', L-1) * spread[x][L],
-    # where spread[x][L] has a bit at a * size[L-1] for each a >= x and
-    # every[L] one for each letter a: as in `_cart`, the product places a
-    # copy of the mask in each of those disjoint sub-blocks.
+    # where spread[x][L] is the `_spread` of x's row and every[L] that of
+    # all letters, with stride size[L-1]: the product places a copy of the
+    # mask in each of those disjoint sub-blocks.
     if not p.n:
-        cap = 0  # over no letters the empty word is the only word
+        # over no letters the empty word is the only word.  The recurrence
+        # would give the same one-element order, but only after building
+        # lists of cap + 1 entries, and `build` takes any cap for `0^<w`
+        # (its estimate is 1): a cap of 10^9 would need gigabytes.
+        cap = 0
     if p.n == 1:
         # over one letter a word embeds into every word at least as long,
         # and the words are numbered by length: a chain
         return _chain(cap + 1)
     size = [p.n**length for length in range(cap + 1)]
     start = [sum(size[:length]) for length in range(cap + 1)]
-    every = [0] * (cap + 1)
-    spread = [[0] * (cap + 1) for _ in range(p.n)]
-    for length in range(1, cap + 1):
-        for a in range(p.n):
-            every[length] |= 1 << (a * size[length - 1])
-        for x, row in enumerate(p.rows):
-            for a in _bits(row):
-                spread[x][length] |= 1 << (a * size[length - 1])
+    every = [0] + [_spread((1 << p.n) - 1, s) for s in size[:-1]]
+    spread = [[0] + [_spread(row, s) for s in size[:-1]] for row in p.rows]
     # the empty word embeds into every word
     level = [[(1 << s) - 1 for s in size]]
     rows = [sum(r << at for r, at in zip(level[0], start))]
@@ -759,13 +762,8 @@ def iso(p: FinitePoset, q: FinitePoset) -> bool:
     if a.n > ISO_CAP:
         raise TooLargeError("isomorphism test", a.n, ISO_CAP)
     n = a.n
-    acols, bcols = a.cols(), b.cols()
-
-    def profile(rows, cols, i):
-        return (bin(rows[i]).count("1"), bin(cols[i]).count("1"))
-
-    aprof = [profile(a.rows, acols, i) for i in range(n)]
-    bprof = [profile(b.rows, bcols, i) for i in range(n)]
+    aprof = [(r.bit_count(), c.bit_count()) for r, c in zip(a.rows, a.cols())]
+    bprof = [(r.bit_count(), c.bit_count()) for r, c in zip(b.rows, b.cols())]
     if sorted(aprof) != sorted(bprof):
         return False
 

@@ -534,6 +534,32 @@ def test_pf_plus_general():
     assert exact(r.mot) == o("0")
 
 
+_LEX_MOT = "hypothesis-not-met:lex-product-mot:o(B) is a limit ordinal"
+
+
+@pytest.mark.parametrize(
+    "text, reasons",
+    [
+        # a union lifts its parts: `_lift` passes a part's reason on
+        ("G(2)|Mn(G(2),3)", ["fixed-size-multisets-no-rule"] * 3),
+        # Pf passes on the reason of w(A), and of o(A) through its bound row
+        ("Pf(G(2)*G(3))", [None, None, "width-of-product-non-functional"]),
+        ("Pf(G(2).o(w+1))", [_LEX_MOT, None, "unsupported-odot"]),
+        # A.B passes on the reason of o(B) and that of either width
+        ("G(2).(G(2).o(w+1))", [_LEX_MOT, None, "unsupported-odot"]),
+        ("G(2).(G(2)*G(3))", [_LEX_MOT, None, "width-of-product-non-functional"]),
+        # A x B passes on a factor's width or o reason as its width
+        ("G(2)*(G(2).o(w+1))", [_LEX_MOT, None, "unsupported-odot"]),
+        # words and multisets pass on the reason of o(A) as o and as w
+        ("(G(2).o(w+1))^<w", [_LEX_MOT, None, _LEX_MOT]),
+        ("M(G(2).o(w+1))", [_LEX_MOT, None, _LEX_MOT]),
+    ],
+)
+def test_unsupported_parts_pass_their_reasons_on(text, reasons):
+    r = rep(text)
+    assert [x.reason for x in (r.mot, r.height, r.width)] == reasons
+
+
 def test_report_json_schema():
     data = rep("Pf(G(2))").to_json()
     assert set(data) == {"mot", "height", "width", "weak_mot", "notes"}

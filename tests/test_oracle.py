@@ -34,6 +34,7 @@ from wqometer.oracle import (
     RESIDUAL_CAP,
     _cart,
     _chain,
+    _lexprod,
     _multisets_n,
     _pf,
     _transitive_close,
@@ -760,3 +761,34 @@ def test_cart_with_empty_factors():
     for a, b in ((empty, c3), (c3, empty), (empty, empty)):
         got = _cart(a, b)
         assert got.n == 0 and got == _ref_cart(a, b)
+
+
+def _ref_lexprod(a, b):
+    """The lexicographic product rows as the oracle built them before:
+    one pass per pair (j, j2) of B with j <= j2, ORing A's row into the
+    block of j2 when j2 ~ j and the full block when j2 is strictly above."""
+    n = a.n * b.n
+    full_a = (1 << a.n) - 1
+    rows = [0] * n
+    for j in range(b.n):
+        for j2 in range(b.n):
+            if not b.rows[j] >> j2 & 1:
+                continue
+            equiv = bool(b.rows[j2] >> j & 1)
+            for i in range(a.n):
+                block = a.rows[i] if equiv else full_a
+                rows[j * a.n + i] |= block << (j2 * a.n)
+    return FinitePoset(n, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quasi_orders(max_n=12), _quasi_orders(max_n=12))
+def test_lexprod_rows_match_per_pair_loop(a, b):
+    assert _lexprod(a, b) == _ref_lexprod(a, b)
+
+
+def test_lexprod_with_empty_factors():
+    empty, c3 = p("0"), p("o(3)")
+    for a, b in ((empty, c3), (c3, empty), (empty, empty)):
+        got = _lexprod(a, b)
+        assert got.n == 0 and got == _ref_lexprod(a, b)
