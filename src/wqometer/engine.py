@@ -40,6 +40,10 @@ n-ary natural sum or maximum.  A chain of
 lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
 are n-ary ordinal sums and ``w`` a maximum.
 
+No rule decides emptiness or a unit: `eliminate_pf` applies the unit
+and zero laws first, so the leaf 0 is the only empty term a rule meets,
+and every supported component of any other term is at least 1.
+
 *Omega-elementary* subtrees (the elementary constructors over the single
 leaf w) need no rule of their own: the general rules already give them
 height exactly w, and each w leaf adds the note ``omega-elementary-height``.
@@ -246,14 +250,7 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
 
 
 _EMPTY: _Triple = _exact3(ZERO, ZERO, ZERO)
-_SINGLETON: _Triple = _exact3(ONE, ONE, ONE)
 _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
-
-
-def _is_empty(t: _Triple) -> bool:
-    """An order is empty exactly when one of its invariants is 0, so one
-    exact 0 settles it whatever the other two components say."""
-    return any(r.kind == "exact" and r.value.is_zero for r in t)
 
 
 # sums and maxima take their exponents from their arguments, so only the
@@ -348,7 +345,8 @@ def weak_mot(e: WqoExpr) -> Ordinal:
 def _desugar(e: Sim | SimExt) -> WqoExpr:
     """The Sim family member as a plain expression, checking the index
     precondition (a = w, or a >= w^w multiplicatively indecomposable);
-    SimExt(a, m) is (Sim(a) ++ 1) * G(m)."""
+    SimExt(a, m) is (Sim(a) ++ 1) * G(m), built through `_elim_root`, so
+    it is simplified as the same term parsed and eliminated would be."""
     a = e.value
     if a == OMEGA:
         base = Ord(OMEGA)
@@ -359,7 +357,9 @@ def _desugar(e: Sim | SimExt) -> WqoExpr:
             "sim-family", "index must be w, or >= w^w and multiplicatively indecomposable"
         )
     if isinstance(e, SimExt):
-        return CartProd(LexSum(base, Ord(ONE)), Gamma(e.copies))
+        return _elim_root(
+            CartProd(_elim_root(LexSum(base, Ord(ONE))), _elim_root(Gamma(e.copies)))
+        )
     return base
 
 
@@ -565,11 +565,6 @@ def _rules(notes: list[str], e: WqoExpr):
         return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
     if isinstance(e, (CartProd, LexProd)):
-        # a singleton factor leaves the other factor unchanged
-        for mine, other in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(mine, Ord) and mine.value == ONE:
-                notes.append("product-with-singleton-factor")
-                return (yield (other,))[0]
         left, right = yield e.left, e.right
         return _product_parts(e, left, right, notes)
 
@@ -582,9 +577,6 @@ def _rules(notes: list[str], e: WqoExpr):
     if isinstance(e, MultisetsN):
         # the rules do not read the argument
         yield ()
-        if e.size == 0:
-            notes.append("fixed-size-multisets: only the empty multiset")
-            return _SINGLETON
         u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
         return u, u, u
 
@@ -603,11 +595,7 @@ def _rules(notes: list[str], e: WqoExpr):
             bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
             notes.append("powerset-height: family lower bound 2^a * m")
             return o, InvariantResult.lower_only(bound), w
-        (base,) = yield (x,)
-        if _is_empty(base):
-            notes.append("powerset-of-empty-order")
-            return _SINGLETON
-        return _pf_table_parts(base, notes)
+        return _pf_table_parts((yield (x,))[0], notes)
 
     if isinstance(e, PfPlus):
         notes.append("nonempty-powerset: derived from Pf minus its bottom")
@@ -624,10 +612,6 @@ def _product_parts(
     e: CartProd | LexProd, left: _Triple, right: _Triple, notes: list[str]
 ) -> _Triple:
     """A product's triple from its factors' triples `left` and `right`."""
-    # an empty factor, however its emptiness was found, empties the product
-    if _is_empty(left) or _is_empty(right):
-        notes.append("product-with-empty-factor")
-        return _EMPTY
     if isinstance(e, CartProd):
         o = _lift(nat_prod, left[0], right[0])
         h = _lift(hat_nat_sum, left[1], right[1])
@@ -674,7 +658,6 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
             yw.kind == "exact"
             and not yw.value.is_finite
             and yw.value.is_additively_indecomposable
-            and not xo.lower.is_zero
         ):
             cand = mul(yw.value, xo.lower)
             if best is None or cmp(cand, best) > 0:
@@ -702,17 +685,10 @@ def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult
 def _words_parts(base: _Triple, notes: list[str]) -> _Triple:
     """Words over an alphabet with the invariants `base`."""
     bo, bh, _bw = base
-    if _is_empty(base):
-        notes.append("words-over-empty-alphabet")
-        return _SINGLETON
     if bo.kind == "exact" and bo.value == ONE:
         notes.append("words-over-singleton-alphabet")
         return _OMEGA_CHAIN
-    if bo.reason is None and bo.lower.is_zero:
-        # the alphabet might be empty; all we know is that the empty word exists
-        o = InvariantResult.lower_only(ONE)
-    else:
-        o = _lift(lambda x: omega_pow(omega_pow(pm(x))), bo)
+    o = _lift(lambda x: omega_pow(omega_pow(pm(x))), bo)
     h = _lift(hstar, bh)
     if o.reason is not None:
         w = o
@@ -729,9 +705,6 @@ def _words_parts(base: _Triple, notes: list[str]) -> _Triple:
 def _multisets_parts(base: _Triple, notes: list[str]) -> _Triple:
     """Multisets over an order with the invariants `base`."""
     bo, bh, _bw = base
-    if _is_empty(base):
-        notes.append("multisets-over-empty-order")
-        return _SINGLETON
     if bo.kind == "exact" and bo.value == ONE:
         notes.append("multisets-over-singleton-order")
         return _OMEGA_CHAIN
@@ -779,9 +752,6 @@ def _pf_plus_parts(pf: _Triple) -> _Triple:
     """Pf+(X) from the triple `pf` of Pf(X), which has one more element,
     the empty set, below all others."""
     bo, bh, bw = pf
-    if bo.kind == "exact" and bo.value == ONE:
-        # Pf(X) is the singleton {empty set}, so X is empty and so is Pf+(X)
-        return _EMPTY
 
     def drop_one(r: InvariantResult) -> InvariantResult:
         if r.reason is not None:

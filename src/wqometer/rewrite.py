@@ -12,7 +12,10 @@ engine reads its values off the term and never builds it.
 `eliminate_pf`, used by the invariant engine, is one `fold` with its own
 rules: it pushes every finite-powerset constructor down through unions
 and lexicographic sums until it either disappears into an ordinal leaf
-or gets stuck on a constructor with no elimination rule.  `step`,
+or gets stuck on a constructor with no elimination rule.  The same rules,
+in `_elim_root`, state the unit and zero laws once for the engine, so the
+only empty term it leaves is the leaf 0.  None of 0, 1 and G(1) is
+elementary, so no law fires inside an elementary term.  `step`,
 `is_normal` and `normalize_elementary` all read one rewriting pass,
 `_pass`, which keeps its stack on the heap, so nesting costs it no
 Python frames.
@@ -27,9 +30,11 @@ from .errors import TooLargeError, UnsupportedComputation
 from .expr import (
     CartProd,
     DisjUnion,
+    Gamma,
     LexProd,
     LexSum,
     Multisets,
+    MultisetsN,
     Ord,
     Pf,
     PfPlus,
@@ -38,7 +43,7 @@ from .expr import (
     fold,
     print_expr,
 )
-from .ordinal import ONE, Ordinal, _printable, add, mul
+from .ordinal import ONE, ZERO, Ordinal, _printable, add, mul
 from .record import Record
 
 # The largest normal form, in nodes, that `normalize_elementary` builds.
@@ -298,6 +303,9 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     Pf(X ++ Y) = Pf(X) ++ Pf+(Y), and for the empty-set-less variant
     Pf+(a) = a and Pf+(X ++ Y) = Pf+(X) ++ Pf+(Y).  Sums and lexicographic
     products of raw ordinals fuse into a single ordinal leaf along the way.
+    The unit and zero laws: X|0, 0|X, X++0, 0++X, X*1, 1*X, X.1 and 1.X
+    are X; X*0, 0*X, X.0, 0.X and Mn(0, n) for n >= 1 are 0; M(0), 0^<w
+    and Mn(X, 0) are 1, and so is G(1).
     One `fold` applies them, so each distinct node is eliminated once, a
     shared subterm comes out shared, and depth costs no frames; it returns
     `e` itself when no rule fires.
@@ -307,34 +315,60 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
 
 def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
     """`e` over its eliminated children `kids`, with the rules applied."""
-    if not kids:
-        return e  # every rule rewrites an inner node
     if any(map(is_not, kids, e.children())):
         e = e.with_children(tuple(kids))
     return _elim_root(e)
 
 
+_ONE = Ord(ONE)
+
+
 def _elim_root(e: WqoExpr) -> WqoExpr:
     """`e`, whose children are already eliminated, with the rules applied
-    at its root and at the root of every node a rule builds."""
-    if isinstance(e, Pf):
+    at its root and at the root of every node a rule builds.  The unit
+    and zero laws leave `0` the only empty term."""
+    t = type(e)
+    if t is Pf or t is PfPlus:
         x = e.arg
-        if isinstance(x, Ord):
-            # 1 + a = a over an infinite leaf, so no new value to check
-            return x if not x.value.is_finite else _fused(e, add(ONE, x.value), False)
-        if isinstance(x, (DisjUnion, LexSum)):
+        if type(x) is Ord:
+            # Pf+(a) = a, and Pf(a) = 1 + a, which is a over an infinite
+            # leaf, so no new value to check
+            if t is PfPlus or not x.value.is_finite:
+                return x
+            return _fused(e, add(ONE, x.value), False)
+        if type(x) is LexSum or (t is Pf and type(x) is DisjUnion):
             return fold(e, _pf_rule, _pf_parts)
-    elif isinstance(e, PfPlus):
-        x = e.arg
-        if isinstance(x, Ord):
-            return x
-        if isinstance(x, LexSum):
-            return fold(e, _pf_rule, _pf_parts)
-    elif isinstance(e, LexSum) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return _fused(e, add(e.left.value, e.right.value), False)
-    elif isinstance(e, LexProd) and isinstance(e.left, Ord) and isinstance(e.right, Ord):
-        return _fused(e, mul(e.left.value, e.right.value), True)
+    elif t is DisjUnion or t is LexSum:
+        a, b = e.left, e.right
+        if _is_leaf(a, ZERO):
+            return b
+        if _is_leaf(b, ZERO):
+            return a
+        if t is LexSum and type(a) is Ord and type(b) is Ord:
+            return _fused(e, add(a.value, b.value), False)
+    elif t is CartProd or t is LexProd:
+        a, b = e.left, e.right
+        if _is_leaf(a, ZERO) or _is_leaf(b, ONE):
+            return a
+        if _is_leaf(b, ZERO) or _is_leaf(a, ONE):
+            return b
+        if t is LexProd and type(a) is Ord and type(b) is Ord:
+            return _fused(e, mul(a.value, b.value), True)
+    elif t is Words or t is Multisets:
+        if _is_leaf(e.arg, ZERO):
+            return _ONE
+    elif t is MultisetsN:
+        if not e.size:
+            return _ONE
+        if _is_leaf(e.arg, ZERO):
+            return e.arg
+    elif t is Gamma and e.size == 1:
+        return _ONE
     return e
+
+
+def _is_leaf(e: WqoExpr, value: Ordinal) -> bool:
+    return type(e) is Ord and e.value == value
 
 
 def _pf_parts(e: Pf | PfPlus) -> tuple[WqoExpr, ...]:
@@ -354,9 +388,7 @@ def _pf_rule(e: Pf | PfPlus, kids: list[WqoExpr]) -> WqoExpr:
     `_pf_parts` names; the other rules at a node it names none for."""
     if not kids:
         return _elim_root(e)
-    if isinstance(e.arg, DisjUnion):
-        return CartProd(*kids)
-    return _elim_root(LexSum(*kids))
+    return _elim_root((CartProd if isinstance(e.arg, DisjUnion) else LexSum)(*kids))
 
 
 def _fused(e: WqoExpr, value: Ordinal, deep: bool) -> WqoExpr:

@@ -269,7 +269,7 @@ def test_powerset_sandwich_coherence():
                              "multisets-width-equals-mot")),
         ("Sim(w)*M(w)", ("family:sim", "omega-elementary-height", "multisets-width-equals-mot",
                          "product-width: lower bound w(B) * o(A)")),
-        ("1*(w^<w)|Phi(2)", ("product-with-singleton-factor", "omega-elementary-height",
+        ("1*(w^<w)|Phi(2)", ("simplification-applied", "omega-elementary-height",
                              "words-width-equals-mot", "family:phi")),
         ("Pf(Sim(w))++Pf(G(2))", ("family:sim-powerset", "omega-elementary-height",
                                   "powerset-bounds", "width-cap: w <= 2^o = 4")),
@@ -278,13 +278,13 @@ def test_powerset_sandwich_coherence():
                                     "width-cap: w <= 2^o = w^(w^(w^(w^(w^w)))*2)*4",
                                     "powerset-height: family lower bound 2^a * m",
                                     "omega-elementary-height", "words-width-equals-mot")),
-        ("SimExt(w,1).M(G(2))", ("family:sim-extended", "omega-elementary-height")),
+        ("SimExt(w,1).M(G(2))", ("family:sim-extended",)),
     ],
 )
 def test_notes_come_in_the_order_the_rules_fire(text, notes):
     # a rule that reads other nodes notes itself before their notes when
     # it applies before reading them (a family member desugared, Pf+ read
-    # off Pf, a singleton factor dropped), and after them otherwise
+    # off Pf), and after them otherwise
     assert rep(text).notes == notes
 
 
@@ -408,7 +408,9 @@ def test_product_units():
     assert exact(r.mot) == o("w^2")
 
 
-@pytest.mark.parametrize("text", ["M(G(2).(0*w))", "(G(2).(0*w))^<w", "Pf(G(2).(0*w))"])
+@pytest.mark.parametrize(
+    "text", ["M(G(2).(0*w))", "(G(2).(0*w))^<w", "Pf(G(2).(0*w))", "Pf(Mn(0,3))"]
+)
 def test_constructors_over_an_empty_order_give_a_singleton(text):
     # G(2).(0*w) is empty although no factor of the outer product is a
     # literal 0 and its o is not computed by the lex-product rule
@@ -420,7 +422,7 @@ def test_constructors_over_an_empty_order_give_a_singleton(text):
 def test_products_with_an_empty_factor_are_empty(text):
     r = rep(text)
     assert (exact(r.mot), exact(r.height), exact(r.width)) == (o("0"), o("0"), o("0"))
-    assert "product-with-empty-factor" in r.notes
+    assert r.notes == ("simplification-applied",)
 
 
 def test_lex_product():
@@ -504,6 +506,9 @@ def test_fixed_size_multisets():
     r = rep("Mn(G(2), 2)")
     assert r.mot.kind == "unsupported"
     assert r.mot.reason == "fixed-size-multisets-no-rule"
+    # an empty order has no multiset of size 3
+    r = rep("Mn(0,3)")
+    assert (exact(r.mot), exact(r.height), exact(r.width)) == (o("0"), o("0"), o("0"))
 
 
 def test_pf_general_bounds():
@@ -667,6 +672,11 @@ def test_sim_extended_family():
     r = rep("Pf(SimExt(w^w, 3))")
     assert r.height.kind == "lower"
     assert r.height.lower == o("w^(w^w)*3")  # 2^(w^w) * 3
+
+    # SimExt(w, 1) is (w ++ 1) * G(1), whose factor G(1) is a unit
+    r, want = invariants(SimExt(OMEGA, 1)), rep("w++1")
+    assert (r.mot, r.height, r.width) == (want.mot, want.height, want.width)
+    assert exact(r.width) == o("1")
 
     with pytest.raises(ValueError):
         SimExt(o("w^w"), 0)

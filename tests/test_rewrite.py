@@ -7,9 +7,11 @@ import pytest
 from wqometer import (
     CartProd,
     DisjUnion,
+    Gamma,
     LexProd,
     LexSum,
     Multisets,
+    MultisetsN,
     Ord,
     OMEGA,
     Pf,
@@ -26,7 +28,7 @@ from wqometer import (
     print_expr,
     step,
 )
-from wqometer.ordinal import ONE, add, mul
+from wqometer.ordinal import ONE, ZERO, add, mul
 
 from wqometer import rewrite
 from wqometer.expr import WqoExpr, _Binary, _Unary, expr_size
@@ -171,6 +173,47 @@ def test_step_matches_guarded_reference():
     assert steps > 1000
 
 
+def _guarded_redexes(e, path=()):
+    """The paths of the guarded redexes in `e`, the nodes where a rule
+    matches and no child holds a pattern, and whether `e` holds none."""
+    paths, free = [], True
+    for i, k in enumerate(e.children()):
+        below, kid_free = _guarded_redexes(k, (*path, i))
+        paths += below
+        free = free and kid_free
+    match = _raw_match(e) is not None
+    if match and free:
+        paths.append(path)
+    return paths, free and not match
+
+
+def _rewrite_at(e, path):
+    if not path:
+        return _raw_match(e)[1]
+    kids = list(e.children())
+    kids[path[0]] = _rewrite_at(kids[path[0]], path[1:])
+    return e.with_children(tuple(kids))
+
+
+def test_rewriting_at_random_guarded_redexes_reaches_the_normal_form():
+    # confluence, checked apart from the pass: both strategy names of
+    # `normalize_elementary` take the pass's steps, while here each step
+    # rewrites a guarded redex drawn at random
+    rng = random.Random(4242)
+    not_leftmost = 0
+    for _ in range(500):
+        start = cur = random_elementary(rng, rng.randint(1, 20))
+        while True:
+            paths, _ = _guarded_redexes(cur)
+            if not paths:
+                break
+            path = rng.choice(paths)
+            not_leftmost += path != min(paths)
+            cur = _rewrite_at(cur, path)
+        assert cur == normalize_elementary(start)[0], print_expr(start)
+    assert not_leftmost > 100, not_leftmost
+
+
 def _stepwise_trace(e, strategy):
     """The trace of iterating the guarded reference search `_ref_step`,
     which shares no code with the pass, printing the whole term each time."""
@@ -309,6 +352,30 @@ def test_eliminate_pf_idempotent():
 # The fixpoint `eliminate_pf` that one innermost pass replaced, kept as its
 # specification: bottom-up whole-tree passes until one changes nothing.
 def _ref_elim_local(e):
+    # the unit and zero laws: 0 is the only empty term, and 1 a unit of
+    # both products
+    zero, one = Ord(ZERO), Ord(ONE)
+    if e == Gamma(1):
+        return one
+    if isinstance(e, (DisjUnion, LexSum)):
+        if e.left == zero:
+            return e.right
+        if e.right == zero:
+            return e.left
+    if isinstance(e, (CartProd, LexProd)):
+        if zero in (e.left, e.right):
+            return zero
+        if e.left == one:
+            return e.right
+        if e.right == one:
+            return e.left
+    if isinstance(e, (Words, Multisets)) and e.arg == zero:
+        return one
+    if isinstance(e, MultisetsN):
+        if e.size == 0:
+            return one
+        if e.arg == zero:
+            return zero
     if isinstance(e, Pf):
         x = e.arg
         if isinstance(x, Ord):
