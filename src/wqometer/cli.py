@@ -219,8 +219,9 @@ def _load_poset(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return oracle.FinitePoset.from_json(text)
-    # a json.JSONDecodeError is a ValueError
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    # a file not in UTF-8, and a malformed or too deeply nested one, all
+    # raise ValueError
+    except (OSError, ValueError) as exc:
         raise ParseError(path, 0, "a poset JSON file", str(exc)) from exc
 
 

@@ -32,6 +32,15 @@ once, with no stack frame per nesting level.  The strategies:
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
 
+`_rules` has one branch per node kind, each product kind included.  A
+rule that holds only under a side condition on a component (o(A.B) =
+o(A)*o(B) needs o(B) a limit, w(M(A)) = o(M(A)) needs o(A) infinite and
+additively indecomposable) asks one helper, `_unreadable`, which gives
+the component's own reason, ``needs-exact-value:<rule>`` or
+``hypothesis-not-met:<rule>:<condition>``, or None when the rule
+applies.  A word order's width is its o: that needs o(A) > 1, which
+every supported o(A) but the exact 1 satisfies.
+
 A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so its
 parts are the nodes off its left spine, down to the first node that is
@@ -249,7 +258,6 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
     )
 
 
-_EMPTY: _Triple = _exact3(ZERO, ZERO, ZERO)
 _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
 
 
@@ -474,7 +482,7 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
     if o.kind == h.kind == w.kind == "exact":
         assert cmp(h.value, o.value) <= 0, "height exceeds order type"
         assert cmp(w.value, o.value) <= 0, "width exceeds order type"
-        assert cmp(o.value, nat_prod(h.value, w.value)) <= 0 or o.value.is_zero, (
+        assert cmp(o.value, nat_prod(h.value, w.value)) <= 0, (
             "order type exceeds natural product of height and width"
         )
 
@@ -539,7 +547,7 @@ def _rules(notes: list[str], e: WqoExpr):
         yield ()
         a = e.value
         if a.is_zero:
-            return _EMPTY
+            return _exact3(ZERO, ZERO, ZERO)
         if a == OMEGA:
             # the general rules keep h = w exactly at every node built
             # from w by the elementary constructors
@@ -564,15 +572,48 @@ def _rules(notes: list[str], e: WqoExpr):
         fo, fh, fw = _CHAIN_FNS[type(e)]
         return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
-    if isinstance(e, (CartProd, LexProd)):
+    if isinstance(e, CartProd):
         left, right = yield e.left, e.right
-        return _product_parts(e, left, right, notes)
+        o = _lift(nat_prod, left[0], right[0])
+        h = _lift(hat_nat_sum, left[1], right[1])
+        return o, h, _product_width(e, left, right, notes)
+
+    if isinstance(e, LexProd):
+        (lo, lh, lw), (ro, rh, rw) = yield e.left, e.right
+        why = _unreadable(
+            ro, "lex-product-mot", "o(B) is a limit ordinal", Ordinal.is_limit.fget
+        )
+        o = _lift(mul, lo, ro) if why is None else InvariantResult.unsupported(why)
+        return o, _lift(mul, lh, rh), _lex_prod_width(lw, rw)
 
     if isinstance(e, Words):
-        return _words_parts((yield (e.arg,))[0], notes)
+        bo, bh, _bw = (yield (e.arg,))[0]
+        if bo.kind == "exact" and bo.value == ONE:
+            notes.append("words-over-singleton-alphabet")
+            return _OMEGA_CHAIN
+        # w = o holds when o(A) > 1, and after the unit and zero laws every
+        # supported o(A) is exact or at least 2
+        o = _lift(lambda x: omega_pow(omega_pow(pm(x))), bo)
+        if o.reason is None:
+            notes.append("words-width-equals-mot")
+        return o, _lift(hstar, bh), o
 
     if isinstance(e, Multisets):
-        return _multisets_parts((yield (e.arg,))[0], notes)
+        bo, bh, _bw = (yield (e.arg,))[0]
+        if bo.kind == "exact" and bo.value == ONE:
+            notes.append("multisets-over-singleton-order")
+            return _OMEGA_CHAIN
+        o = _lift(omega_pow, bo)
+        # the reason of o (that of o(A), or value-too-large) comes first
+        why = o.reason or _unreadable(
+            bo,
+            "multisets-width",
+            "o(A) is additively indecomposable and infinite",
+            _infinite_indecomposable,
+        )
+        if why is None:
+            notes.append("multisets-width-equals-mot")
+        return o, _lift(hstar, bh), o if why is None else InvariantResult.unsupported(why)
 
     if isinstance(e, MultisetsN):
         # the rules do not read the argument
@@ -608,32 +649,27 @@ def _rules(notes: list[str], e: WqoExpr):
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def _product_parts(
-    e: CartProd | LexProd, left: _Triple, right: _Triple, notes: list[str]
-) -> _Triple:
-    """A product's triple from its factors' triples `left` and `right`."""
-    if isinstance(e, CartProd):
-        o = _lift(nat_prod, left[0], right[0])
-        h = _lift(hat_nat_sum, left[1], right[1])
-        w = _product_width(e, left, right, notes)
-        return o, h, w
-    ro = right[0]
-    if ro.reason is not None:
-        o = ro
-    elif ro.kind != "exact":
-        o = InvariantResult.unsupported("needs-exact-value:lex-product-mot")
-    elif ro.value.is_limit:
-        o = _lift(mul, left[0], ro)
-    else:
-        o = InvariantResult.unsupported(
-            HypothesisNotMet("lex-product-mot", "o(B) is a limit ordinal").reason
-        )
-    h = _lift(mul, left[1], right[1])
-    w = _lex_prod_width(left[2], right[2])
-    return o, h, w
+def _unreadable(r: InvariantResult, rule: str, condition: str, holds) -> str | None:
+    """Why `rule` cannot read the component `r`, or None if it can: the
+    reason of `r` if it has one, else that `r` is not exact, else that its
+    value fails the hypothesis `condition`, which `holds` tests."""
+    if r.reason is not None:
+        return r.reason
+    if r.kind != "exact":
+        return f"needs-exact-value:{rule}"
+    if not holds(r.value):
+        return HypothesisNotMet(rule, condition).reason
+    return None
 
 
-def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str]) -> _Triple:
+def _infinite_indecomposable(a: Ordinal) -> bool:
+    """Whether `a` is w^g for some g >= 1."""
+    return not a.is_finite and a.is_additively_indecomposable
+
+
+def _product_width(
+    e: CartProd, left: _Triple, right: _Triple, notes: list[str]
+) -> InvariantResult:
     """Width of a Cartesian product: not a function of the factor
     invariants in general, but several special shapes are known."""
     if isinstance(e.left, Ord) and isinstance(e.right, Ord):
@@ -654,11 +690,7 @@ def _product_width(e: CartProd, left: _Triple, right: _Triple, notes: list[str])
     # width multiplies with the other factor's order type
     best: Ordinal | None = None
     for (xo, _xh, _xw), (_yo, _yh, yw) in ((left, right), (right, left)):
-        if (
-            yw.kind == "exact"
-            and not yw.value.is_finite
-            and yw.value.is_additively_indecomposable
-        ):
+        if yw.kind == "exact" and _infinite_indecomposable(yw.value):
             cand = mul(yw.value, xo.lower)
             if best is None or cmp(cand, best) > 0:
                 best = cand
@@ -680,54 +712,6 @@ def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult
         except UnsupportedComputation as exc:
             return InvariantResult.unsupported(exc.reason)
     return InvariantResult.unsupported("needs-exact-value:lex-product-width")
-
-
-def _words_parts(base: _Triple, notes: list[str]) -> _Triple:
-    """Words over an alphabet with the invariants `base`."""
-    bo, bh, _bw = base
-    if bo.kind == "exact" and bo.value == ONE:
-        notes.append("words-over-singleton-alphabet")
-        return _OMEGA_CHAIN
-    o = _lift(lambda x: omega_pow(omega_pow(pm(x))), bo)
-    h = _lift(hstar, bh)
-    if o.reason is not None:
-        w = o
-    elif cmp(bo.lower, _TWO) >= 0:
-        w = o
-        notes.append("words-width-equals-mot")
-    else:
-        w = InvariantResult.unsupported(
-            HypothesisNotMet("words-width", "o(A) > 1").reason
-        )
-    return o, h, w
-
-
-def _multisets_parts(base: _Triple, notes: list[str]) -> _Triple:
-    """Multisets over an order with the invariants `base`."""
-    bo, bh, _bw = base
-    if bo.kind == "exact" and bo.value == ONE:
-        notes.append("multisets-over-singleton-order")
-        return _OMEGA_CHAIN
-    o = _lift(omega_pow, bo)
-    h = _lift(hstar, bh)
-    if o.reason is not None:
-        w = o
-    elif (
-        bo.kind == "exact"
-        and not bo.value.is_finite
-        and bo.value.is_additively_indecomposable
-    ):
-        w = o
-        notes.append("multisets-width-equals-mot")
-    elif bo.kind == "exact":
-        w = InvariantResult.unsupported(
-            HypothesisNotMet(
-                "multisets-width", "o(A) is additively indecomposable and infinite"
-            ).reason
-        )
-    else:
-        w = InvariantResult.unsupported("needs-exact-value:multisets-width")
-    return o, h, w
 
 
 def _pf_phi_parts(x: Phi, notes: list[str]) -> _Triple:

@@ -131,10 +131,14 @@ class FinitePoset(Record):
         """Build from {"n": int, "leq": [[i, j], ...]}; orders above
         SIZE_LIMIT are refused before the closure runs.  JSON booleans
         are not numbers here: `n` must be an integer and `leq` a list of
-        two-integer pairs, else ValueError."""
+        two-integer pairs, else ValueError, as for malformed JSON or JSON
+        nested too deeply for the decoder."""
         import json
 
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict) or "n" not in data or "leq" not in data:
             raise ValueError('expected an object with keys "n" and "leq"')
         n, leq = data["n"], data["leq"]

@@ -239,6 +239,24 @@ def test_oracle_poset_file_schema(tmp_path, capsys, text, reason):
     assert "parse error" in err and reason in err
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"n": 1, "leq": ' + "[" * 100_000], ids=["array", "leq"]
+)
+def test_oracle_poset_file_nested_too_deeply(tmp_path, text):
+    f = tmp_path / "deep.json"
+    f.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wqometer", "oracle", "--poset", str(f)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error")
+    assert "a poset JSON file, found 'JSON nested too deeply'" in proc.stderr
+
+
 def test_oracle_random_is_reproducible(capsys):
     _, out1, _ = run(capsys, "oracle", "--random", "6", "--seed", "5")
     _, out2, _ = run(capsys, "oracle", "--random", "6", "--seed", "5")

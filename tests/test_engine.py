@@ -565,6 +565,34 @@ def test_unsupported_parts_pass_their_reasons_on(text, reasons):
     assert [x.reason for x in (r.mot, r.height, r.width)] == reasons
 
 
+_MULTISETS_WIDTH = (
+    "hypothesis-not-met:multisets-width:o(A) is additively indecomposable and infinite"
+)
+
+
+@pytest.mark.parametrize(
+    "text, reasons",
+    [
+        # a rule that reads a component needs it exact ...
+        (
+            "G(2).Pf(G(2))",
+            [
+                "needs-exact-value:lex-product-mot",
+                None,
+                "needs-exact-value:lex-product-width",
+            ],
+        ),
+        ("M(Pf(G(2)))", [None, None, "needs-exact-value:multisets-width"]),
+        # ... and its value to meet the rule's hypothesis
+        ("M(G(3))", [None, None, _MULTISETS_WIDTH]),
+        ("G(2).3", [_LEX_MOT, None, "unsupported-odot"]),
+    ],
+)
+def test_conditional_rules_name_why_they_cannot_read_a_part(text, reasons):
+    r = rep(text)
+    assert [x.reason for x in (r.mot, r.height, r.width)] == reasons
+
+
 def test_report_json_schema():
     data = rep("Pf(G(2))").to_json()
     assert set(data) == {"mot", "height", "width", "weak_mot", "notes"}

@@ -7,6 +7,7 @@ must give the very same (o, h, w); swapping the factors of a union or of
 a Cartesian product must give components whose intervals meet.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,10 +20,14 @@ from wqometer import (
     LexSum,
     Multisets,
     MultisetsN,
+    OMEGA,
     ONE,
     Ord,
+    Ordinal,
     Pf,
     PfPlus,
+    Phi,
+    Sim,
     Words,
     ZERO,
     eliminate_pf,
@@ -96,6 +101,24 @@ def test_only_zero_is_empty():
         else:
             assert all(r.reason is not None or r.lower >= ONE for r in t), print_expr(x)
     assert empty >= 50, empty
+
+
+# the family leaves, which `random_any_expr` does not draw
+_TWO = Ordinal.from_nat(2)
+_FAMILIES = [Phi(ONE), Phi(_TWO), Phi(OMEGA), Sim(OMEGA)]
+
+
+def test_every_supported_mot_is_exact_or_at_least_two():
+    # a word order's width is its o, which needs o(A) > 1: the rules give
+    # o(A) = 1 only exactly, and words over 1 have a rule of their own
+    terms = TERMS + [node(x) for node in (Pf, PfPlus) for x in _FAMILIES]
+    for x, y in itertools.product(_FAMILIES, _FAMILIES + TERMS[:200]):
+        terms += [CartProd(x, y), CartProd(y, x), LexProd(x, y), LexProd(y, x)]
+    for x in terms:
+        o = invariants(x).mot
+        assert o.reason is not None or o.kind == "exact" or o.lower >= _TWO, (
+            print_expr(x)
+        )
 
 
 def _triples_of_terms(seed: int, n: int) -> list:

@@ -326,6 +326,34 @@ def test_json_round_trip():
         FinitePoset.from_pairs(2, [(0, 5)])
 
 
+# JSON documents of every shape, among them objects with the keys "n" and
+# "leq" and values of the right and of wrong types
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.just(SIZE_LIMIT + 1)
+    | st.floats() | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "leq", "x"]), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(_JSON | st.fixed_dictionaries({"n": _JSON, "leq": _JSON}))
+def test_from_json_refuses_only_with_value_or_size_errors(data):
+    # the CLI turns these two into exits 2 and 5, and catches nothing else
+    try:
+        FinitePoset.from_json(json.dumps(data))
+    except (ValueError, TooLargeError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"n": 1, "leq": ' + "[" * 100_000], ids=["array", "leq"]
+)
+def test_from_json_refuses_deep_nesting_with_value_error(text):
+    with pytest.raises(ValueError, match="JSON nested too deeply"):
+        FinitePoset.from_json(text)
+
+
 def test_check_engine_exact_expression():
     res = check_engine(parse_expr("o(2)|o(3)"))
     assert res.ok
