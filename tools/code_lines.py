@@ -4,11 +4,10 @@ A code line is a line that holds a code token: blank lines, comments and
 docstrings do not count, and a string that spans lines counts on each of
 them.  Standard library only:
 
-    python3 tools/code_lines.py [SRC_DIR]
+    python3 tools/code_lines.py
 """
 
 import ast
-import sys
 import tokenize
 from pathlib import Path
 
@@ -50,8 +49,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "wqometer"
+def main() -> int:
+    src = Path(__file__).resolve().parents[1] / "src" / "wqometer"
     total = 0
     for path in sorted(src.glob("*.py")):
         n = code_lines(path)
@@ -62,4 +61,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
