@@ -259,6 +259,7 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
 
 
 _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
+_TOO_LARGE = InvariantResult.unsupported("value-too-large")
 
 
 # sums and maxima take their exponents from their arguments, so only the
@@ -281,7 +282,7 @@ def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     lo = fn(*(p.lower for p in parts))
     deep = fn not in _SUMS
     if not _printable(lo, deep):
-        return InvariantResult.unsupported("value-too-large")
+        return _TOO_LARGE
     if all(p.kind == "exact" for p in parts):
         return InvariantResult.exact(lo)
     if all(p.upper is not None and not p.finite_multiple for p in parts):
@@ -424,7 +425,7 @@ def _pf_table_bound(r: InvariantResult, height: bool) -> InvariantResult:
         return r
     lo = add(ONE, r.lower)
     if not _printable(lo, deep=False):
-        return InvariantResult.unsupported("value-too-large")
+        return _TOO_LARGE
     hi = None
     if r.upper is not None and (height or not r.finite_multiple):
         try:
@@ -518,7 +519,14 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     notes.append("elementary-exact")
     # a bare leaf adds 1 to the width, any other component its o
     m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
-    return _exact3(nat_sum(leaves, rest), h, nat_sum(m, rest)), _weak(leaves, s)
+    o, w = nat_sum(leaves, rest), nat_sum(m, rest)
+    # a value too large to print is refused, as in `_lift`; the exponents
+    # of w are among those of o, so past o's check w needs only its own
+    # coefficients checked
+    o_ok = _printable(o)
+    checked = ((o, o_ok), (h, _printable(h)), (w, o_ok and _printable(w, deep=False)))
+    triple = tuple(InvariantResult.exact(v) if ok else _TOO_LARGE for v, ok in checked)
+    return triple, _weak(leaves, s)
 
 
 def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
@@ -696,7 +704,7 @@ def _product_width(
                 best = cand
     if best is not None:
         if not _printable(best):
-            return InvariantResult.unsupported("value-too-large")
+            return _TOO_LARGE
         notes.append("product-width: lower bound w(B) * o(A)")
         return InvariantResult.lower_only(best)
     return InvariantResult.unsupported("width-of-product-non-functional")

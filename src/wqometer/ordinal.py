@@ -5,8 +5,9 @@ An ordinal is a finite sum  w^e1 * c1 + ... + w^ek * ck  with exponents
 e1 > e2 > ... > ek (themselves ordinals) and coefficients ci >= 1.  We store
 exactly that: a tuple of (exponent, coefficient) pairs, strictly decreasing
 in the exponent.  Zero is the empty tuple.  Everything here stays below
-epsilon_0, so exponent towers are always finite and structural recursion
-terminates.
+epsilon_0, so exponent towers are always finite.  The walks down them
+(comparison, hashing, printing and reading) run on explicit stacks, so a
+tower of any height costs no Python frames.
 
 Callers build ordinals with `Ordinal(terms)`, which checks that normal
 form.  The arithmetic here builds its results with the private `_cnf`,
@@ -166,7 +167,7 @@ class Ordinal(Record):
     # -- operators -------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Ordinal) and self.terms == other.terms
+        return self is other or (isinstance(other, Ordinal) and cmp(self, other) == 0)
 
     def __lt__(self, other):
         return cmp(self, other) < 0
@@ -181,19 +182,54 @@ class Ordinal(Record):
         return cmp(self, other) >= 0
 
     def __hash__(self):
+        # hash(self.terms), with the caches of the exponents filled first,
+        # bottom-up on an explicit stack, so that it meets only cached ones
         h = self._hash
         if h is None:
-            h = hash(self.terms)
-            _set_hash(self, h)
+            stack = [self]
+            while stack:
+                a = stack[-1]
+                todo = [e for e, _ in a.terms if e._hash is None]
+                if todo:
+                    stack += todo
+                else:
+                    stack.pop()
+                    _set_hash(a, hash(a.terms))
+            h = self._hash
         return h
 
     def __bool__(self):
         return bool(self.terms)
 
     def __str__(self):
+        # the text, built on an explicit stack of the pieces still to
+        # write: strings, and the exponents to write in parentheses
         if not self.terms:
             return "0"
-        return "+".join(_term_str(e, c) for e, c in self.terms)
+        out = []
+        stack = [self]
+        while stack:
+            a = stack.pop()
+            if isinstance(a, str):
+                out.append(a)
+                continue
+            pieces = []
+            for e, c in a.terms:
+                if pieces:
+                    pieces.append("+")
+                if not e.terms:
+                    pieces.append(str(c))
+                    continue
+                if e.is_finite:
+                    pieces.append("w" if e == ONE else f"w^{e.nat}")
+                elif e == OMEGA:
+                    pieces.append("w^w")
+                else:
+                    pieces += ("w^(", e, ")")
+                if c > 1:
+                    pieces.append(f"*{c}")
+            stack += reversed(pieces)
+        return "".join(out)
 
     def __repr__(self):
         return f"Ordinal[{self}]"
@@ -213,22 +249,6 @@ def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
     return a
 
 
-def _term_str(e: Ordinal, c: int) -> str:
-    if e.is_zero:
-        return str(c)
-    s = "w"
-    if e != ONE:
-        if e.is_finite:
-            s += f"^{e.nat}"
-        elif e == OMEGA:
-            s += "^w"
-        else:
-            s += f"^({e})"
-    if c > 1:
-        s += f"*{c}"
-    return s
-
-
 ZERO = Ordinal()
 ONE = Ordinal.from_nat(1)
 OMEGA = Ordinal(((ONE, 1),))
@@ -240,17 +260,39 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def cmp(a: Ordinal, b: Ordinal) -> int:
-    """Three-way comparison: -1, 0 or 1."""
+    """Three-way comparison: -1, 0 or 1.
+
+    Normal forms compare lexicographically, term by term: the exponents
+    first, then the coefficients, and a proper prefix is the smaller.  One
+    loop walks both and returns at the first difference.  It descends into
+    each pair of exponents that are not the same object, keeping the term
+    lists it leaves on an explicit stack, so nesting costs no frames.
+    """
     if a is b:
         return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        k = cmp(ea, eb)
-        if k:
-            return k
+    # (terms of a, terms of b, index, coefficients there): the place to
+    # go on from once the exponents at the index are found equal
+    stack = []
+    ta, tb, i = a.terms, b.terms, 0
+    na, nb = len(ta), len(tb)
+    while True:
+        if i < na and i < nb:
+            (ea, ca), (eb, cb) = ta[i], tb[i]
+            if ea is not eb:
+                stack.append((ta, tb, i, ca, cb))
+                ta, tb, i = ea.terms, eb.terms, 0
+                na, nb = len(ta), len(tb)
+                continue
+        elif na != nb:
+            return -1 if na < nb else 1
+        elif stack:
+            ta, tb, i, ca, cb = stack.pop()
+            na, nb = len(ta), len(tb)
+        else:
+            return 0
         if ca != cb:
             return -1 if ca < cb else 1
-    na, nb = len(a.terms), len(b.terms)
-    return 0 if na == nb else (-1 if na < nb else 1)
+        i += 1
 
 
 def add(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
@@ -554,51 +596,82 @@ def parse_ordinal_prefix(text: str, pos: int) -> tuple[Ordinal, int]:
     like ``1+w`` are accepted and normalised.  A sum that merges terms
     into a coefficient too long to print is refused.
     """
-    start = pos
-    value, pos = _parse_term(text, pos)
-    summed = False
-    # a lone '+' continues the sum; '++' belongs to the expression layer
-    while text.startswith("+", pos) and not text.startswith("++", pos):
-        term, pos = _parse_term(text, _skip_ws(text, pos + 1))
-        value = add(value, term)
-        summed = True
-    if summed and _MAX_NAT and any(c >= _MAX_NAT for _, c in value.terms):
-        # the exponents were parsed, and checked, on their own
-        raise ParseError(text, start, "a sum small enough to print")
-    return value, pos
-
-
-def _parse_term(text: str, pos: int) -> tuple[Ordinal, int]:
-    if text.startswith("w", pos):
-        exponent = ONE
-        if text.startswith("^", pos + 1):
-            exponent, pos = _parse_atom(text, _skip_ws(text, pos + 2))
-        else:
-            pos = _skip_ws(text, pos + 1)
-        coeff = 1
-        if text.startswith("*", pos):
-            p = _skip_ws(text, pos + 1)
-            coeff, pos = _parse_nat(text, p)
-            if coeff == 0:
-                raise ParseError(text, p, "a coefficient of at least 1")
-        return omega_pow(exponent, coeff), pos
-    if text.startswith(_DIGITS, pos):
-        n, pos = _parse_nat(text, pos)
-        return Ordinal.from_nat(n), pos
-    raise ParseError(text, pos, "'w' or a natural number")
+    return _parse_sum(text, pos, [])
 
 
 def _parse_atom(text: str, pos: int) -> tuple[Ordinal, int]:
+    """Parse an exponent: a natural number, 'w' or an ordinal in
+    parentheses; the expression parser reads a bare ``w^atom`` with it."""
+    if text.startswith("(", pos):
+        # the None frame: the sum ends at its ')', and so does the atom
+        return _parse_sum(text, _skip_ws(text, pos + 1), [None])
+    return _parse_base(text, pos)
+
+
+def _parse_sum(text: str, pos: int, stack: list) -> tuple[Ordinal, int]:
+    """Parse a sum of terms from `pos`, and the parenthesised exponents in
+    it without recursion: `stack` holds, for each open parenthesis, the
+    sum it interrupted as (its start, its value so far), or None for one
+    that ends the parse."""
+    start, value = pos, None
+    while True:
+        # one term, or the opening of an exponent in parentheses
+        exponent = None
+        if text.startswith("w", pos):
+            if text.startswith("^", pos + 1):
+                p = _skip_ws(text, pos + 2)
+                if text.startswith("(", p):
+                    stack.append((start, value))
+                    start = pos = _skip_ws(text, p + 1)
+                    value = None
+                    continue
+                exponent, pos = _parse_base(text, p)
+            else:
+                exponent, pos = ONE, _skip_ws(text, pos + 1)
+        elif text.startswith(_DIGITS, pos):
+            n, pos = _parse_nat(text, pos)
+            term = Ordinal.from_nat(n)
+        else:
+            raise ParseError(text, pos, "'w' or a natural number")
+        # add the term; then each sum that ends here is the exponent of a
+        # term of the sum its parenthesis interrupted
+        while True:
+            if exponent is not None:
+                coeff = 1
+                if text.startswith("*", pos):
+                    p = _skip_ws(text, pos + 1)
+                    coeff, pos = _parse_nat(text, p)
+                    if coeff == 0:
+                        raise ParseError(text, p, "a coefficient of at least 1")
+                term = omega_pow(exponent, coeff)
+            value = term if value is None else add(value, term)
+            # a lone '+' continues the sum; '++' belongs to the expression layer
+            if text.startswith("+", pos) and not text.startswith("++", pos):
+                pos = _skip_ws(text, pos + 1)
+                break
+            # the sum ends here; one of two or more terms may have merged
+            # coefficients (the exponents were parsed, and checked, alone)
+            if value is not term and _MAX_NAT and any(c >= _MAX_NAT for _, c in value.terms):
+                raise ParseError(text, start, "a sum small enough to print")
+            if not stack:
+                return value, pos
+            if not text.startswith(")", pos):
+                raise ParseError(text, pos, "')'")
+            pos = _skip_ws(text, pos + 1)
+            frame = stack.pop()
+            if frame is None:
+                return value, pos
+            exponent = value
+            start, value = frame
+
+
+def _parse_base(text: str, pos: int) -> tuple[Ordinal, int]:
+    """An exponent that is a natural number or 'w'."""
     if text.startswith(_DIGITS, pos):
         n, pos = _parse_nat(text, pos)
         return Ordinal.from_nat(n), pos
     if text.startswith("w", pos):
         return OMEGA, _skip_ws(text, pos + 1)
-    if text.startswith("(", pos):
-        value, pos = parse_ordinal_prefix(text, _skip_ws(text, pos + 1))
-        if not text.startswith(")", pos):
-            raise ParseError(text, pos, "')'")
-        return value, _skip_ws(text, pos + 1)
     raise ParseError(text, pos, "a natural number, 'w' or '('")
 
 

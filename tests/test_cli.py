@@ -589,15 +589,15 @@ def test_without_a_digit_limit_coefficients_stop_at_two_to_the_million():
         ("|".join(["o(w+1)"] * 1200), 0),
         ("(" * 200 + "w" + ")" * 200, 0),
         ("Pf(" * 3000 + "w" + ")" * 3000, 0),
-        ("o(" + "w^(" * 400 + "w" + ")" * 401, 4),
+        ("o(" + "w^(" * 400 + "w" + ")" * 401, 0),
     ],
     ids=["union-800", "product-800", "union-1200", "parens-200", "powerset-3000",
          "exponent-tower-400"],
 )
 def test_deep_expressions_end_in_a_documented_exit_code(text, code):
-    # neither the parser nor the folds over a term take frames per level;
-    # the ordinal literal reader takes three per exponent level, and past
-    # the recursion limit the expression is refused in one line
+    # neither the parser, nor the ordinal literal reader, nor the folds
+    # over a term take frames per level; an expression that reached the
+    # recursion limit would be refused in one line
     proc = subprocess.run(
         [sys.executable, "-m", "wqometer", "invariants", text],
         capture_output=True,
@@ -642,6 +642,32 @@ def test_literals_at_the_print_limit_are_refused_with_a_reason(capsys, text):
         assert "value-too-large" in out
     else:
         assert err.startswith("unsupported computation: ")
+
+
+def test_elementary_values_past_the_print_limit_are_refused_with_a_reason(capsys):
+    # o and w of this product of 14,300 unions have the coefficient 2^14300,
+    # which does not print; h and the weakened o are w^w.  The refusal
+    # replaces a traceback (here, an exception out of `cli.main`)
+    text = "*".join(["(o(w^w)|o(w^w))"] * 14300)
+    code, out, err = run(capsys, "invariants", text)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "o = unsupported (value-too-large)",
+        "h = w^w",
+        "w = unsupported (value-too-large)",
+        "weak-o = w^w",
+        "note: elementary-exact",
+    ]
+    code, out, err = run(capsys, "weakmot", text)
+    assert (code, out, err) == (0, "w^w\n", "")
+    # under M that coefficient is in the exponent of o and of w
+    code, out, err = run(capsys, "invariants", f"M({text})")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:4] == [
+        "o = unsupported (value-too-large)",
+        "h = w^w",
+        "w = unsupported (value-too-large)",
+    ]
 
 
 _N1 = _N + "9"  # one digit past the limit

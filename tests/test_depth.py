@@ -1,7 +1,9 @@
 """Depth: every walk over a term runs on an explicit stack, in one `fold`
-or in the rewriting pass, so terms nested 10,000 levels deep pass through
-every layer at the default recursion limit, which is never raised here.
-The walks that still recurse are pinned by name."""
+or in the rewriting pass, and so do the comparison, hashing, printing and
+reading of ordinals, so terms nested 10,000 levels deep, and ordinals
+whose exponents nest as deep, pass through every layer at the default
+recursion limit, which is never raised here.  The walks that still
+recurse are pinned by name."""
 
 import ast
 import os
@@ -12,11 +14,13 @@ from pathlib import Path
 import pytest
 
 from wqometer import (
+    cmp,
     eliminate_pf,
     invariants,
     is_finite_expr,
     is_normal,
     parse_expr,
+    parse_ordinal,
     pf_bounds,
     print_expr,
     step,
@@ -33,8 +37,8 @@ def _chain(op: str, leaf: str) -> str:
     return op.join([leaf] * N)
 
 
-def _tower(call: str, leaf: str) -> str:
-    return f"{call}(" * N + leaf + ")" * N
+def _tower(call: str, leaf: str, n: int = N) -> str:
+    return f"{call}(" * n + leaf + ")" * n
 
 
 # name -> (text, whether the oracle can build it); the elementary shapes
@@ -66,16 +70,13 @@ def test_deep_terms_pass_every_layer(name):
             est_size(e)
     if e.fragment == "elementary":
         assert str(weak_mot(e)) == "w^w"  # the largest leaf
-    if name != "multiset-tower":
-        # (its o is an exponent tower 10,000 high, and the intervals of
-        # `pf_bounds` compare such ordinals, which takes a frame per level;
-        # its `invariants` is tested below)
-        # `pf_bounds` runs `invariants` on `e` first
-        bounds = pf_bounds(e)
-        assert bounds.mot.reason is None
-        if name == "union":
-            # o(Pf(A)) lies in [1 + o(A), 2^o(A)], o(A) = w^w*10000
-            assert str(bounds.mot) == "[w^w*10000, w^(w^w*10000)]"
+    # `pf_bounds` runs `invariants` on `e` first; a multiset tower's o is an
+    # exponent tower 10,000 high, which its intervals compare and print
+    bounds = pf_bounds(e)
+    assert bounds.mot.reason is None
+    if name == "union":
+        # o(Pf(A)) lies in [1 + o(A), 2^o(A)], o(A) = w^w*10000
+        assert str(bounds.mot) == "[w^w*10000, w^(w^w*10000)]"
 
 
 def _omega_tower_height(a) -> int:
@@ -88,6 +89,21 @@ def _omega_tower_height(a) -> int:
         a = a.terms[0][0]
         n += 1
     return n
+
+
+def test_deep_ordinal_literals_parse_and_print():
+    # an exponent tower 10,000 high: w^(w^(...(w*3+1)...)*3+1)*3+1
+    text = "w^(" * N + "w*3+1" + ")*3+1" * N
+    a = parse_ordinal(text)
+    assert str(a) == text
+    assert print_expr(parse_expr(f"o({text})")) == f"o({text})"
+    # a copy of new objects, and a tower that differs only at the bottom
+    assert a == parse_ordinal(text) and hash(a) == hash(parse_ordinal(text))
+    lower = parse_ordinal(text.replace("w*3+1", "w*3", 1))
+    assert cmp(lower, a) < 0 < cmp(a, lower) and lower != a
+    # the bare w^atom leaf of the expression syntax, printed as o(...)
+    bare = "w^(" * N + "w+1" + ")" * N
+    assert print_expr(parse_expr(bare)) == f"o({bare})"
 
 
 def test_invariants_of_a_deep_multiset_tower():
@@ -134,6 +150,16 @@ def test_cli_evaluates_a_long_union():
     assert proc.stdout.splitlines()[1:] == ["o = 4000", "h = 1", "w = 4000"]
 
 
+@pytest.mark.parametrize("command", ["invariants", "bounds"])
+def test_cli_reports_a_deep_multiset_tower(command):
+    # its o nests one exponent deeper per level, so the report compares
+    # and prints an exponent tower more than 2,000 high
+    proc = _cli(command, _tower("M", "o(w^w)", 2000))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("o = " + "[" * (command == "bounds") + "w^(w^(w^(")
+
+
 def test_cli_refuses_a_deep_powerset_tower_as_too_large():
     proc = _cli("oracle", "Pf(" * 2000 + "G(2)" + ")" * 2000)
     assert proc.returncode == 5
@@ -141,13 +167,9 @@ def test_cli_refuses_a_deep_powerset_tower_as_too_large():
     assert proc.stderr.endswith("needs more than 5000 elements, limit is 5000\n")
 
 
-# the functions that still take a frame per level: ordinal comparison,
-# the ordinal literal reader (three frames per exponent level) and the
-# oracle's backtracking `iso` and residual ranks (both capped in size)
-RECURSIVE = {
-    "ordinal.py": {"cmp", "parse_ordinal_prefix", "_parse_term", "_parse_atom"},
-    "oracle.py": {"assign", "rank"},
-}
+# the functions that still take a frame per level: the oracle's
+# backtracking `iso` and residual ranks (both capped in size)
+RECURSIVE = {"oracle.py": {"assign", "rank"}}
 
 
 def _recursive_functions(source: str) -> set[str]:

@@ -346,6 +346,96 @@ def test_one_pass_natural_operations_match_their_references(a, b):
             assert two_pow(x) == _ref_two_pow(x)
 
 
+# --- comparison, equality, hashing and printing against recursive references --
+
+
+def _ref_cmp(a, b):
+    """The lexicographic order of normal forms, one frame per level."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        k = _ref_cmp(ea, eb)
+        if k:
+            return k
+        if ca != cb:
+            return -1 if ca < cb else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
+def _ref_key(a):
+    """The normal form as nested tuples, which hash as `a` does: each
+    exponent's hash is that of its own terms tuple."""
+    return tuple((_ref_key(e), c) for e, c in a.terms)
+
+
+def _ref_str(a):
+    if not a.terms:
+        return "0"
+    return "+".join(_ref_term_str(e, c) for e, c in a.terms)
+
+
+def _ref_term_str(e, c):
+    if not e.terms:
+        return str(c)
+    s = "w"
+    if _ref_cmp(e, ONE):
+        if e.is_finite:
+            s += f"^{e.nat}"
+        elif not _ref_cmp(e, OMEGA):
+            s += "^w"
+        else:
+            s += f"^({_ref_str(e)})"
+    if c > 1:
+        s += f"*{c}"
+    return s
+
+
+def _check_against_references(a, b):
+    k = _ref_cmp(a, b)
+    assert cmp(a, b) == k and cmp(b, a) == -k
+    assert (a == b) == (k == 0) and (a != b) == (k != 0)
+    for x in (a, b):
+        # a copy made of new objects, with no hash cached anywhere in it
+        copy = _revalidated(x)
+        assert copy is not x and copy == x and cmp(copy, x) == 0
+        assert hash(copy) == hash(x) == hash(x.terms) == hash(_ref_key(x))
+        assert str(copy) == str(x) == _ref_str(x)
+        assert o(str(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cnf_ordinals, _cnf_ordinals)
+@example(o("w^w"), o("w^2"))  # one term each, different exponents
+@example(o("w^(w+1)*2+w"), o("w^(w+1)*2+w+1"))  # a proper prefix
+@example(o("w^(w^2*3)"), o("w^(w^2*4)"))  # a coefficient inside an exponent
+def test_comparison_hash_and_text_match_recursive_references(a, b):
+    _check_against_references(a, b)
+
+
+def _tower(base: int, levels) -> Ordinal:
+    """w^(...(w^base*c1 + t1)...)*cn + tn, built from fresh objects."""
+    x = Ordinal.from_nat(base)
+    for c, tail in levels:
+        x = add(omega_pow(x, c), Ordinal.from_nat(tail))
+    return x
+
+
+_levels = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2)),
+    max_size=100,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=3), _levels, st.data())
+def test_towers_match_recursive_references(base, levels, data):
+    # the second tower is built again from the same levels, with at most
+    # one of them changed, so that the comparison descends far
+    other = list(levels)
+    if other and data.draw(st.booleans()):
+        i = data.draw(st.integers(min_value=0, max_value=len(other) - 1))
+        other[i] = data.draw(_levels.filter(bool))[0]
+    _check_against_references(_tower(base, levels), _tower(base, other))
+
+
 def _revalidated(a: Ordinal) -> Ordinal:
     """`a` rebuilt through the validating constructor, exponents first."""
     return Ordinal(tuple((_revalidated(e), c) for e, c in a.terms))
@@ -445,5 +535,7 @@ def test_literals_and_sums_past_the_print_limit_are_parse_errors():
     # a sum that merges no coefficients keeps the literals as they were read
     assert o(f"w*{n}+1") == add(omega_pow(ONE, int(n)), ONE)
     assert o(f"1+w*{n}") == omega_pow(ONE, int(n))
+    # a sum is checked where it ends, so a large partial sum may be absorbed
+    assert o(f"w*{n}+w*{n}+w^2") == o("w^2")
     m = "4" * 4299
     assert o(f"w*{m}+w*{m}") == omega_pow(ONE, 2 * int(m))
