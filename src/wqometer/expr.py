@@ -29,9 +29,12 @@ through ``o(...)``.
 The tokens, precedences and constructor names live in one table
 (``_INFIX``, ``_WORDS`` and ``_CALLS`` below), the one source that both
 ``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
-keeps its stacks on the heap, so expression nesting costs it no Python
-frames, and it makes equal subterms of one text one object: a term that
-repeats a part many times holds it once.  Equality, hashing and pickling
+runs over the token list that one regular-expression `findall` makes of
+the text, in which a whole leaf (``w^(w^2)``, ``Sim(w^w)``, ``3``) is one
+token; it keeps its stacks on the heap, so expression nesting costs it no
+Python frames, and it makes equal subterms of one text one object: a term
+that repeats a part many times holds it once, and a leaf met again is
+looked up by its text, not read again.  Equality, hashing and pickling
 are as for unshared terms.
 
 Every walk over a term in the package, here and in the layers above,
@@ -431,105 +434,114 @@ _TIGHTEST = _WORDS_PREC + 1
 # parsing
 # ---------------------------------------------------------------------------
 
-# one token after blanks: a multi-character token that is not all letters,
-# a run of letters, any other character, or nothing at the end of the text
+# The tokens, which one `findall` lists for the whole text, so that each
+# token starts where the one before it ends: a run of blanks; a whole leaf;
+# the opening of a call with an expression argument, through its '(';
+# each multi-character token that is not all letters; a run of letters;
+# any other character.  A whole leaf is a leaf call (one whose arguments
+# are all ordinals and naturals) with its arguments, a bare w with its
+# exponent, or a natural number, each spelled as far as reading it goes
+# (an ordinal or natural reader also takes the blanks after it, a call
+# stops at its ')'), so that a leaf met before is looked up by its text,
+# not read again.  The arguments and the exponent are ordinal text
+# balanced in parentheses, matched here up to two deep; a leaf nested
+# deeper comes as its call name alone, or as "w^", and is read in place.
+_BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
+
+
+def _either(names) -> str:
+    return "|".join(re.escape(t) for t in sorted(names, key=len, reverse=True))
+
+
 _TOKEN = re.compile(
-    "[ \t]*(%s|[^\\W\\d_]+|.?)"
-    % "|".join(
-        re.escape(t)
-        for t in sorted((*_INFIX, _WORDS, *_CALLS), key=len, reverse=True)
-        if len(t) > 1 and not t.isalpha()
-    ),
+    r"[ \t]++"
+    r"|w\^(?!<)(?:[ \t]*+(?:[0-9]++|w|%(balanced)s)[ \t]*+)?"
+    r"|(?:%(leaf_calls)s)[ \t]*+%(balanced)s"
+    r"|[0-9]++[ \t]*+"
+    r"|(?:%(openers)s)[ \t]*+\("
+    r"|%(multi)s|[^\W\d_]++|."
+    % {
+        "balanced": _BALANCED,
+        "leaf_calls": _either(n for n, (_cls, kinds) in _CALLS.items() if "e" not in kinds),
+        "openers": _either(n for n, (_cls, kinds) in _CALLS.items() if "e" in kinds),
+        "multi": _either(
+            t for t in (*_INFIX, _WORDS, *_CALLS) if len(t) > 1 and not t.isalpha()
+        ),
+    },
     re.DOTALL,
 )
+# "(" and each call opening spelled without blanks, with its group's name
+_OPENS = {"(": "("} | {
+    name + "(": name for name, (_cls, kinds) in _CALLS.items() if "e" in kinds
+}
 # what may start an operand (the internal Pf+ is not offered)
 _OPERAND = "a constructor (%s), '(', 'w' or a natural number" % ", ".join(
     name for name in _CALLS if name.isalpha()
 )
 _LEAF = {"a": ord_mod.parse_ordinal_prefix, "n": ord_mod._parse_nat}
-# A leaf met before is looked up by its text, not read again.  The text a
-# leaf call's arguments span, and that of a bare w's exponent (if any), is
-# ordinal text balanced in parentheses; matched here up to two deep, it
-# ends where reading it would (each ordinal reader stops at a non-blank
-# after the blanks that follow it).  Deeper text is read, not looked up.
-_BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
-_LEAF_CALLS = {name for name, (_cls, kinds) in _CALLS.items() if "e" not in kinds}
-_LEAF_ARGS = re.compile(r"[ \t]*+" + _BALANCED)
-_EXPONENT = re.compile(r"\^(?!<)[ \t]*+(?:[0-9]++|w|%s)[ \t]*+|(?!\^(?!<))" % _BALANCED)
 
 
 def parse_expr(text: str) -> WqoExpr:
     """Parse the concrete syntax; see the grammar in the module docstring.
 
-    One operator-precedence loop over explicit stacks, so nesting costs no
-    Python frames: `out` holds the operands read so far, and `groups` the
-    open groups, innermost last, each a ``(``, a constructor call waiting
-    for an expression argument, or the whole text, with the arguments read
-    so far and its own pending infix operators.
+    One operator-precedence loop over the token list of the text and over
+    explicit stacks, so nesting costs no Python frames: `out` holds the
+    operands read so far, and `groups` the open groups, innermost last,
+    each a ``(``, a constructor call waiting for its expression argument,
+    or the whole text, with its own pending infix operators.  Token `i`
+    starts at `pos`, the sum of the lengths before it, and the one being
+    read at `p`, so every error has its exact position.  A leaf reader
+    may run past its token (a literal nested too deep to be one token);
+    the loop then goes on at the token that starts where the reader
+    stopped.
 
     Equal subterms come out as one object.  `shared` maps the text of each
     leaf (an ordinal literal, or a call whose arguments are all ordinals
     and naturals), and each other node's class with the ids of its
     subexpressions, to the first node made for it.  Those subexpressions
     are shared already, so the sharing grows bottom-up, and every node in
-    `out` stays in `shared`, so no id is reused.  A leaf call whose text
-    was seen before is not read again.  The table lives for one call.
+    `out` stays in `shared`, so no id is reused.  A leaf whose text was
+    seen before is not read again.  The table lives for one call.
     """
     out: list[WqoExpr] = []
-    groups: list[tuple[str | None, list, list]] = [(None, [], [])]
+    groups: list[tuple[str | None, list]] = [(None, [])]
     shared: dict = {}
-    pos = 0
+    toks = _TOKEN.findall(text)
+    toks.append("")  # the end of the text
+    i = pos = 0  # the next token, and where it starts
     while True:
         # an operand: a leaf, or the opening of a group
-        m = _TOKEN.match(text, pos)
-        tok, p, pos = m[1], m.start(1), m.end()
-        if not tok:
-            raise ParseError(text, p, "an expression")
-        if tok == "(":
-            groups.append((tok, [], []))
-            continue
-        if tok in _LEAF_CALLS or tok == "w":
-            m = (_EXPONENT if tok == "w" else _LEAF_ARGS).match(text, pos)
-            node = shared.get(text[p : m.end()]) if m else None
-            if node is not None:
-                pos = m.end()
-            else:
-                if tok != "w":
-                    node, pos = _call(text, pos, tok, [])
-                else:
-                    # bare single-term ordinal literal: w or w^atom
-                    exponent = ord_mod.ONE
-                    if text.startswith("^", pos) and not text.startswith("^<", pos):
-                        exponent, pos = ord_mod._parse_atom(
-                            text, ord_mod._skip_ws(text, pos + 1)
-                        )
-                    node = Ord(omega_pow(exponent))
-                node = shared.setdefault(text[p:pos], node)
-        elif tok in _CALLS:
-            args = []
-            pos = _call(text, pos, tok, args)[1]
-            groups.append((tok, args, []))
-            continue
-        elif tok in "0123456789":
-            n, pos = ord_mod._parse_nat(text, p)
-            key = text[p:pos]
-            node = shared.get(key)
-            if node is None:
-                node = shared[key] = Ord(Ordinal.from_nat(n))
-        else:
-            raise ParseError(text, p, _OPERAND)
+        tok = toks[i]
+        p = pos
+        i += 1
+        pos += len(tok)
+        node = shared.get(tok)
+        if node is None:
+            name = _OPENS.get(tok)
+            if name is not None or tok.endswith("("):
+                groups.append((name or tok[:-1].rstrip(" \t"), []))
+                continue
+            if tok and tok[0] in " \t":
+                continue
+            node, end = _leaf(text, p, tok)
+            node = shared.setdefault(text[p:end], node)
+            i, pos = _resume(toks, i, pos, end)
         out.append(node)
         # the operators after it; any other token ends the innermost group
         while True:
-            m = _TOKEN.match(text, pos)
-            tok, p = m[1], m.start(1)
-            if tok == _WORDS:
-                x = out[-1]
-                out[-1] = shared.setdefault((Words, id(x)), Words(x))
-                pos = m.end()
-                continue
-            name, args, ops = groups[-1]
+            tok = toks[i]
+            p = pos
+            i += 1
+            pos += len(tok)
             infix = _INFIX.get(tok)
+            if infix is None:
+                if tok == _WORDS:
+                    x = out[-1]
+                    out[-1] = shared.setdefault((Words, id(x)), Words(x))
+                    continue
+                if tok and tok[0] in " \t":
+                    continue
+            name, ops = groups[-1]
             prec = infix[0] if infix else 0
             while ops and ops[-1][0] >= prec:
                 cls = ops.pop()[1]
@@ -538,32 +550,65 @@ def parse_expr(text: str) -> WqoExpr:
                 out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
             if infix:
                 ops.append(infix)
-                pos = m.end()
                 break
             if name is None:
                 if tok:
                     raise ParseError(text, p, "end of expression or an operator")
                 return out[0]
             groups.pop()
-            if name == "(":
-                if tok != ")":
-                    raise ParseError(text, p, "')'")
-                pos = m.end()
+            cls, kinds = _CALLS.get(name, (None, ""))  # a '(' group has none
+            if len(kinds) > 1:
+                # Mn(e, n): the ',', the natural and the ')' are read on
+                args = [out.pop()]
+                node, end = _call(text, p, name, args)
+                out.append(shared.setdefault((cls, id(args[0]), *args[1:]), node))
+                i, pos = _resume(toks, i, pos, end)
                 continue
-            args.append(out.pop())
-            node, pos = _call(text, p, name, args)
-            # the expression argument comes first, any natural after it
-            out.append(shared.setdefault((type(node), id(args[0]), *args[1:]), node))
+            if tok != ")":
+                raise ParseError(text, p, "')'")
+            if cls is not None:
+                x = out[-1]
+                out[-1] = shared.setdefault((cls, id(x)), cls(x))
 
 
-def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, int]:
+def _resume(toks: list[str], i: int, pos: int, end: int) -> tuple[int, int]:
+    """Where to go on once a reader has stopped at `end`, token `i` of
+    `toks` starting at `pos`: the index of the token that starts at `end`,
+    and `end`.  Each reader stops where the pattern ends a token: after a
+    ')', or after the blanks that follow a natural or a 'w'."""
+    while pos < end:
+        pos += len(toks[i])
+        i += 1
+    assert pos == end, "a leaf reader stopped inside a token"
+    return i, pos
+
+
+def _leaf(text: str, pos: int, tok: str) -> tuple[WqoExpr, int]:
+    """Read the leaf that starts at `pos` with token `tok`, a whole leaf
+    or the start of a deeper one; returns it and the position after it."""
+    if not tok:
+        raise ParseError(text, pos, "an expression")
+    if tok[0] in "0123456789":
+        n, end = ord_mod._parse_nat(text, pos)
+        return Ord(Ordinal.from_nat(n)), end
+    if tok == "w":
+        return Ord(OMEGA), pos + 1
+    if tok.startswith("w^"):
+        exponent, end = ord_mod._parse_atom(text, ord_mod._skip_ws(text, pos + 2))
+        return Ord(omega_pow(exponent)), end
+    name = tok.partition("(")[0].rstrip(" \t")
+    if name not in _CALLS:
+        raise ParseError(text, pos, _OPERAND)
+    # a leaf call, or a call name with no '(' after it, which is refused
+    return _call(text, pos + len(name), name, [])
+
+
+def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr, int]:
     """Read on in constructor call `name` from `pos`, just after its name
-    or its last argument read so far (`args`): the separators, and the
-    leaf arguments up to its expression argument or through the closing
-    ')'.  Returns None and the position where the expression argument
-    starts, which only a call with no argument read yet can meet (an
-    expression argument is always the first), or else the node and the
-    position after it."""
+    or its expression argument (`args`): the separators and the leaf
+    arguments through the closing ')'.  Returns the node and the position
+    after it.  (A call with an expression argument is opened by its own
+    token, so this meets one with no argument read only to refuse it.)"""
     cls, kinds = _CALLS[name]
     if not args:
         pos = ord_mod._skip_ws(text, pos)  # the blanks after the name
@@ -580,8 +625,6 @@ def _call(text: str, pos: int, name: str, args: list) -> tuple[WqoExpr | None, i
                 # only leaf arguments have side conditions, and only the
                 # last one of a call
                 raise ParseError(text, start, str(exc)) from None
-        if kinds[i] == "e":
-            return None, pos
         # a leaf reader also skips the blanks after its argument
         start = ord_mod._skip_ws(text, pos)
         value, pos = _LEAF[kinds[i]](text, start)

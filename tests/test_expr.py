@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import wqometer
 
@@ -21,6 +21,7 @@ from wqometer import (
     MultisetsN,
     Ord,
     OMEGA,
+    Ordinal,
     ParseError,
     Pf,
     PfPlus,
@@ -33,11 +34,13 @@ from wqometer import (
     expr_size,
     is_finite_expr,
     normalize_elementary,
+    omega_pow,
     parse_expr,
     parse_ordinal,
     print_expr,
 )
-from wqometer.expr import fold
+from wqometer import expr as expr_mod, ordinal as ord_mod
+from wqometer.expr import _CALLS, _INFIX, _LEAF, _TOKEN, _WORDS, _resume, fold
 from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size
 
 from genlib import one_of_each, random_any_expr, random_infinite_ordinal, random_ordinal
@@ -411,3 +414,250 @@ def test_expr_size():
     assert expr_size(tower) == 3001  # no recursion, so no depth limit
     assert expr_size(parse_expr("w|w")) == 3
     assert expr_size(parse_expr("Pf(w|w)")) == 4
+
+
+# --- the token-list parser against the former per-position one ---------------
+
+# The parser as it was before it read one token list: it matched one
+# token after blanks at each position, looked a leaf up by the text that
+# `_REF_LEAF_ARGS` or `_REF_EXPONENT` matched there, and read every call
+# through `_ref_call`.  Kept as the reference for results, sharing and
+# errors.
+_REF_TOKEN = re.compile(
+    "[ \t]*(%s|[^\\W\\d_]+|.?)"
+    % "|".join(
+        re.escape(t)
+        for t in sorted((*_INFIX, _WORDS, *_CALLS), key=len, reverse=True)
+        if len(t) > 1 and not t.isalpha()
+    ),
+    re.DOTALL,
+)
+_REF_BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
+_REF_LEAF_CALLS = {name for name, (_cls, kinds) in _CALLS.items() if "e" not in kinds}
+_REF_LEAF_ARGS = re.compile(r"[ \t]*+" + _REF_BALANCED)
+_REF_EXPONENT = re.compile(r"\^(?!<)[ \t]*+(?:[0-9]++|w|%s)[ \t]*+|(?!\^(?!<))" % _REF_BALANCED)
+
+
+def _ref_parse_expr(text):
+    out = []
+    groups = [(None, [], [])]
+    shared = {}
+    pos = 0
+    while True:
+        m = _REF_TOKEN.match(text, pos)
+        tok, p, pos = m[1], m.start(1), m.end()
+        if not tok:
+            raise ParseError(text, p, "an expression")
+        if tok == "(":
+            groups.append((tok, [], []))
+            continue
+        if tok in _REF_LEAF_CALLS or tok == "w":
+            m = (_REF_EXPONENT if tok == "w" else _REF_LEAF_ARGS).match(text, pos)
+            node = shared.get(text[p : m.end()]) if m else None
+            if node is not None:
+                pos = m.end()
+            else:
+                if tok != "w":
+                    node, pos = _ref_call(text, pos, tok, [])
+                else:
+                    exponent = ord_mod.ONE
+                    if text.startswith("^", pos) and not text.startswith("^<", pos):
+                        exponent, pos = ord_mod._parse_atom(
+                            text, ord_mod._skip_ws(text, pos + 1)
+                        )
+                    node = Ord(omega_pow(exponent))
+                node = shared.setdefault(text[p:pos], node)
+        elif tok in _CALLS:
+            args = []
+            pos = _ref_call(text, pos, tok, args)[1]
+            groups.append((tok, args, []))
+            continue
+        elif tok in "0123456789":
+            n, pos = ord_mod._parse_nat(text, p)
+            key = text[p:pos]
+            node = shared.get(key)
+            if node is None:
+                node = shared[key] = Ord(Ordinal.from_nat(n))
+        else:
+            raise ParseError(text, p, _OPERAND)
+        out.append(node)
+        while True:
+            m = _REF_TOKEN.match(text, pos)
+            tok, p = m[1], m.start(1)
+            if tok == _WORDS:
+                x = out[-1]
+                out[-1] = shared.setdefault((Words, id(x)), Words(x))
+                pos = m.end()
+                continue
+            name, args, ops = groups[-1]
+            infix = _INFIX.get(tok)
+            prec = infix[0] if infix else 0
+            while ops and ops[-1][0] >= prec:
+                cls = ops.pop()[1]
+                right = out.pop()
+                left = out[-1]
+                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
+            if infix:
+                ops.append(infix)
+                pos = m.end()
+                break
+            if name is None:
+                if tok:
+                    raise ParseError(text, p, "end of expression or an operator")
+                return out[0]
+            groups.pop()
+            if name == "(":
+                if tok != ")":
+                    raise ParseError(text, p, "')'")
+                pos = m.end()
+                continue
+            args.append(out.pop())
+            node, pos = _ref_call(text, p, name, args)
+            out.append(shared.setdefault((type(node), id(args[0]), *args[1:]), node))
+
+
+def _ref_call(text, pos, name, args):
+    cls, kinds = _CALLS[name]
+    if not args:
+        pos = ord_mod._skip_ws(text, pos)
+    while True:
+        i = len(args)
+        sep = "(" if i == 0 else "," if i < len(kinds) else ")"
+        if not text.startswith(sep, pos):
+            raise ParseError(text, pos, f"'{sep}'")
+        pos += 1
+        if i == len(kinds):
+            try:
+                return cls(*args), pos
+            except ValueError as exc:
+                raise ParseError(text, start, str(exc)) from None
+        if kinds[i] == "e":
+            return None, pos
+        start = ord_mod._skip_ws(text, pos)
+        value, pos = _LEAF[kinds[i]](text, start)
+        args.append(value)
+
+
+def _node_count(e):
+    """The number of distinct node objects in `e`."""
+    seen, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            todo += x.children()
+    return len(seen)
+
+
+def _outcome(parse, text):
+    try:
+        e = parse(text)
+    except ParseError as exc:
+        return None, (exc.pos, exc.expected, exc.found)
+    return e, _node_count(e)
+
+
+def _check_like_the_reference(text):
+    got, want = _outcome(parse_expr, text), _outcome(_ref_parse_expr, text)
+    assert got[1] == want[1], text
+    assert got[0] == want[0], text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=5))
+def test_random_terms_parse_as_before(seed, depth):
+    # printed with blanks, and with some parts repeated, so that leaves
+    # and subterms are met again
+    rng = random.Random(seed)
+    e = random_any_expr(rng, depth)
+    if rng.random() < 0.5:
+        e = _family_leaves(rng, e)
+    t = print_expr(e)
+    for text in (t, _blanks(rng, t), _blanks(rng, f"({t})|{t}*M({t})")):
+        _check_like_the_reference(text)
+
+
+_SOUP = _TOKENS + _CHARS + ["w^", "w^(", "o(", "Sim(", "Pf(", "Mn(", "^2", "9 ", " 3"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP), max_size=30).map("".join))
+def test_token_soup_parses_as_before(text):
+    _check_like_the_reference(text)
+
+
+def _deep_literal(draw, depth):
+    """Ordinal text with exponents nested `depth` deep, with sums,
+    coefficients and blanks on the way."""
+    inner = draw(st.sampled_from(("1", "2", "w", "w+1", "3 ")))
+    for _ in range(depth):
+        inner = f"w^{draw(st.sampled_from(('', ' ')))}({inner})"
+        inner += draw(st.sampled_from(("", "", "*2", "+1", "+w", " ", "*3 +2")))
+    return inner
+
+
+@st.composite
+def _deep_texts(draw):
+    """Leaves nested 3 to 6 deep, which no token takes whole (`o(...)`,
+    `Sim(...)`, `SimExt(..., n)` and bare `w^(...)`), some repeated,
+    joined by operators, with now and then one character dropped."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if parts and draw(st.booleans()):
+            parts.append(draw(st.sampled_from(parts)))
+            continue
+        lit = _deep_literal(draw, draw(st.integers(min_value=3, max_value=6)))
+        parts.append(
+            draw(
+                st.sampled_from(
+                    (f"o({lit})", f"Sim({lit})", f"SimExt({lit}, 2)", f"w^({lit}) ", f"M(o({lit}))")
+                )
+            )
+        )
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from(("|", "++", "*", ".", " | ", "^<w|"))) + part
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        i = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        text = text[:i] + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_deep_texts())
+def test_deep_literals_parse_as_before(text):
+    _check_like_the_reference(text)
+
+
+def test_every_pinned_parse_error_is_the_reference_s():
+    for bad in _PARSE_ERRORS:
+        _check_like_the_reference(bad)
+
+
+def test_a_reader_goes_on_at_the_token_where_it_stopped():
+    text = "G(2)|w^(w^(w^(1))) |w"
+    toks = _TOKEN.findall(text)
+    assert toks == ["G(2)", "|", "w^", "(", "w^(w^(1))", ")", " ", "|", "w"]
+    # the deep literal from token 2 (at 5) ends at 19, where token 7 starts
+    assert _resume(toks, 2, 5, 19) == (7, 19)
+    assert _resume(toks, 8, 20, 20) == (8, 20)
+
+
+def test_deep_literals_are_read_from_one_token_list(monkeypatch):
+    # 2,000 literals too deep to be one token each: each is read past its
+    # first token, and the parse goes on over the same token list, which
+    # is listed once (listing it again per literal would read 60 million
+    # characters)
+    text = "|".join(f"o(w^(w^(w^{k % 97})))" for k in range(2000))
+    listed = []
+
+    class Counted:
+        def findall(self, *args):
+            listed.append(args)
+            return _TOKEN.findall(*args)
+
+    monkeypatch.setattr(expr_mod, "_TOKEN", Counted())
+    parsed = parse_expr(text)
+    assert listed == [(text,)]
+    # `==` recurses down the left-deep chain, so the texts are compared
+    assert print_expr(parsed) == print_expr(_ref_parse_expr(text))

@@ -346,6 +346,41 @@ def test_one_pass_natural_operations_match_their_references(a, b):
             assert two_pow(x) == _ref_two_pow(x)
 
 
+def _ref_add(*summands):
+    """The ordinal sum in one left-to-right pass: each summand pops the
+    trailing terms its leading exponent absorbs, merges an equal exponent
+    and appends the rest."""
+    out = list(summands[0].terms)
+    for x in summands[1:]:
+        if not x.terms:
+            continue
+        lead, c = x.terms[0]
+        while out and (k := cmp(out[-1][0], lead)) < 0:
+            out.pop()
+        if out and k == 0:
+            out[-1] = (lead, out[-1][1] + c)
+            out.extend(x.terms[1:])
+        else:
+            out.extend(x.terms)
+    return Ordinal(tuple(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_cnf_ordinals, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=80),
+)
+@example([o("w^2+w*3+1"), o("w*2+5"), o("w^2")], [0, 1, 2, 1, 0, 1])
+@example([o("w^w"), o("w+1"), ZERO], [1, 2, 1, 0, 1, 2])  # 0 and lost parts
+def test_add_matches_the_left_to_right_reference(pool, picks):
+    # the summands come from a small pool, so that the same exponent
+    # objects recur, as the parts of a shared ++ chain do
+    summands = [pool[i % len(pool)] for i in picks]
+    total = add(*summands)
+    assert total == _ref_add(*summands)
+    assert _revalidated(total) == total
+
+
 # --- comparison, equality, hashing and printing against recursive references --
 
 
