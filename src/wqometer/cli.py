@@ -33,7 +33,7 @@ import argparse
 import os
 import sys
 
-from .errors import ParseError, TooLargeError, UnsupportedComputation, WqometerError
+from .errors import ParseError, TooLargeError, WqometerError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -327,9 +327,6 @@ def main(argv=None) -> int:
     except WqometerError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code
-    except RecursionError:
-        print(UnsupportedComputation("expression-too-deep"), file=sys.stderr)
-        return UnsupportedComputation.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -291,8 +291,9 @@ def _spread(mask: int, stride: int) -> int:
 
 
 def est_size(e: WqoExpr, word_len_cap: int | None = None) -> int:
-    """Upper estimate of the number of elements `build` enumerates; past
-    SIZE_LIMIT it stops at SIZE_LIMIT + 1 instead of counting on."""
+    """Upper estimate of the number of elements `build` enumerates, for
+    the whole and for each part it builds on the way; past SIZE_LIMIT it
+    stops at SIZE_LIMIT + 1 instead of counting on."""
     return fold(e, partial(_est, word_len_cap), partial(_est_parts, word_len_cap))
 
 
@@ -307,6 +308,10 @@ def _est_parts(cap: int | None, e: WqoExpr) -> tuple[WqoExpr, ...]:
 
 
 def _est(cap: int | None, e: WqoExpr, kids: list[int]) -> int:
+    if any(k > SIZE_LIMIT for k in kids):
+        # a product with an empty factor, or words of no letters, is
+        # smaller than a part that `build` would still enumerate
+        return SIZE_LIMIT + 1
     if isinstance(e, Ord):
         n = e.value.nat
     elif isinstance(e, Gamma):
@@ -479,6 +484,11 @@ def _multisets_n(p: FinitePoset, k: int) -> FinitePoset:
     # pos[t][x] is the mask of multisets whose t-th entry is x, so the
     # counters for U are bit-parallel: position by position, a multiset
     # whose entry falls in U moves from "at least c - 1" to "at least c".
+    if k and p.n < 2:
+        # one multiset of each size k over one element, none over none; the
+        # enumeration would spell it out k entries long, and `build` takes
+        # any k here (its estimate is 0 or 1)
+        return _chain(p.n)
     elems = list(itertools.combinations_with_replacement(range(p.n), k))
     n = len(elems)
     pos = [[0] * p.n for _ in range(k)]

@@ -67,7 +67,7 @@ __all__ = [
 # n*log10(2) + 1 digits, so every allowed power (and every binomial
 # C(n, k) <= 2^n) fits CPython's limit on printing integers.  Without
 # that limit, refuse past 2^1000000 rather than allocate megabyte integers.
-_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_MAX_STR_DIGITS = sys.get_int_max_str_digits()
 _NAT_EXP_LIMIT = (
     int((_MAX_STR_DIGITS - 1) * math.log2(10)) if _MAX_STR_DIGITS else 1_000_000
 )
@@ -520,19 +520,13 @@ def hat_nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """
     if a.is_zero or b.is_zero:
         return ZERO
-    parts: list[Ordinal] = []
-    cut = ZERO
-    for x in (a, b):
-        if x.is_successor:
-            parts.append(x.pred())
-        else:
-            e = x.terms[-1][0]  # smallest exponent, >= 1 since x is a limit
-            parts.append(_dec_last(x))
-            if cmp(e, cut) > 0:
-                cut = e
+    # a successor's predecessor is the same `_dec_last` step, and its last
+    # exponent, 0, never raises the cut
+    ea, eb = a.terms[-1][0], b.terms[-1][0]
+    cut = ea if cmp(ea, eb) >= 0 else eb
     kept: list[tuple[Ordinal, int]] = []
     c = 1
-    for x, d in nat_sum(parts[0], parts[1]).terms:
+    for x, d in nat_sum(_dec_last(a), _dec_last(b)).terms:
         k = cmp(x, cut)
         if k <= 0:
             if k == 0:

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators shared by the test modules, and an
+in-process check of the command line's exit code.
 
 Everything takes an explicit `random.Random` so each test controls its
 seed and failures reproduce exactly.
@@ -6,6 +7,8 @@ seed and failures reproduce exactly.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 from wqometer import (
@@ -26,6 +29,7 @@ from wqometer import (
     Words,
     ZERO,
     add,
+    cli,
     nat_sum,
     omega_pow,
     parse_ordinal,
@@ -171,3 +175,20 @@ def random_any_expr(rng: random.Random, depth: int = 3):
     if kind == "pf":
         return Pf(inner)
     return PfPlus(inner)
+
+
+def documented_exit(argv: list[str]) -> int:
+    """The exit code of `cli.main(argv)`, run in this process with its
+    output captured, after checking that it is one of the documented 0-5
+    and that no traceback was printed.  A command line that argparse
+    refuses, or `-h`, ends in SystemExit, whose code counts; any other
+    exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(6), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code

@@ -582,32 +582,29 @@ def test_without_a_digit_limit_coefficients_stop_at_two_to_the_million():
 
 
 @pytest.mark.parametrize(
-    "text, code",
+    "text",
     [
-        ("|".join(["o(w+1)"] * 800), 0),
-        ("*".join(["2"] * 800), 0),
-        ("|".join(["o(w+1)"] * 1200), 0),
-        ("(" * 200 + "w" + ")" * 200, 0),
-        ("Pf(" * 3000 + "w" + ")" * 3000, 0),
-        ("o(" + "w^(" * 400 + "w" + ")" * 401, 0),
+        "|".join(["o(w+1)"] * 800),
+        "*".join(["2"] * 800),
+        "|".join(["o(w+1)"] * 1200),
+        "(" * 200 + "w" + ")" * 200,
+        "Pf(" * 3000 + "w" + ")" * 3000,
+        "o(" + "w^(" * 400 + "w" + ")" * 401,
     ],
     ids=["union-800", "product-800", "union-1200", "parens-200", "powerset-3000",
          "exponent-tower-400"],
 )
-def test_deep_expressions_end_in_a_documented_exit_code(text, code):
+def test_deep_expressions_end_in_a_documented_exit_code(text):
     # neither the parser, nor the ordinal literal reader, nor the folds
-    # over a term take frames per level; an expression that reached the
-    # recursion limit would be refused in one line
+    # over a term take frames per level
     proc = subprocess.run(
         [sys.executable, "-m", "wqometer", "invariants", text],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    assert proc.returncode == code
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    if code == 4:
-        assert proc.stderr == "unsupported computation: expression-too-deep\n"
 
 
 def test_normalize_takes_no_frame_per_level():

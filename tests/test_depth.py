@@ -2,8 +2,9 @@
 or in the rewriting pass, and so do the comparison, hashing, printing and
 reading of ordinals, so terms nested 10,000 levels deep, and ordinals
 whose exponents nest as deep, pass through every layer at the default
-recursion limit, which is never raised here.  The walks that still
-recurse are pinned by name."""
+recursion limit, which is never raised here, and every subcommand ends
+on them in a documented exit code.  The walks that still recurse are
+pinned by name."""
 
 import ast
 import os
@@ -26,8 +27,11 @@ from wqometer import (
     step,
     weak_mot,
 )
+from wqometer.cli import _COMMANDS
 from wqometer.errors import UnsupportedComputation
 from wqometer.oracle import SIZE_LIMIT, est_size
+
+from genlib import documented_exit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 N = 10_000
@@ -133,6 +137,16 @@ def test_deep_terms_are_stepped_without_recursion():
 def test_deep_chain_folds_to_its_values():
     r = invariants(parse_expr(SHAPES["lex-sum"][0]))
     assert (str(r.mot), str(r.height), str(r.width)) == ("20000", "10000", "2")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("name", SHAPES)
+def test_every_command_ends_a_deep_term_in_a_documented_exit_code(name, command):
+    # in process, so at this process's limit, which `main` does not raise;
+    # `main` catches only the package's own errors
+    assert sys.getrecursionlimit() < N
+    text = SHAPES[name][0]
+    documented_exit([command, text] + [text] * (command == "iso"))
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:
