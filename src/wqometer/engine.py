@@ -65,6 +65,7 @@ bound) are desugared into plain expressions first.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import partial
 from math import comb
 
@@ -129,6 +130,10 @@ class InvariantResult(Record):
     some unspecified finite ``m`` (this is how the powerset height bound
     behaves at successor heights).  ``kind`` is not a field: it is worked
     out once, when the record is made.
+
+    Every bound prints: a result made with a lower bound too large to
+    print is unsupported with the reason ``value-too-large``, and one made
+    with such an upper bound drops it, and ``finite_multiple`` with it.
     """
 
     _fields = ("lower", "upper", "finite_multiple", "reason")
@@ -141,6 +146,10 @@ class InvariantResult(Record):
         finite_multiple: bool = False,
         reason: str | None = None,
     ):
+        if reason is None and not _printable(lower):
+            lower, upper, finite_multiple, reason = None, None, False, "value-too-large"
+        elif upper is not None and not _printable(upper):
+            upper, finite_multiple = None, False
         if reason is not None:
             kind = "unsupported"
         elif upper is None:
@@ -259,12 +268,6 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
 
 
 _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
-_TOO_LARGE = InvariantResult.unsupported("value-too-large")
-
-
-# sums and maxima take their exponents from their arguments, so only the
-# top-level coefficients of their results can grow
-_SUMS = (nat_sum, add, max)
 
 # (o, h, w) of a chain from those of its parts: a union has natural sums
 # for o and w and a maximum for h, a lexicographic sum ordinal sums for o
@@ -274,22 +277,23 @@ _CHAIN_FNS = {DisjUnion: (nat_sum, max, nat_sum), LexSum: (add, add, max)}
 
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
     """Apply a monotone ordinal function componentwise to bound results.
-    An upper bound too large to print is dropped; an exact value or a
-    lower bound too large to print makes the result unsupported."""
+    A bound that `fn` refuses to compute is treated like one too large to
+    print: an upper bound is dropped, and a lower one makes the result
+    unsupported with the refusal's reason."""
     for p in parts:
         if p.reason is not None:
             return p
-    lo = fn(*(p.lower for p in parts))
-    deep = fn not in _SUMS
-    if not _printable(lo, deep):
-        return _TOO_LARGE
+    try:
+        lo = fn(*(p.lower for p in parts))
+    except UnsupportedComputation as exc:
+        return InvariantResult.unsupported(exc.reason)
     if all(p.kind == "exact" for p in parts):
         return InvariantResult.exact(lo)
+    hi = None
     if all(p.upper is not None and not p.finite_multiple for p in parts):
-        hi = fn(*(p.upper for p in parts))
-        if _printable(hi, deep):
-            return InvariantResult.interval(lo, hi)
-    return InvariantResult.lower_only(lo)
+        with suppress(UnsupportedComputation):
+            hi = fn(*(p.upper for p in parts))
+    return InvariantResult(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -409,29 +413,22 @@ def _pf_table_parts(base: _Triple, notes: list[str]) -> _Triple:
         except UnsupportedComputation as exc:
             w = InvariantResult.unsupported(exc.reason)
         if bo.kind == "exact":
-            try:
+            with suppress(UnsupportedComputation):
                 notes.append(f"width-cap: w <= 2^o = {two_pow(bo.value)}")
-            except UnsupportedComputation:
-                pass
 
     return o, h, w
 
 
 def _pf_table_bound(r: InvariantResult, height: bool) -> InvariantResult:
     """[1 + x, 2^x] from the bounds of `r`; for a height the upper bound
-    holds only up to a finite multiple unless the height is a known limit.
-    A lower bound too large to print makes the result unsupported."""
+    holds only up to a finite multiple unless the height is a known limit."""
     if r.reason is not None:
         return r
     lo = add(ONE, r.lower)
-    if not _printable(lo, deep=False):
-        return _TOO_LARGE
     hi = None
     if r.upper is not None and (height or not r.finite_multiple):
-        try:
+        with suppress(UnsupportedComputation):
             hi = two_pow(r.upper)
-        except UnsupportedComputation:
-            pass
     if hi is None:
         return InvariantResult.lower_only(lo)
     # a successor (or zero) height, or one not known exactly, may be a
@@ -519,14 +516,10 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     notes.append("elementary-exact")
     # a bare leaf adds 1 to the width, any other component its o
     m = Ordinal.from_nat(sum(c for _, c in leaves.terms))
-    o, w = nat_sum(leaves, rest), nat_sum(m, rest)
-    # a value too large to print is refused, as in `_lift`; the exponents
-    # of w are among those of o, so past o's check w needs only its own
-    # coefficients checked
-    o_ok = _printable(o)
-    checked = ((o, o_ok), (h, _printable(h)), (w, o_ok and _printable(w, deep=False)))
-    triple = tuple(InvariantResult.exact(v) if ok else _TOO_LARGE for v, ok in checked)
-    return triple, _weak(leaves, s)
+    o = InvariantResult.exact(nat_sum(leaves, rest))
+    # o bounds w, so w is refused whenever o is
+    w = o if o.reason is not None else InvariantResult.exact(nat_sum(m, rest))
+    return (o, InvariantResult.exact(h), w), _weak(leaves, s)
 
 
 def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
@@ -703,22 +696,17 @@ def _product_width(
             if best is None or cmp(cand, best) > 0:
                 best = cand
     if best is not None:
-        if not _printable(best):
-            return _TOO_LARGE
-        notes.append("product-width: lower bound w(B) * o(A)")
-        return InvariantResult.lower_only(best)
+        w = InvariantResult.lower_only(best)
+        if w.reason is None:
+            notes.append("product-width: lower bound w(B) * o(A)")
+        return w
     return InvariantResult.unsupported("width-of-product-non-functional")
 
 
 def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult:
-    for r in (wa, wb):
-        if r.reason is not None:
-            return r
-    if wa.kind == "exact" and wb.kind == "exact":
-        try:
-            return _lift(odot, wa, wb)
-        except UnsupportedComputation as exc:
-            return InvariantResult.unsupported(exc.reason)
+    # `_lift` passes on the first reason of a part
+    if "unsupported" in (wa.kind, wb.kind) or wa.kind == wb.kind == "exact":
+        return _lift(odot, wa, wb)
     return InvariantResult.unsupported("needs-exact-value:lex-product-width")
 
 

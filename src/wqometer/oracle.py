@@ -815,10 +815,14 @@ def iso(p: FinitePoset, q: FinitePoset) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
-    """Random quasi-order: a random DAG (density drawn uniformly),
-    optionally with a few element pairs glued into equivalence classes,
-    closed transitively."""
+# the chance that a random quasi-order has some element pairs glued
+_GLUE_PROB = 0.2
+
+
+def random_quasi_order(rng, n: int) -> FinitePoset:
+    """Random quasi-order: a random DAG (density drawn uniformly), with
+    probability _GLUE_PROB with a few element pairs glued into
+    equivalence classes, closed transitively."""
     perm = list(range(n))
     rng.shuffle(perm)
     density = rng.random()
@@ -828,7 +832,7 @@ def random_quasi_order(rng, n: int, glue_prob: float = 0.2) -> FinitePoset:
         for bi in range(ai + 1, n):
             if rng.random() < density:
                 out.append(perm[bi])
-    if n >= 2 and rng.random() < glue_prob:
+    if n >= 2 and rng.random() < _GLUE_PROB:
         for _ in range(rng.randint(1, max(1, n // 3))):
             i = rng.randrange(n)
             j = rng.randrange(n)

@@ -75,26 +75,34 @@ _NAT_EXP_LIMIT = (
 _MAX_NAT = 10**_MAX_STR_DIGITS if _MAX_STR_DIGITS else 0
 # The least coefficient refused: _MAX_NAT, or 2^1000001 without a limit.
 _NAT_CAP = _MAX_NAT or 1 << _NAT_EXP_LIMIT + 1
+# The most term pairs a natural product of two sums of terms may multiply.
+_PROD_TERMS = 16_384
 
 
-def _printable(a: "Ordinal", deep: bool = True) -> bool:
-    """Whether every coefficient of `a` is below _NAT_CAP, and so prints
-    within Python's digit limit; the coefficients of the exponents are
-    checked too unless `deep` is false."""
-    stack = [a]
-    while stack:
-        for x, c in stack.pop().terms:
+def _printable(a: "Ordinal") -> bool:
+    """Whether every coefficient of `a` and of its exponents is below
+    _NAT_CAP, and so prints within Python's digit limit.
+
+    An ordinal is immutable, so once found to print it stays so: a check
+    that succeeds marks `a` and every exponent it walked, and a later
+    check stops at a marked ordinal.  A check that fails marks nothing."""
+    # the ordinals to walk, which the walk appends to as it reads them
+    seen = [] if a._ok else [a]
+    for x in seen:
+        for e, c in x.terms:
             if c >= _NAT_CAP:
                 return False
-            if deep and x.terms:
-                stack.append(x)
+            if e.terms and not e._ok:
+                seen.append(e)
+    for x in seen:
+        _set_ok(x, True)
     return True
 
 
 class Ordinal(Record):
     """Immutable ordinal below epsilon_0, in Cantor normal form."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_ok")
     _fields = ("terms",)
 
     terms: tuple[tuple["Ordinal", int], ...]
@@ -107,6 +115,7 @@ class Ordinal(Record):
                 raise ValueError("CNF exponents must strictly decrease")
         _set_terms(self, tuple(terms))
         _set_hash(self, None)
+        _set_ok(self, False)
 
     @staticmethod
     def from_nat(n: int) -> "Ordinal":
@@ -236,7 +245,7 @@ class Ordinal(Record):
 
 
 # the slot setters, which write past the guard in `__setattr__`
-_set_terms, _set_hash = (getattr(Ordinal, name).__set__ for name in Ordinal.__slots__)
+_set_terms, _set_hash, _set_ok = (getattr(Ordinal, name).__set__ for name in Ordinal.__slots__)
 
 
 def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
@@ -246,6 +255,7 @@ def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
     a = object.__new__(Ordinal)
     _set_terms(a, terms)
     _set_hash(a, None)
+    _set_ok(a, False)
     return a
 
 
@@ -443,9 +453,18 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
     a term w^e*c times the other operand is the row of terms
     w^(e (+) f)*(c*d), already in normal form because (+) is strictly
     monotone, and the rows are natural-summed as they come.
+
+    A product whose operands' term counts multiply past _PROD_TERMS is
+    refused before it is built, as ``value-too-large``: a product of n
+    unions of distinct leaves has 2^n terms.  An operand of one term is
+    exempt, as every height of an elementary term is one term.
     """
     if len(a.terms) > len(b.terms):
         a, b = b, a
+    if len(a.terms) > 1 and len(a.terms) * len(b.terms) > _PROD_TERMS:
+        raise UnsupportedComputation(
+            "value-too-large", f"a natural product past {_PROD_TERMS} term pairs"
+        )
     out = ZERO
     for e, c in a.terms:
         out = nat_sum(out, _cnf(tuple((nat_sum(e, f), c * d) for f, d in b.terms)))

@@ -335,7 +335,7 @@ def _elim_root(e: WqoExpr) -> WqoExpr:
             # leaf, so no new value to check
             if t is PfPlus or not x.value.is_finite:
                 return x
-            return _fused(e, add(ONE, x.value), False)
+            return _fused(e, add(ONE, x.value))
         if type(x) is LexSum or (t is Pf and type(x) is DisjUnion):
             return fold(e, _pf_rule, _pf_parts)
     elif t is DisjUnion or t is LexSum:
@@ -345,7 +345,7 @@ def _elim_root(e: WqoExpr) -> WqoExpr:
         if _is_leaf(b, ZERO):
             return a
         if t is LexSum and type(a) is Ord and type(b) is Ord:
-            return _fused(e, add(a.value, b.value), False)
+            return _fused(e, add(a.value, b.value))
     elif t is CartProd or t is LexProd:
         a, b = e.left, e.right
         if _is_leaf(a, ZERO) or _is_leaf(b, ONE):
@@ -353,7 +353,7 @@ def _elim_root(e: WqoExpr) -> WqoExpr:
         if _is_leaf(b, ZERO) or _is_leaf(a, ONE):
             return b
         if t is LexProd and type(a) is Ord and type(b) is Ord:
-            return _fused(e, mul(a.value, b.value), True)
+            return _fused(e, mul(a.value, b.value))
     elif t is Words or t is Multisets:
         if _is_leaf(e.arg, ZERO):
             return _ONE
@@ -391,8 +391,7 @@ def _pf_rule(e: Pf | PfPlus, kids: list[WqoExpr]) -> WqoExpr:
     return _elim_root((CartProd if isinstance(e.arg, DisjUnion) else LexSum)(*kids))
 
 
-def _fused(e: WqoExpr, value: Ordinal, deep: bool) -> WqoExpr:
+def _fused(e: WqoExpr, value: Ordinal) -> WqoExpr:
     """The leaf `value` when it prints, else `e`, whose value the engine
-    then refuses with a reason.  A sum's exponents come from its arguments
-    (`deep` false); a product adds exponents, so all are checked."""
-    return Ord(value) if _printable(value, deep) else e
+    then refuses with a reason."""
+    return Ord(value) if _printable(value) else e

@@ -52,6 +52,7 @@ SHAPES = {
     "lex-sum": (_chain("++", "G(2)"), True),
     "product": (_chain("*", "1"), True),
     "multiset-tower": (_tower("M", "o(w^w)"), False),
+    "multiset-tower-over-antichain": (_tower("M", "G(2)"), False),
     "powerset-tower": (_tower("Pf", "G(2)"), True),
     "nonempty-powerset-tower": (_tower("Pf+", "G(2)"), True),
     "powerset-of-union": ("Pf(" + _chain("|", "0") + ")", True),

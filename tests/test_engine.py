@@ -36,7 +36,7 @@ from wqometer import (
     weak_mot,
 )
 from wqometer import engine, normalize_elementary, rewrite
-from wqometer.engine import _SUMS, _evaluate, _lift
+from wqometer.engine import _evaluate, _lift
 from wqometer.ordinal import ONE, _printable, hat_nat_sum, hstar, omega_pow, pm
 
 from genlib import random_any_expr, random_elementary, random_ordinal
@@ -799,20 +799,39 @@ def test_values_that_print_are_not_refused():
     assert rep(f"o(w*{n - 1})|o(w)").mot.reason == "value-too-large"
     assert _printable(Ordinal.from_nat(n - 1)) and not _printable(Ordinal.from_nat(n))
     assert not _printable(omega_pow(Ordinal.from_nat(n), 1))
-    assert _printable(omega_pow(Ordinal.from_nat(n), 1), deep=False)
+
+
+def _product_of_unions(k: int, extra: str = "") -> str:
+    """(o(w^(w^1))|o(w^(w^2))extra)*(o(w^(w^3))|o(w^(w^4))extra)*..., k factors."""
+    return "*".join(f"(o(w^(w^{2 * i + 1}))|o(w^(w^{2 * i + 2})){extra})" for i in range(k))
+
+
+def test_natural_products_of_too_many_terms_are_refused_before_they_are_built():
+    # o of the elementary product of k unions of two distinct leaves has
+    # 2^k terms; the natural product refuses past 16,384 term pairs, and
+    # an elementary term's refusal ends `invariants`
+    with pytest.raises(UnsupportedComputation) as exc:
+        rep(_product_of_unions(20))
+    assert exc.value.reason == "value-too-large"
+    # with a bare 1 in each union the general rules would build 3^k terms:
+    # o is refused, and h, a single term, still comes out
+    r = rep(_product_of_unions(12, "|1"))
+    assert str(r.mot) == "unsupported (value-too-large)"
+    assert str(r.height) == "w^(w^24)"
 
 
 def test_sums_keep_the_exponents_of_their_arguments():
-    # what lets `_lift` check only the top-level coefficients of a sum
+    # so a check of a sum of checked ordinals stops at their exponents,
+    # which those checks marked
     rng = random.Random(9)
     for _ in range(500):
         a, b = random_ordinal(rng, 3), random_ordinal(rng, 3)
         exponents = {e for e, _ in a.terms + b.terms}
-        for fn in _SUMS:
+        for fn in (nat_sum, add, max):
             assert {e for e, _ in fn(a, b).terms} <= exponents
         # and so do the n-ary sums and maxima of a chain
         c = random_ordinal(rng, 3)
-        for fn in _SUMS:
+        for fn in (nat_sum, add, max):
             assert {e for e, _ in fn(a, b, c).terms} <= exponents | {e for e, _ in c.terms}
 
 

@@ -1,5 +1,7 @@
 """Ordinal arithmetic: frozen fixtures plus algebraic laws."""
 
+import copy
+import pickle
 import random
 from functools import cmp_to_key, reduce
 
@@ -28,6 +30,7 @@ from wqometer import (
     pm,
     two_pow,
 )
+from wqometer.ordinal import _NAT_CAP, _printable
 
 from genlib import random_ordinal
 
@@ -574,3 +577,31 @@ def test_literals_and_sums_past_the_print_limit_are_parse_errors():
     assert o(f"w*{n}+w*{n}+w^2") == o("w^2")
     m = "4" * 4299
     assert o(f"w*{m}+w*{m}") == omega_pow(ONE, 2 * int(m))
+
+
+# --- the mark of a value found to print ---------------------------------------
+
+
+def test_the_printable_mark_only_skips_what_was_checked():
+    big = _NAT_CAP - 1  # the largest coefficient that prints
+    e = omega_pow(ONE, big)  # w*big
+    a, b = omega_pow(e, big), omega_pow(e)  # w^(w*big)*big and w^(w*big)
+    assert _printable(a) and _printable(b) and a._ok and b._ok and e._ok
+    # a result built from marked ordinals is checked afresh: a coefficient
+    # at the limit is refused, at the top level and in a new exponent
+    top = (nat_prod(a, o("2")), mul(a, o("2")), add(a, a))
+    inner = (nat_prod(b, b), mul(b, b), omega_pow(add(e, e)))
+    for x in top + inner:
+        assert not _printable(x)
+    # a check that fails marks nothing, not even the exponents it passed
+    ok, bad = o("w^2*3"), omega_pow(ONE, _NAT_CAP)
+    x = add(omega_pow(ok), omega_pow(bad))
+    assert not _printable(x) and not _printable(x)
+    assert not (x._ok or ok._ok or bad._ok)
+    # equality, hashing, pickling and copying ignore the mark
+    fresh = o("w^(w^2*3)*5+w*7")
+    marked = o("w^(w^2*3)*5+w*7")
+    assert _printable(marked) and marked._ok and not fresh._ok
+    assert marked == fresh and hash(marked) == hash(fresh)
+    for twin in (pickle.loads(pickle.dumps(marked)), copy.copy(marked), copy.deepcopy(marked)):
+        assert twin == marked and hash(twin) == hash(marked) and not twin._ok
