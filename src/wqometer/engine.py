@@ -20,7 +20,10 @@ triple is made from and makes the triple, and a rule appends its notes
 where it fires.  It picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
-once, with no stack frame per nesting level.  The strategies:
+once, with no stack frame per nesting level.  A node with no
+subexpression (an ordinal, G(k) or a family member) is a fact about its
+value: `_leaf_facts` keeps the triple and notes of the most recently met
+such values for all calls.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
@@ -66,7 +69,7 @@ bound) are desugared into plain expressions first.
 from __future__ import annotations
 
 from contextlib import suppress
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -490,24 +493,34 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
 
     An elementary term is one fold of `_summary`, which also notes where
     `eliminate_pf` would rewrite it; any other is one fold of `_rules`,
-    in which each elementary subterm is a leaf evaluated here.  A rule
-    appends its notes where it fires, so they come in the order of a
-    recursive walk.  A node met again adds no notes, as its notes are in
-    the list already."""
+    in which each elementary subterm is a leaf evaluated here, and each
+    node with no subexpression takes its triple and notes from
+    `_leaf_facts`.  A rule appends its notes where it fires, and a leaf's
+    notes are appended where its rule would fire, so they come in the
+    order of a recursive walk.  A node met again adds no notes, as its
+    notes are in the list already."""
     if e.fragment != "elementary":
-        # the rules waiting for the triples of the nodes they read: `fold`
-        # finishes every node it reaches after `x` before it finishes `x`,
-        # so the rule to finish is always the last one started
+        # the rules waiting for the triples of the nodes they read, and the
+        # triples of the leaves: `fold` finishes every node it reaches
+        # after `x` before it finishes `x`, so the one to finish is always
+        # the last one started
         pending = []
 
         def down(x):
+            if type(x) in _LEAF_KINDS:
+                triple, leaf_notes = _leaf_facts(x)
+                notes.extend(leaf_notes)
+                pending.append(triple)
+                return ()
             rule = _rules(notes, x)
             pending.append(rule)
             return next(rule)
 
         def up(x, kids):
+            # a rule returns once it is sent the values it read
             try:
-                pending.pop().send(kids)
+                rule = pending.pop()
+                return rule if type(rule) is tuple else rule.send(kids)
             except StopIteration as stop:
                 return stop.value
 
@@ -520,6 +533,27 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     # o bounds w, so w is refused whenever o is
     w = o if o.reason is not None else InvariantResult.exact(nat_sum(m, rest))
     return (o, InvariantResult.exact(h), w), _weak(leaves, s)
+
+
+# the nodes with no subexpression, whose triples and notes are facts
+# about their values alone
+_LEAF_KINDS = frozenset((Ord, Gamma, Phi, Sim, SimExt))
+_LEAF_FACTS_SIZE = 256
+
+
+@lru_cache(maxsize=_LEAF_FACTS_SIZE)
+def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
+    """The triple that `_rules` gives the leaf `x`, and the notes it
+    appends, kept for the most recently used values: a family member is
+    desugared and its term evaluated once while it stays kept.  A
+    refusal, such as a Sim index that fails the hypothesis, is raised
+    each time, never kept."""
+    notes: list[str] = []
+    rule = _rules(notes, x)
+    try:
+        rule.send([_evaluate(k, notes)[0] for k in next(rule)])
+    except StopIteration as stop:
+        return stop.value, tuple(notes)
 
 
 def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:

@@ -33,9 +33,10 @@ runs over the token list that one regular-expression `findall` makes of
 the text, in which a whole leaf (``w^(w^2)``, ``Sim(w^w)``, ``3``) is one
 token; it keeps its stacks on the heap, so expression nesting costs it no
 Python frames, and it makes equal subterms of one text one object: a term
-that repeats a part many times holds it once, and a leaf met again is
-looked up by its text, not read again.  Equality, hashing and pickling
-are as for unshared terms.
+that repeats a part many times holds it once.  A leaf is one object across
+texts too: one met before, in this text or an earlier one, is looked up by
+its text in a bounded table, not read again.  Equality, hashing and
+pickling are as for unshared terms.
 
 Every walk over a term in the package, here and in the layers above,
 is one `fold`: a bottom-up pass over an explicit stack that treats each
@@ -479,6 +480,10 @@ _OPERAND = "a constructor (%s), '(', 'w' or a natural number" % ", ".join(
     name for name in _CALLS if name.isalpha()
 )
 _LEAF = {"a": ord_mod.parse_ordinal_prefix, "n": ord_mod._parse_nat}
+# every text's whole-leaf tokens read so far, each with its node, for all
+# calls; emptied when it holds this many
+_LEAF_TABLE_SIZE = 256
+_LEAVES: dict[str, WqoExpr] = {}
 
 
 def parse_expr(text: str) -> WqoExpr:
@@ -498,10 +503,15 @@ def parse_expr(text: str) -> WqoExpr:
     Equal subterms come out as one object.  `shared` maps the text of each
     leaf (an ordinal literal, or a call whose arguments are all ordinals
     and naturals), and each other node's class with the ids of its
-    subexpressions, to the first node made for it.  Those subexpressions
-    are shared already, so the sharing grows bottom-up, and every node in
-    `out` stays in `shared`, so no id is reused.  A leaf whose text was
-    seen before is not read again.  The table lives for one call.
+    subexpressions, to the first node made for it, and a node is made
+    only when it is not there.  Those subexpressions are shared already,
+    so the sharing grows bottom-up, and every node in `out` stays in
+    `shared`, so no id is reused.  `shared` lives for one call; a leaf
+    that is one token is also looked up in `_LEAVES`, which every call
+    shares and which holds at most `_LEAF_TABLE_SIZE` leaves, and entered
+    there once it is read.  So a leaf whose text was seen before is not
+    read again.  A failed read enters nothing, so an error comes with its
+    text and position every time.
     """
     out: list[WqoExpr] = []
     groups: list[tuple[str | None, list]] = [(None, [])]
@@ -523,7 +533,13 @@ def parse_expr(text: str) -> WqoExpr:
                 continue
             if tok and tok[0] in " \t":
                 continue
-            node, end = _leaf(text, p, tok)
+            node, end = _LEAVES.get(tok), pos
+            if node is None:
+                node, end = _leaf(text, p, tok)
+                if end == pos:  # the leaf is the whole token
+                    if len(_LEAVES) >= _LEAF_TABLE_SIZE:
+                        _LEAVES.clear()
+                    _LEAVES[tok] = node
             node = shared.setdefault(text[p:end], node)
             i, pos = _resume(toks, i, pos, end)
         out.append(node)
@@ -537,7 +553,7 @@ def parse_expr(text: str) -> WqoExpr:
             if infix is None:
                 if tok == _WORDS:
                     x = out[-1]
-                    out[-1] = shared.setdefault((Words, id(x)), Words(x))
+                    out[-1] = shared.get(key := (Words, id(x))) or shared.setdefault(key, Words(x))
                     continue
                 if tok and tok[0] in " \t":
                     continue
@@ -547,7 +563,8 @@ def parse_expr(text: str) -> WqoExpr:
                 cls = ops.pop()[1]
                 right = out.pop()
                 left = out[-1]
-                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
+                key = (cls, id(left), id(right))
+                out[-1] = shared.get(key) or shared.setdefault(key, cls(left, right))
             if infix:
                 ops.append(infix)
                 break
@@ -568,7 +585,7 @@ def parse_expr(text: str) -> WqoExpr:
                 raise ParseError(text, p, "')'")
             if cls is not None:
                 x = out[-1]
-                out[-1] = shared.setdefault((cls, id(x)), cls(x))
+                out[-1] = shared.get(key := (cls, id(x))) or shared.setdefault(key, cls(x))
 
 
 def _resume(toks: list[str], i: int, pos: int, end: int) -> tuple[int, int]:

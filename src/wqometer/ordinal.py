@@ -176,7 +176,13 @@ class Ordinal(Record):
     # -- operators -------------------------------------------------------
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Ordinal) and cmp(self, other) == 0)
+        # unequal at once when the term counts or the cached hashes differ
+        if self is other:
+            return True
+        if not isinstance(other, Ordinal) or len(self.terms) != len(other.terms):
+            return False
+        h, k = self._hash, other._hash
+        return (h is None or k is None or h == k) and cmp(self, other) == 0
 
     def __lt__(self, other):
         return cmp(self, other) < 0

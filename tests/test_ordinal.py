@@ -448,6 +448,26 @@ def test_comparison_hash_and_text_match_recursive_references(a, b):
     _check_against_references(a, b)
 
 
+def test_equality_agrees_with_cmp_whichever_hashes_are_cached():
+    # `==` rejects on the term count and on two cached hashes before it
+    # compares; pairs of equal and unequal length, equal ones as distinct
+    # objects, each fresh and then with either side's hash cached
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(1500):
+        a = random_ordinal(rng, 2, max_terms=2)
+        b = a if rng.random() < 0.3 else random_ordinal(rng, 2, max_terms=2)
+        k = cmp(a, b)
+        seen.add((len(a.terms) == len(b.terms), k == 0))
+        for hashed in ((), (0,), (1,), (0, 1)):
+            pair = _revalidated(a), _revalidated(b)
+            for i in hashed:
+                hash(pair[i])
+            x, y = pair
+            assert (x == y) == (y == x) == (k == 0) and (x != y) == (k != 0)
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def _tower(base: int, levels) -> Ordinal:
     """w^(...(w^base*c1 + t1)...)*cn + tn, built from fresh objects."""
     x = Ordinal.from_nat(base)

@@ -1,6 +1,7 @@
 """Shared subterms: a parse makes equal subterms one object, and the
-engine evaluates each distinct one once per call, with no change to any
-report."""
+engine evaluates each distinct one once per call; leaves, and the triples
+of leaves, are shared across calls in tables of bounded size.  None of
+this changes any report, note or error."""
 
 import json
 import pickle
@@ -8,7 +9,19 @@ import random
 
 import pytest
 
-from wqometer import WqoExpr, engine, invariants, parse_expr, pf_bounds, print_expr
+from wqometer import (
+    HypothesisNotMet,
+    Ordinal,
+    ParseError,
+    WqoExpr,
+    engine,
+    expr,
+    invariants,
+    parse_expr,
+    pf_bounds,
+    print_expr,
+    weak_mot,
+)
 
 from genlib import random_any_expr
 
@@ -33,11 +46,21 @@ def _nodes(e: WqoExpr) -> list[WqoExpr]:
     return out
 
 
+def _clear_caches() -> None:
+    expr._LEAVES.clear()
+    engine._leaf_facts.cache_clear()
+
+
 def _report(fn, e) -> str:
     try:
-        return json.dumps(fn(e).to_json())
+        out = fn(e)
     except Exception as exc:  # the same refusal on both sides
         return f"{type(exc).__name__}: {exc}"
+    return str(out) if isinstance(out, Ordinal) else json.dumps(out.to_json())
+
+
+def _reports(e) -> list[str]:
+    return [_report(fn, e) for fn in (invariants, pf_bounds, weak_mot)]
 
 
 def _random_chain_text(rng: random.Random) -> str:
@@ -54,17 +77,21 @@ def _random_chain_text(rng: random.Random) -> str:
 
 
 def test_sharing_changes_no_report():
+    # each text cold (both caches emptied first), warm, and as a copy
+    # with no node shared
     rng = random.Random(16)
     shared_terms = 0
     for _ in range(300):
-        e = parse_expr(_random_chain_text(rng))
+        text = _random_chain_text(rng)
+        _clear_caches()
+        cold = _reports(parse_expr(text))
+        e = parse_expr(text)
         copy = _unshared(e)
         assert copy == e
         nodes = _nodes(copy)
         assert len({id(x) for x in nodes}) == len(nodes)
         shared_terms += len({id(x) for x in _nodes(e)}) < len(nodes)
-        for fn in (invariants, pf_bounds):
-            assert _report(fn, e) == _report(fn, copy), print_expr(e)
+        assert _reports(e) == cold == _reports(copy), text
     assert shared_terms >= 250, shared_terms
 
 
@@ -75,8 +102,10 @@ def test_equal_subterms_of_one_parse_are_one_object():
     # a subterm was parenthesised
     e = parse_expr("(M(o(w+1)^<w)*Mn(G(2),1))|M(o(w+1)^<w)*(Mn(G(2),1))")
     assert e.left is e.right
-    # the table lives for one call
-    assert parse_expr("Sim(w)") is not parse_expr("Sim(w)")
+    # a leaf is one object across calls; any other node only within one
+    assert parse_expr("Sim(w)") is parse_expr("Sim(w)")
+    e, f = parse_expr("Pf(Sim(w))"), parse_expr("Pf(Sim(w))")
+    assert e is not f and e.arg is f.arg
 
 
 def test_shared_terms_pickle_to_equal_terms():
@@ -89,8 +118,10 @@ def test_shared_terms_pickle_to_equal_terms():
 @pytest.mark.parametrize("op", ["|", "++"])
 def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
     # the part is rewritten by powerset elimination, so it is one object
-    # only if both the parse and the elimination share it; each distinct
-    # Sim node is desugared once per call
+    # only if both the parse and the elimination share it.  On a cold
+    # call each distinct Sim node is desugared once; on a warm one a bare
+    # Sim is not desugared again, as its triple is kept with its value,
+    # while the Pf rule desugars its Sim argument once per call
     calls = []
     desugar = engine._desugar
 
@@ -99,11 +130,72 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
         return desugar(e)
 
     monkeypatch.setattr(engine, "_desugar", counted)
-    for part in (f"Pf(Sim(w^w){op}G(2))", "Sim(w^w)"):
-        calls.clear()
-        r = invariants(parse_expr(op.join([part] * 2000)))
-        assert len(calls) == 1, (part, len(calls))
-        assert r.mot.reason is None
+    for part, warm in ((f"Pf(Sim(w^w){op}G(2))", 1), ("Sim(w^w)", 0)):
+        _clear_caches()
+        for expected in (1, warm):
+            calls.clear()
+            r = invariants(parse_expr(op.join([part] * 2000)))
+            assert len(calls) == expected, (part, len(calls))
+            assert r.mot.reason is None
+
+
+def test_the_caches_stay_within_their_sizes():
+    # more distinct leaves than either cache holds, one text each and
+    # then all in one text, twice over: each cache stays in its size,
+    # every report is the one the leaf gave first, and a leaf met twice
+    # in one text is one object even when the leaf table was emptied
+    # between the two
+    n = max(expr._LEAF_TABLE_SIZE, engine._LEAF_FACTS_SIZE) + 100
+    texts = [f"Phi({k})" if k % 2 else f"G({k})" for k in range(1, n + 1)]
+    _clear_caches()
+    first = [_reports(parse_expr(t)) for t in texts]
+    for _ in range(2):
+        assert [_reports(parse_expr(t)) for t in texts] == first
+        assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
+        assert engine._leaf_facts.cache_info().currsize <= engine._LEAF_FACTS_SIZE
+    e = parse_expr("|".join(texts * 2))
+    parts = []
+    while isinstance(e, expr.DisjUnion):
+        parts.append(e.right)
+        e = e.left
+    parts = [e, *reversed(parts)]
+    assert [print_expr(x) for x in parts] == texts * 2
+    assert all(x is y for x, y in zip(parts, parts[n:]))
+    assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
+
+
+def test_a_warm_leaf_replays_its_notes():
+    for text, note in (("w|G(2)", "omega-elementary-height"), ("Sim(w)", "family:sim")):
+        _clear_caches()
+        cold = invariants(parse_expr(text))
+        warm = invariants(parse_expr(text))
+        assert note in cold.notes
+        assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "G(2)|G(0)",
+        "Phi(w)|Phi(0)",
+        "SimExt(w,1)|SimExt(w,0)",
+        "w^2|w^",
+        "G(2)|G(2",
+        "Sim(w)|Sim(3)",
+    ],
+)
+def test_a_bad_leaf_fails_the_same_cold_and_warm(text):
+    # the good leaf before it is kept, the bad one never is; a refusal of
+    # the engine is raised on every call
+    def failure():
+        try:
+            invariants(parse_expr(text))
+        except (ParseError, HypothesisNotMet) as exc:
+            return type(exc), str(exc)
+        raise AssertionError(f"{text} did not fail")
+
+    _clear_caches()
+    assert failure() == failure() == failure()
 
 
 @pytest.mark.parametrize(
