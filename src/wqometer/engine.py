@@ -22,14 +22,17 @@ compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  A node with no
 subexpression (an ordinal, G(k) or a family member) is a fact about its
-value: `_leaf_facts` keeps the triple and notes of the most recently met
-such values for all calls.  The strategies:
+value, and so is the powerset of a family member, whose rule reads only
+the member's index: `_leaf_facts` keeps the triple and notes of the most
+recently met such values for all calls.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
    of that fold, each read off exactly, with the weakened order type used
    for powerset heights, by a fold of `_summary`, which never builds
-   their normal form;
+   their normal form; a value it refuses ends the report of an
+   elementary term, and leaves all three components of such a subtree
+   unsupported, with the refusal's reason;
 2. everything else goes through the general compositional rules, with
    powersets handled by the sound bound table (1 + x <= f(Pf(A)) <= 2^x
    style) and conditional rules reporting ``unsupported`` when their
@@ -50,7 +53,8 @@ parts are the nodes off its left spine, down to the first node that is
 not a union or is elementary, and each component is lifted once with an
 n-ary natural sum or maximum.  A chain of
 lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
-are n-ary ordinal sums and ``w`` a maximum.
+are n-ary ordinal sums and ``w`` a maximum.  A maximum compares each
+distinct value object once, as a chain's repeated parts share theirs.
 
 No rule decides emptiness or a unit: `eliminate_pf` applies the unit
 and zero laws first, so the leaf 0 is the only empty term a rule meets,
@@ -113,7 +117,7 @@ from .ordinal import (
     two_pow,
 )
 from .record import Record
-from .rewrite import _elim_root, eliminate_pf
+from .rewrite import _chain_parts, _elim_root, eliminate_pf
 
 _TWO = Ordinal.from_nat(2)
 # w*2, whose square w*2 x w*2 has the one product width known exactly
@@ -272,10 +276,17 @@ def _exact3(o: Ordinal, h: Ordinal, w: Ordinal) -> _Triple:
 
 _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
 
+
+def _max(*xs: Ordinal) -> Ordinal:
+    """The first largest of `xs`, comparing each distinct object once: a
+    chain's parts repeat, and so do their values."""
+    return max(dict(zip(map(id, xs), xs)).values())
+
+
 # (o, h, w) of a chain from those of its parts: a union has natural sums
 # for o and w and a maximum for h, a lexicographic sum ordinal sums for o
 # and h and a maximum for w
-_CHAIN_FNS = {DisjUnion: (nat_sum, max, nat_sum), LexSum: (add, add, max)}
+_CHAIN_FNS = {DisjUnion: (nat_sum, _max, nat_sum), LexSum: (add, add, _max)}
 
 
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
@@ -494,10 +505,10 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     An elementary term is one fold of `_summary`, which also notes where
     `eliminate_pf` would rewrite it; any other is one fold of `_rules`,
     in which each elementary subterm is a leaf evaluated here, and each
-    node with no subexpression takes its triple and notes from
-    `_leaf_facts`.  A rule appends its notes where it fires, and a leaf's
-    notes are appended where its rule would fire, so they come in the
-    order of a recursive walk.  A node met again adds no notes, as its
+    node with no subexpression, or a powerset of a family member, takes
+    its triple and notes from `_leaf_facts`.  A rule appends its notes
+    where it fires, and a leaf's notes are appended where its rule would
+    fire, so they come in the order of a recursive walk.  A node met again adds no notes, as its
     notes are in the list already."""
     if e.fragment != "elementary":
         # the rules waiting for the triples of the nodes they read, and the
@@ -507,7 +518,7 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
         pending = []
 
         def down(x):
-            if type(x) in _LEAF_KINDS:
+            if type(x) in _LEAF_KINDS or type(x) is Pf and type(x.arg) in _FAMILIES:
                 triple, leaf_notes = _leaf_facts(x)
                 notes.extend(leaf_notes)
                 pending.append(triple)
@@ -536,18 +547,21 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
 
 
 # the nodes with no subexpression, whose triples and notes are facts
-# about their values alone
-_LEAF_KINDS = frozenset((Ord, Gamma, Phi, Sim, SimExt))
+# about their values alone, and the family members among them, whose
+# powersets are such facts too, as their rules read only the index
+_FAMILIES = frozenset((Phi, Sim, SimExt))
+_LEAF_KINDS = _FAMILIES | {Ord, Gamma}
 _LEAF_FACTS_SIZE = 256
 
 
 @lru_cache(maxsize=_LEAF_FACTS_SIZE)
 def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
-    """The triple that `_rules` gives the leaf `x`, and the notes it
-    appends, kept for the most recently used values: a family member is
-    desugared and its term evaluated once while it stays kept.  A
-    refusal, such as a Sim index that fails the hypothesis, is raised
-    each time, never kept."""
+    """The triple that `_rules` gives the leaf `x`, or the powerset `x`
+    of a family member, and the notes it appends, kept for the most
+    recently used values: a family member, or its powerset, is desugared
+    and its term evaluated once while it stays kept.  A refusal, such as
+    a Sim index that fails the hypothesis or a binomial too large, is
+    raised each time, never kept."""
     notes: list[str] = []
     rule = _rules(notes, x)
     try:
@@ -556,27 +570,19 @@ def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
         return stop.value, tuple(notes)
 
 
-def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
-    """The parts A1, ..., An of the chain A1|...|An or A1++...++An at `e`,
-    left to right: the nodes off its left spine, down to the first node of
-    another kind (or an elementary union)."""
-    node = type(e)
-    parts = []
-    while isinstance(e, node) and e.fragment != "elementary":
-        parts.append(e.right)
-        e = e.left
-    parts.append(e)
-    parts.reverse()
-    return parts
-
-
 def _rules(notes: list[str], e: WqoExpr):
     """The rule for `e`: it appends the notes that fire before it reads
     anything, yields once the nodes it reads (none for a leaf), is sent
     their triples, and returns the triple of `e`."""
     if e.fragment == "elementary":
         yield ()
-        return _evaluate(e, notes)[0]
+        try:
+            return _evaluate(e, notes)[0]
+        except UnsupportedComputation as exc:
+            # as `_lift` treats a refused bound: the part's components are
+            # unsupported, and the rules that read them pass that on
+            u = InvariantResult.unsupported(exc.reason)
+            return u, u, u
 
     if isinstance(e, Ord):
         yield ()

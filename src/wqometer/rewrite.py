@@ -306,15 +306,58 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     The unit and zero laws: X|0, 0|X, X++0, 0++X, X*1, 1*X, X.1 and 1.X
     are X; X*0, 0*X, X.0, 0.X and Mn(0, n) for n >= 1 are 0; M(0), 0^<w
     and Mn(X, 0) are 1, and so is G(1).
-    One `fold` applies them, so each distinct node is eliminated once, a
-    shared subterm comes out shared, and depth costs no frames; it returns
-    `e` itself when no rule fires.
+    One `fold` applies them, and it takes a chain A1|...|An or A1++...++An
+    as one step over the parts `_chain_parts` names, so each distinct part
+    and each distinct node off a chain is eliminated once, a shared
+    subterm comes out shared, and depth costs no frames; it returns `e`
+    itself when no rule fires.  A spine node that also stands alone, as
+    A|B does in (A|B)|C beside Pf(A|B), is eliminated in the chain and on
+    its own, so it may come out as two equal objects.
     """
-    return fold(e, _elim)
+    return fold(e, _elim, _elim_parts)
+
+
+def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
+    """The parts A1, ..., An of the chain A1|...|An or A1++...++An at `e`,
+    left to right: the nodes off its left spine, down to the first node of
+    another kind (or an elementary union)."""
+    node = type(e)
+    parts = []
+    while isinstance(e, node) and e.fragment != "elementary":
+        parts.append(e.right)
+        e = e.left
+    parts.append(e)
+    parts.reverse()
+    return parts
+
+
+def _elim_parts(e: WqoExpr) -> list[WqoExpr] | tuple[WqoExpr, ...]:
+    """The nodes `_elim` reads at `e`: the parts of a chain that is not
+    elementary, else the children (an elementary union is its own only
+    part, so it takes its children)."""
+    t = type(e)
+    if (t is DisjUnion or t is LexSum) and e.fragment != "elementary":
+        return _chain_parts(e)
+    return e.children()
 
 
 def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
-    """`e` over its eliminated children `kids`, with the rules applied."""
+    """`e` over its eliminated children, or at a chain over its eliminated
+    parts `kids`, with the rules applied.  A chain is rebuilt up its left
+    spine with the rules applied at each spine node, so the zero and
+    fusion laws fire where they would node by node, and a spine node
+    whose two sides are unchanged is kept."""
+    t = type(e)
+    if t is DisjUnion or t is LexSum:
+        spine = [e]
+        while len(spine) < len(kids) - 1:
+            spine.append(spine[-1].left)
+        acc = kids[0]
+        for node, k in zip(reversed(spine), kids[1:]):
+            if acc is not node.left or k is not node.right:
+                node = t(acc, k)
+            acc = _elim_root(node)
+        return acc
     if any(map(is_not, kids, e.children())):
         e = e.with_children(tuple(kids))
     return _elim_root(e)

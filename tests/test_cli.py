@@ -373,6 +373,23 @@ def test_product_of_unions_is_evaluated_but_not_normalised(capsys):
     assert err == "too large: normal form needs 1015808 nodes, limit is 2000\n"
 
 
+def test_a_refused_elementary_part_leaves_the_report(capsys):
+    # o of P, a product of 15 unions of distinct leaves, has 2^15 terms,
+    # past the natural product's limit: bare, P is refused with exit 4; as
+    # a part, its components are unsupported with the refusal's reason,
+    # and the rules that read them pass it on
+    p = "*".join(f"(o(w^(w^{2 * i + 1}))|o(w^(w^{2 * i + 2})))" for i in range(15))
+    code, out, err = run(capsys, "invariants", p)
+    assert code == 4 and out == ""
+    assert err.startswith("unsupported computation: value-too-large")
+    for text in (f"({p})++G(2)", f"M({p})|G(2)"):
+        code, out, err = run(capsys, "invariants", text)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [
+            f"{c} = unsupported (value-too-large)" for c in "ohw"
+        ]
+
+
 def test_oracle_words_need_cap(capsys):
     code, _, err = run(capsys, "oracle", "G(2)^<w")
     assert code == 4

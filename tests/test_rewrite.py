@@ -30,8 +30,8 @@ from wqometer import (
 )
 from wqometer.ordinal import ONE, ZERO, add, mul
 
-from wqometer import rewrite
-from wqometer.expr import WqoExpr, _Binary, _Unary, expr_size
+from wqometer import engine, rewrite
+from wqometer.expr import WqoExpr, _Binary, _Unary, expr_size, fold
 from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size, _raw_match
 
 from genlib import random_any_expr, random_elementary
@@ -481,3 +481,94 @@ def test_the_pass_walks_no_normal_subterm_again(monkeypatch):
         nf, trace = normalize_elementary(e)
         assert len(trace) == steps
         assert visits <= 2 * (expr_size(e) + expr_size(nf)), (k, visits)
+
+
+# `eliminate_pf` as one fold that takes every node as its own step, each
+# spine node of a chain included, kept as the specification of the fold
+# that takes a whole chain as one step
+def _per_node_eliminate_pf(e):
+    def elim(x, kids):
+        if any(k is not c for k, c in zip(kids, x.children())):
+            x = x.with_children(tuple(kids))
+        return rewrite._elim_root(x)
+
+    return fold(e, elim)
+
+
+# chain parts that meet every law of the elimination: zero parts, `1`
+# factors, ordinal prefixes of a `++` chain that fuse, G(1), powersets
+# over chains and elementary sub-unions
+_CHAIN_PARTS = [
+    "0",
+    "1",
+    "3",
+    "w",
+    "w^2",
+    "G(1)",
+    "G(2)",
+    "G(3)*1",
+    "1*Phi(w)",
+    "2++3++w",
+    "Pf(2++3++w)",
+    "Pf(w|G(2)|0)",
+    "Pf+(G(2)++w++0)",
+    "o(w^w)|o(w^(w^2))",
+    "Pf(o(w^w)|o(w^(w^2)))",
+    "M(G(1)|0)",
+    "Sim(w)",
+]
+
+
+def _random_chain(rng):
+    """A chain of 2-30 parts joined by one operator or a mix, optionally
+    under Pf, and optionally beside a Pf of its two-part prefix, so that
+    the prefix is also a node of its own."""
+    pool = _CHAIN_PARTS + [print_expr(random_any_expr(rng, 2)) for _ in range(3)]
+    pool = rng.sample(pool, rng.randint(1, 6))
+    ops = rng.choice([["|"], ["++"], ["|", "++"], ["|", "++", "*", "."]])
+    parts = [f"({rng.choice(pool)})" for _ in range(rng.randint(2, 30))]
+    joined = [rng.choice(ops) for _ in parts[1:]]
+    text = parts[0]
+    for op, p in zip(joined, parts[1:]):
+        text = f"{text}{op}{p}"
+    if rng.random() < 0.3:
+        text = f"{text}{joined[0]}Pf({parts[0]}{joined[0]}{parts[1]})"
+    if rng.random() < 0.3:
+        text = f"{rng.choice(['Pf', 'Pf+'])}({text})"
+    return text
+
+
+def _report(e):
+    try:
+        return invariants(e).to_json()
+    except Exception as exc:  # the same refusal on both sides
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_chain_elimination_matches_the_per_node_fold(monkeypatch):
+    rng = random.Random(34)
+    changed = 0
+    for _ in range(2000):
+        text = _random_chain(rng)
+        e = parse_expr(text)
+        got, want = eliminate_pf(e), _per_node_eliminate_pf(e)
+        assert print_expr(got) == print_expr(want), text
+        assert (got is e) == (want is e), text
+        changed += got is not e
+        report = _report(e)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "eliminate_pf", _per_node_eliminate_pf)
+            assert _report(e) == report, text
+    assert changed >= 1000, changed
+
+
+def test_a_chain_is_one_elimination_step(monkeypatch):
+    # a 10,000-part chain of three distinct leaves: one step per distinct
+    # part and one for the chain, not one per spine node
+    calls = []
+    elim = rewrite._elim
+    monkeypatch.setattr(rewrite, "_elim", lambda x, kids: calls.append(x) or elim(x, kids))
+    leaves = ["G(2)", "w", "Phi(3)"]
+    e = parse_expr("|".join(leaves[i % 3] for i in range(10_000)))
+    assert eliminate_pf(e) is e
+    assert len(calls) == 4

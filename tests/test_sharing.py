@@ -1,6 +1,7 @@
 """Shared subterms: a parse makes equal subterms one object, and the
 engine evaluates each distinct one once per call; leaves, and the triples
-of leaves, are shared across calls in tables of bounded size.  None of
+of leaves and of family powersets, are shared across calls in tables of
+bounded size.  None of
 this changes any report, note or error."""
 
 import json
@@ -26,8 +27,18 @@ from wqometer import (
 from genlib import random_any_expr
 
 # parts with family members, which the engine desugars or reads off their
-# index, beside the random ones
-_FAMILY_PARTS = ["Sim(w)", "Pf(Sim(w^w))", "Phi(w+1)", "SimExt(w^w,2)", "M(Phi(w^2))"]
+# index, and their powersets, beside the random ones
+_FAMILY_PARTS = [
+    "Sim(w)",
+    "Pf(Sim(w^w))",
+    "Phi(w+1)",
+    "SimExt(w^w,2)",
+    "M(Phi(w^2))",
+    "Pf(Phi(w+1))",
+    "Pf(Phi(3))",
+    "Pf(SimExt(w^w,2))",
+    "Pf+(Sim(w))",
+]
 
 
 def _unshared(e: WqoExpr) -> WqoExpr:
@@ -119,9 +130,9 @@ def test_shared_terms_pickle_to_equal_terms():
 def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
     # the part is rewritten by powerset elimination, so it is one object
     # only if both the parse and the elimination share it.  On a cold
-    # call each distinct Sim node is desugared once; on a warm one a bare
-    # Sim is not desugared again, as its triple is kept with its value,
-    # while the Pf rule desugars its Sim argument once per call
+    # call each distinct Sim node is desugared once; on a warm one no Sim
+    # is desugared again: the triple of a bare Sim is kept with its value,
+    # and so is that of the Pf(Sim(w^w)) that elimination leaves
     calls = []
     desugar = engine._desugar
 
@@ -130,9 +141,9 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
         return desugar(e)
 
     monkeypatch.setattr(engine, "_desugar", counted)
-    for part, warm in ((f"Pf(Sim(w^w){op}G(2))", 1), ("Sim(w^w)", 0)):
+    for part in (f"Pf(Sim(w^w){op}G(2))", "Sim(w^w)"):
         _clear_caches()
-        for expected in (1, warm):
+        for expected in (1, 0):
             calls.clear()
             r = invariants(parse_expr(op.join([part] * 2000)))
             assert len(calls) == expected, (part, len(calls))
@@ -140,17 +151,18 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
 
 
 def test_the_caches_stay_within_their_sizes():
-    # more distinct leaves than either cache holds, one text each and
-    # then all in one text, twice over: each cache stays in its size,
-    # every report is the one the leaf gave first, and a leaf met twice
-    # in one text is one object even when the leaf table was emptied
-    # between the two
+    # more distinct leaves, and more distinct family powersets, than
+    # either cache holds, one text each and then all in one text, twice
+    # over: each cache stays in its size, every report is the one the
+    # leaf gave first, and a leaf met twice in one text is one object even
+    # when the leaf table was emptied between the two
     n = max(expr._LEAF_TABLE_SIZE, engine._LEAF_FACTS_SIZE) + 100
     texts = [f"Phi({k})" if k % 2 else f"G({k})" for k in range(1, n + 1)]
+    powersets = [f"Pf(Phi({k}))" for k in range(1, n + 1)]
     _clear_caches()
-    first = [_reports(parse_expr(t)) for t in texts]
+    first = [_reports(parse_expr(t)) for t in texts + powersets]
     for _ in range(2):
-        assert [_reports(parse_expr(t)) for t in texts] == first
+        assert [_reports(parse_expr(t)) for t in texts + powersets] == first
         assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
         assert engine._leaf_facts.cache_info().currsize <= engine._LEAF_FACTS_SIZE
     e = parse_expr("|".join(texts * 2))
@@ -165,7 +177,13 @@ def test_the_caches_stay_within_their_sizes():
 
 
 def test_a_warm_leaf_replays_its_notes():
-    for text, note in (("w|G(2)", "omega-elementary-height"), ("Sim(w)", "family:sim")):
+    for text, note in (
+        ("w|G(2)", "omega-elementary-height"),
+        ("Sim(w)", "family:sim"),
+        ("Pf(Phi(3))", "family:phi-powerset"),
+        ("Pf(Sim(w))|G(2)", "family:sim-powerset"),
+        ("Pf(SimExt(w^w,2))", "family:sim-extended-powerset"),
+    ):
         _clear_caches()
         cold = invariants(parse_expr(text))
         warm = invariants(parse_expr(text))
@@ -182,6 +200,7 @@ def test_a_warm_leaf_replays_its_notes():
         "w^2|w^",
         "G(2)|G(2",
         "Sim(w)|Sim(3)",
+        "Pf(Sim(w))|Pf(Sim(3))",
     ],
 )
 def test_a_bad_leaf_fails_the_same_cold_and_warm(text):

@@ -1,0 +1,123 @@
+"""Compare the engine's reports at a git revision with the working tree's.
+
+    python3 tools/engine_diff.py REF
+
+It extracts REF's `src/wqometer` with `git archive` into a temporary
+directory, imports it as the package `wqometer_ref`, and compares, term by
+term, what `invariants`, `pf_bounds` and `weak_mot` give there and in the
+working tree's `src/wqometer`: a report's JSON, a printed ordinal, or the
+type and text of a refusal (parse errors included).  The terms are the
+first 300 texts of each engine corpus of the benchmark for the seeds 101
+and 7, and 6,000 printed `random_any_expr` terms (`tests/genlib.py`,
+seed 34).  It prints the counts and the first difference, and exits 1 on
+any difference.  Standard library only; it reads nothing over a network.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLS = ("invariants", "pf_bounds", "weak_mot")
+SEEDS = (101, 7)
+CORPUS_OPS = 300
+RANDOM_TERMS = 6000
+
+
+def load(package_dir: Path, name: str):
+    """Import the package in `package_dir` under the name `name`; its
+    modules import each other relatively, so they load as `name.<module>`."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report(package, call: str, text: str) -> str:
+    try:
+        out = getattr(package, call)(package.parse_expr(text))
+    except Exception as exc:  # a refusal is compared by its type and text
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(out.to_json()) if hasattr(out, "to_json") else str(out)
+
+
+def compare(old, new, texts) -> tuple[int, list[tuple[str, str, str, str]]]:
+    """The number of comparisons, and each (call, text, old, new) on which
+    the packages `old` and `new` differ."""
+    diffs = []
+    count = 0
+    for text in texts:
+        for call in CALLS:
+            count += 1
+            a, b = _report(old, call, text), _report(new, call, text)
+            if a != b:
+                diffs.append((call, text, a, b))
+    return count, diffs
+
+
+def terms(corpus_ops: int = CORPUS_OPS, random_terms: int = RANDOM_TERMS) -> list[str]:
+    """The benchmark's engine texts for `SEEDS`, then the random terms."""
+    for path in (ROOT / "bench", ROOT / "tests"):
+        if str(path) not in sys.path:
+            sys.path.append(str(path))
+    import corpora
+    from genlib import random_any_expr
+    from wqometer import print_expr
+
+    out = []
+    for seed in SEEDS:
+        for name, make in (
+            ("engine-elementary", corpora.engine_elementary),
+            ("engine-wide", corpora.engine_wide),
+        ):
+            items = make(corpora.corpus_rng(name, seed), corpus_ops)
+            out += [item.text for item in items[:corpus_ops]]
+    rng = random.Random(34)
+    out += [print_expr(random_any_expr(rng, rng.randint(0, 4))) for _ in range(random_terms)]
+    return out
+
+
+def _extract(ref: str, into: Path) -> Path:
+    """`ref`'s `src/wqometer`, extracted under `into`."""
+    tar = subprocess.run(
+        ["git", "archive", "--format=tar", ref, "src/wqometer"],
+        cwd=ROOT,
+        capture_output=True,
+        check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src" / "wqometer"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/engine_diff.py REF", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    texts = terms()
+    with tempfile.TemporaryDirectory() as tmp:
+        old = load(_extract(argv[0], Path(tmp)), "wqometer_ref")
+        import wqometer as new
+
+        count, diffs = compare(old, new, texts)
+    print(f"{len(texts)} terms, {count} comparisons, {len(diffs)} differences")
+    if diffs:
+        call, text, a, b = diffs[0]
+        print(f"first: {call}({text})\n  {argv[0]}: {a}\n  working tree: {b}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
