@@ -15,16 +15,19 @@ expression a component comes out
 `invariants` and `weak_mot` evaluate `eliminate_pf` of a term that is
 not elementary, and an elementary term as it is, so each term is walked
 once per layer.  `_evaluate` is one `fold` over the expression with one
-rule per node kind, `_rules`: a generator that names the nodes a node's
-triple is made from and makes the triple, and a rule appends its notes
-where it fires.  It picks one of two strategies per subtree.  The rules are
+rule per node kind, and a rule appends its notes where it fires.  A rule
+that reads no other node's triple is a branch of the plain function
+`_fact`; every other rule is a branch of the generator `_rules`, which
+names the nodes a node's triple is made from and makes the triple from
+theirs.  `_evaluate` picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  A node with no
 subexpression (an ordinal, G(k) or a family member) is a fact about its
 value, and so is the powerset of a family member, whose rule reads only
-the member's index: `_leaf_facts` keeps the triple and notes of the most
-recently met such values for all calls.  The strategies:
+the member's index: `_leaf_facts` keeps the triple and notes that
+`_fact` gives the most recently met such values for all calls.  The
+strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
@@ -38,14 +41,14 @@ recently met such values for all calls.  The strategies:
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
 
-`_rules` has one branch per node kind, each product kind included.  A
-rule that holds only under a side condition on a component (o(A.B) =
-o(A)*o(B) needs o(B) a limit, w(M(A)) = o(M(A)) needs o(A) infinite and
-additively indecomposable) asks one helper, `_unreadable`, which gives
-the component's own reason, ``needs-exact-value:<rule>`` or
-``hypothesis-not-met:<rule>:<condition>``, or None when the rule
-applies.  A word order's width is its o: that needs o(A) > 1, which
-every supported o(A) but the exact 1 satisfies.
+`_rules` has one branch per node kind that reads other nodes, each
+product kind included.  A rule that holds only under a side condition
+on a component (o(A.B) = o(A)*o(B) needs o(B) a limit, w(M(A)) = o(M(A))
+needs o(A) infinite and additively indecomposable) asks one helper,
+`_unreadable`, which gives the component's own reason,
+``needs-exact-value:<rule>`` or ``hypothesis-not-met:<rule>:<condition>``,
+or None when the rule applies.  A word order's width is its o: that
+needs o(A) > 1, which every supported o(A) but the exact 1 satisfies.
 
 A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so its
@@ -64,10 +67,11 @@ and every supported component of any other term is at least 1.
 leaf w) need no rule of their own: the general rules already give them
 height exactly w, and each w leaf adds the note ``omega-elementary-height``.
 
-The two bound-attaining families are expression nodes: ``Phi`` (all
-three invariants prescribed by the index, also under ``Pf``) is evaluated
-from its index, and ``Sim``/``SimExt`` (realising the powerset height
-bound) are desugared into plain expressions first.
+The two bound-attaining families are expression nodes, and `_fact`
+evaluates them and their powersets: ``Phi`` (all three invariants
+prescribed by the index, also under ``Pf``) from its index, and
+``Sim``/``SimExt`` (realising the powerset height bound) by desugaring
+them into plain expressions first.
 """
 
 from __future__ import annotations
@@ -494,7 +498,14 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
     if o.kind == h.kind == w.kind == "exact":
         assert cmp(h.value, o.value) <= 0, "height exceeds order type"
         assert cmp(w.value, o.value) <= 0, "width exceeds order type"
-        assert cmp(o.value, nat_prod(h.value, w.value)) <= 0, (
+        try:
+            bound = nat_prod(h.value, w.value)
+        except UnsupportedComputation:
+            # h (x) w < w^(e_h (+) e_w) * (c_h * c_w + 1), where w^e_h * c_h
+            # and w^e_w * c_w are the leading terms of h and w
+            (eh, ch), (ew, cw) = h.value.terms[0], w.value.terms[0]
+            bound = Ordinal(((nat_sum(eh, ew), ch * cw + 1),))
+        assert cmp(o.value, bound) <= 0, (
             "order type exceeds natural product of height and width"
         )
 
@@ -503,29 +514,33 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     """The triple of `e` and, when `e` is elementary, its weakened o.
 
     An elementary term is one fold of `_summary`, which also notes where
-    `eliminate_pf` would rewrite it; any other is one fold of `_rules`,
-    in which each elementary subterm is a leaf evaluated here, and each
-    node with no subexpression, or a powerset of a family member, takes
-    its triple and notes from `_leaf_facts`.  A rule appends its notes
-    where it fires, and a leaf's notes are appended where its rule would
-    fire, so they come in the order of a recursive walk.  A node met again adds no notes, as its
-    notes are in the list already."""
+    `eliminate_pf` would rewrite it.  Any other is one fold in which a
+    node whose rule reads no other node's triple takes its triple from
+    `_fact`, through the memo `_leaf_facts` for a leaf or the powerset of
+    a family member, and every other node from its rule in `_rules`.  A
+    rule appends its notes where it fires, and a memoised node's notes
+    are appended where its rule would fire, so they come in the order of
+    a recursive walk.  A node met again adds no notes, as its notes are
+    in the list already."""
     if e.fragment != "elementary":
         # the rules waiting for the triples of the nodes they read, and the
-        # triples of the leaves: `fold` finishes every node it reaches
-        # after `x` before it finishes `x`, so the one to finish is always
-        # the last one started
+        # triples of the facts: `fold` finishes every node it reaches after
+        # `x` before it finishes `x`, so the one to finish is always the
+        # last one started
         pending = []
 
         def down(x):
             if type(x) in _LEAF_KINDS or type(x) is Pf and type(x.arg) in _FAMILIES:
                 triple, leaf_notes = _leaf_facts(x)
                 notes.extend(leaf_notes)
-                pending.append(triple)
-                return ()
-            rule = _rules(notes, x)
-            pending.append(rule)
-            return next(rule)
+            elif x.fragment == "elementary" or type(x) is MultisetsN:
+                triple = _fact(notes, x)
+            else:
+                rule = _rules(notes, x)
+                pending.append(rule)
+                return next(rule)
+            pending.append(triple)
+            return ()
 
         def up(x, kids):
             # a rule returns once it is sent the values it read
@@ -556,37 +571,32 @@ _LEAF_FACTS_SIZE = 256
 
 @lru_cache(maxsize=_LEAF_FACTS_SIZE)
 def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
-    """The triple that `_rules` gives the leaf `x`, or the powerset `x`
-    of a family member, and the notes it appends, kept for the most
-    recently used values: a family member, or its powerset, is desugared
-    and its term evaluated once while it stays kept.  A refusal, such as
-    a Sim index that fails the hypothesis or a binomial too large, is
-    raised each time, never kept."""
+    """`_fact` of the leaf `x`, or of the powerset `x` of a family member,
+    and the notes it appends, kept for the most recently used values: a
+    family member, or its powerset, is desugared and its term evaluated
+    once while it stays kept.  A refusal, such as a Sim index that fails
+    the hypothesis or a binomial too large, is raised each time, never
+    kept."""
     notes: list[str] = []
-    rule = _rules(notes, x)
-    try:
-        rule.send([_evaluate(k, notes)[0] for k in next(rule)])
-    except StopIteration as stop:
-        return stop.value, tuple(notes)
+    return _fact(notes, x), tuple(notes)
 
 
-def _rules(notes: list[str], e: WqoExpr):
-    """The rule for `e`: it appends the notes that fire before it reads
-    anything, yields once the nodes it reads (none for a leaf), is sent
-    their triples, and returns the triple of `e`."""
-    if e.fragment == "elementary":
-        yield ()
+def _fact(notes: list[str], x: WqoExpr) -> _Triple:
+    """The triple of a node whose rule reads no other node's triple, and
+    so depends on the node's value alone: an elementary term, read off by
+    the fold of `_summary`; a leaf; a fixed-size multiset order; or the
+    powerset of a family member, from the member's index.  It appends
+    the notes that fire, in the order they fire."""
+    if x.fragment == "elementary":
         try:
-            return _evaluate(e, notes)[0]
+            return _evaluate(x, notes)[0]
         except UnsupportedComputation as exc:
             # as `_lift` treats a refused bound: the part's components are
             # unsupported, and the rules that read them pass that on
             u = InvariantResult.unsupported(exc.reason)
             return u, u, u
-
-    if isinstance(e, Ord):
-        yield ()
-        a = e.value
+    if isinstance(x, Ord):
+        a = x.value
         if a.is_zero:
             return _exact3(ZERO, ZERO, ZERO)
         if a == OMEGA:
@@ -594,20 +604,51 @@ def _rules(notes: list[str], e: WqoExpr):
             # from w by the elementary constructors
             notes.append("omega-elementary-height")
         return _exact3(a, a, ONE)
-
-    if isinstance(e, Gamma):
-        yield ()
-        k = Ordinal.from_nat(e.size)
+    if isinstance(x, Gamma):
+        k = Ordinal.from_nat(x.size)
         return _exact3(k, ONE, k)
-
-    if isinstance(e, Phi):
-        yield ()
+    if isinstance(x, MultisetsN):
+        # the rules do not read the argument
+        u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
+        return u, u, u
+    if isinstance(x, Phi):
         # o = w = a and h = w^a1, a1 the leading exponent of a (an
         # ordinal-indexed lexicographic sum of antichains)
         notes.append("family:phi")
-        a = e.value
+        a = x.value
         return _exact3(a, omega_pow(a.leading_exponent), a)
+    if isinstance(x, (Sim, SimExt)):
+        notes.append("family:sim" if isinstance(x, Sim) else "family:sim-extended")
+        return _evaluate(_desugar(x), notes)[0]
 
+    y = x.arg  # x is Pf of a family member
+    if isinstance(y, Phi):
+        # o and w equal 2^a exactly (binomial at a finite index), while h
+        # is only known inside the general powerset bounds
+        notes.append("family:phi-powerset")
+        a = y.value
+        t = InvariantResult.exact(two_pow(a))
+        if a.is_finite:
+            h = InvariantResult.interval(_TWO, _TWO, finite_multiple=True)
+            return t, h, InvariantResult.exact(_central_binomial(a.nat))
+        hl = omega_pow(a.leading_exponent)
+        return t, InvariantResult.interval(hl, two_pow(hl)), t
+    if isinstance(y, Sim):
+        notes.append("family:sim-powerset")
+        return _evaluate(_elim_root(Pf(_desugar(y))), notes)[0]
+    notes.append("family:sim-extended-powerset")
+    o, _h, w = _pf_table_parts(_evaluate(_desugar(y), notes)[0], notes)
+    # this family attains the powerset height bound: h >= 2^a * m
+    bound = mul(two_pow(y.value), Ordinal.from_nat(y.copies))
+    notes.append("powerset-height: family lower bound 2^a * m")
+    return o, InvariantResult.lower_only(bound), w
+
+
+def _rules(notes: list[str], e: WqoExpr):
+    """The rule for `e`, a node whose triple is made from those of other
+    nodes: it appends the notes that fire before it reads anything,
+    yields once the nodes it reads, is sent their triples, and returns
+    the triple of `e`."""
     if isinstance(e, (DisjUnion, LexSum)):
         mots, heights, widths = zip(*(yield _chain_parts(e)))
         fo, fh, fw = _CHAIN_FNS[type(e)]
@@ -656,36 +697,12 @@ def _rules(notes: list[str], e: WqoExpr):
             notes.append("multisets-width-equals-mot")
         return o, _lift(hstar, bh), o if why is None else InvariantResult.unsupported(why)
 
-    if isinstance(e, MultisetsN):
-        # the rules do not read the argument
-        yield ()
-        u = InvariantResult.unsupported("fixed-size-multisets-no-rule")
-        return u, u, u
-
     if isinstance(e, Pf):
-        x = e.arg
-        if isinstance(x, Phi):
-            yield ()
-            return _pf_phi_parts(x, notes)
-        if isinstance(x, Sim):
-            notes.append("family:sim-powerset")
-            return (yield (_elim_root(Pf(_desugar(x))),))[0]
-        if isinstance(x, SimExt):
-            notes.append("family:sim-extended-powerset")
-            o, _h, w = _pf_table_parts((yield (_desugar(x),))[0], notes)
-            # this family attains the powerset height bound: h >= 2^a * m
-            bound = mul(two_pow(x.value), Ordinal.from_nat(x.copies))
-            notes.append("powerset-height: family lower bound 2^a * m")
-            return o, InvariantResult.lower_only(bound), w
-        return _pf_table_parts((yield (x,))[0], notes)
+        return _pf_table_parts((yield (e.arg,))[0], notes)
 
     if isinstance(e, PfPlus):
         notes.append("nonempty-powerset: derived from Pf minus its bottom")
         return _pf_plus_parts((yield (_elim_root(Pf(e.arg)),))[0])
-
-    if isinstance(e, (Sim, SimExt)):
-        notes.append("family:sim" if isinstance(e, Sim) else "family:sim-extended")
-        return (yield (_desugar(e),))[0]
 
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
@@ -748,24 +765,6 @@ def _lex_prod_width(wa: InvariantResult, wb: InvariantResult) -> InvariantResult
     if "unsupported" in (wa.kind, wb.kind) or wa.kind == wb.kind == "exact":
         return _lift(odot, wa, wb)
     return InvariantResult.unsupported("needs-exact-value:lex-product-width")
-
-
-def _pf_phi_parts(x: Phi, notes: list[str]) -> _Triple:
-    """Pf of a Phi member, from its index rather than from its triple:
-    both o and w equal 2^a exactly (binomial at finite indices), while h
-    is only known inside the general powerset bounds."""
-    notes.append("family:phi-powerset")
-    a = x.value
-    if a.is_finite:
-        k = a.nat
-        return (
-            InvariantResult.exact(two_pow(a)),
-            InvariantResult.interval(_TWO, _TWO, finite_multiple=True),
-            InvariantResult.exact(_central_binomial(k)),
-        )
-    t = InvariantResult.exact(two_pow(a))
-    hl = omega_pow(a.leading_exponent)
-    return t, InvariantResult.interval(hl, two_pow(hl)), t
 
 
 def _pf_plus_parts(pf: _Triple) -> _Triple:

@@ -13,7 +13,7 @@ recursions
 are kept as `residual_mot`/`residual_height`/`residual_width`, an
 independent derivation of the same numbers on instances of at most
 `RESIDUAL_CAP` elements.  `check_engine` compares the symbolic engine's
-report against these numbers.
+report against the numbers of `mot`, `height` and `width`.
 
 Orders given by generating pairs (`from_pairs`, `random_quasi_order`) are
 closed by one iterative pass of Tarjan's strongly connected components

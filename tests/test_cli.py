@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from wqometer import Ordinal, cli, oracle, parse_expr
+from wqometer import Ordinal, cli, oracle, parse_expr, parse_ordinal
 from wqometer.oracle import CheckEntry, CheckResult
 from wqometer.engine import InvariantResult
+from wqometer.ordinal import _PROD_TERMS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -388,6 +389,23 @@ def test_a_refused_elementary_part_leaves_the_report(capsys):
         assert out.splitlines()[1:] == [
             f"{c} = unsupported (value-too-large)" for c in "ohw"
         ]
+
+
+def test_a_refused_sanity_product_leaves_the_report(capsys):
+    # h (x) w of this chain has more term pairs than the natural product
+    # builds, so the check o <= h (x) w falls back on the leading terms;
+    # one part fewer and the product is built
+    n = 129
+    text = (
+        "(" + "|".join(f"Phi(w^{k})" for k in range(1, n + 1)) + ")++"
+        + "++".join(f"Phi(w^{k})" for k in range(n - 1, 0, -1))
+    )
+    code, out, err = run(capsys, "invariants", "--json", text)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert [report[c]["kind"] for c in ("mot", "height", "width")] == ["exact"] * 3
+    h, w = (parse_ordinal(report[c]["value"]) for c in ("height", "width"))
+    assert len(h.terms) * len(w.terms) > _PROD_TERMS
 
 
 def test_oracle_words_need_cap(capsys):

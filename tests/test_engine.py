@@ -279,6 +279,7 @@ def test_powerset_sandwich_coherence():
                                     "powerset-height: family lower bound 2^a * m",
                                     "omega-elementary-height", "words-width-equals-mot")),
         ("SimExt(w,1).M(G(2))", ("family:sim-extended",)),
+        ("G(2)*o(w^(w^3))", ("elementary-exact",)),
     ],
 )
 def test_notes_come_in_the_order_the_rules_fire(text, notes):

@@ -179,7 +179,10 @@ def test_the_caches_stay_within_their_sizes():
 def test_a_warm_leaf_replays_its_notes():
     for text, note in (
         ("w|G(2)", "omega-elementary-height"),
+        ("o(w^w)|G(2)", "elementary-exact"),
+        ("Phi(w+1)|G(2)", "family:phi"),
         ("Sim(w)", "family:sim"),
+        ("SimExt(w^w,2)", "family:sim-extended"),
         ("Pf(Phi(3))", "family:phi-powerset"),
         ("Pf(Sim(w))|G(2)", "family:sim-powerset"),
         ("Pf(SimExt(w^w,2))", "family:sim-extended-powerset"),
