@@ -17,9 +17,10 @@ not elementary, and an elementary term as it is, so each term is walked
 once per layer.  `_evaluate` is one `fold` over the expression with one
 rule per node kind, and a rule appends its notes where it fires.  A rule
 that reads no other node's triple is a branch of the plain function
-`_fact`; every other rule is a branch of the generator `_rules`, which
-names the nodes a node's triple is made from and makes the triple from
-theirs.  `_evaluate` picks one of two strategies per subtree.  The rules are
+`_fact`; every other rule is a branch of the plain function `_rule`,
+which makes a node's triple from those of the nodes it reads, and the
+fold names those nodes as `eliminate_pf` does, by `_elim_parts`.
+`_evaluate` picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  A node with no
@@ -41,7 +42,7 @@ strategies:
    style) and conditional rules reporting ``unsupported`` when their
    hypothesis cannot be verified.
 
-`_rules` has one branch per node kind that reads other nodes, each
+`_rule` has one branch per node kind that reads other nodes, each
 product kind included.  A rule that holds only under a side condition
 on a component (o(A.B) = o(A)*o(B) needs o(B) a limit, w(M(A)) = o(M(A))
 needs o(A) infinite and additively indecomposable) asks one helper,
@@ -52,9 +53,9 @@ needs o(A) > 1, which every supported o(A) but the exact 1 satisfies.
 
 A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so its
-parts are the nodes off its left spine, down to the first node that is
-not a union or is elementary, and each component is lifted once with an
-n-ary natural sum or maximum.  A chain of
+parts are the nodes `_chain_parts` names off its left spine, down to the
+first node that is not a union or is elementary, and each component is
+lifted once with an n-ary natural sum or maximum.  A chain of
 lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
 are n-ary ordinal sums and ``w`` a maximum.  A maximum compares each
 distinct value object once, as a chain's repeated parts share theirs.
@@ -121,7 +122,7 @@ from .ordinal import (
     two_pow,
 )
 from .record import Record
-from .rewrite import _chain_parts, _elim_root, eliminate_pf
+from .rewrite import _elim_parts, _elim_root, eliminate_pf
 
 _TWO = Ordinal.from_nat(2)
 # w*2, whose square w*2 x w*2 has the one product width known exactly
@@ -514,41 +515,37 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     """The triple of `e` and, when `e` is elementary, its weakened o.
 
     An elementary term is one fold of `_summary`, which also notes where
-    `eliminate_pf` would rewrite it.  Any other is one fold in which a
-    node whose rule reads no other node's triple takes its triple from
-    `_fact`, through the memo `_leaf_facts` for a leaf or the powerset of
-    a family member, and every other node from its rule in `_rules`.  A
-    rule appends its notes where it fires, and a memoised node's notes
-    are appended where its rule would fire, so they come in the order of
-    a recursive walk.  A node met again adds no notes, as its notes are
-    in the list already."""
+    `eliminate_pf` would rewrite it.  Any other is one `fold(e, up, down)`
+    in which `down` names the nodes a node reads: none at a fact, Pf(X)
+    at Pf+(X), and else the nodes `eliminate_pf` reads there, a chain's
+    parts or the children.  `up` takes a fact's triple from `_fact`,
+    through the memo `_leaf_facts` for a leaf or the powerset of a family
+    member, and any other node's from `_rule`, given the triples read.  A
+    rule appends its notes where it fires (Pf+'s before those of the
+    Pf(X) it reads), and a memoised node's notes are appended where its
+    rule would fire, so they come in the order of a recursive walk.  A
+    node met again adds no notes, as its notes are in the list already."""
     if e.fragment != "elementary":
-        # the rules waiting for the triples of the nodes they read, and the
-        # triples of the facts: `fold` finishes every node it reaches after
-        # `x` before it finishes `x`, so the one to finish is always the
-        # last one started
-        pending = []
 
         def down(x):
+            # the nodes whose triples make that of `x`: none at a fact
+            t = type(x)
+            if x.fragment == "elementary" or t is MultisetsN:
+                return ()
+            if t is PfPlus:
+                notes.append("nonempty-powerset: derived from Pf minus its bottom")
+                return (_elim_root(Pf(x.arg)),)
+            # a leaf has no parts, and a family member's powerset is a fact
+            return () if t is Pf and type(x.arg) in _FAMILIES else _elim_parts(x)
+
+        def up(x, kids):
+            if kids:
+                return _rule(notes, x, kids)
             if type(x) in _LEAF_KINDS or type(x) is Pf and type(x.arg) in _FAMILIES:
                 triple, leaf_notes = _leaf_facts(x)
                 notes.extend(leaf_notes)
-            elif x.fragment == "elementary" or type(x) is MultisetsN:
-                triple = _fact(notes, x)
-            else:
-                rule = _rules(notes, x)
-                pending.append(rule)
-                return next(rule)
-            pending.append(triple)
-            return ()
-
-        def up(x, kids):
-            # a rule returns once it is sent the values it read
-            try:
-                rule = pending.pop()
-                return rule if type(rule) is tuple else rule.send(kids)
-            except StopIteration as stop:
-                return stop.value
+                return triple
+            return _fact(notes, x)
 
         return fold(e, up, down), None
     leaves, rest, h, s = fold(e, partial(_summary, notes))
@@ -644,24 +641,22 @@ def _fact(notes: list[str], x: WqoExpr) -> _Triple:
     return o, InvariantResult.lower_only(bound), w
 
 
-def _rules(notes: list[str], e: WqoExpr):
-    """The rule for `e`, a node whose triple is made from those of other
-    nodes: it appends the notes that fire before it reads anything,
-    yields once the nodes it reads, is sent their triples, and returns
-    the triple of `e`."""
+def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
+    """The triple of `e`, a node whose triple is made from the triples
+    `kids` of the nodes it reads, appending the notes that fire."""
     if isinstance(e, (DisjUnion, LexSum)):
-        mots, heights, widths = zip(*(yield _chain_parts(e)))
+        mots, heights, widths = zip(*kids)
         fo, fh, fw = _CHAIN_FNS[type(e)]
         return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
 
     if isinstance(e, CartProd):
-        left, right = yield e.left, e.right
+        left, right = kids
         o = _lift(nat_prod, left[0], right[0])
         h = _lift(hat_nat_sum, left[1], right[1])
         return o, h, _product_width(e, left, right, notes)
 
     if isinstance(e, LexProd):
-        (lo, lh, lw), (ro, rh, rw) = yield e.left, e.right
+        (lo, lh, lw), (ro, rh, rw) = kids
         why = _unreadable(
             ro, "lex-product-mot", "o(B) is a limit ordinal", Ordinal.is_limit.fget
         )
@@ -669,7 +664,7 @@ def _rules(notes: list[str], e: WqoExpr):
         return o, _lift(mul, lh, rh), _lex_prod_width(lw, rw)
 
     if isinstance(e, Words):
-        bo, bh, _bw = (yield (e.arg,))[0]
+        ((bo, bh, _bw),) = kids
         if bo.kind == "exact" and bo.value == ONE:
             notes.append("words-over-singleton-alphabet")
             return _OMEGA_CHAIN
@@ -681,7 +676,7 @@ def _rules(notes: list[str], e: WqoExpr):
         return o, _lift(hstar, bh), o
 
     if isinstance(e, Multisets):
-        bo, bh, _bw = (yield (e.arg,))[0]
+        ((bo, bh, _bw),) = kids
         if bo.kind == "exact" and bo.value == ONE:
             notes.append("multisets-over-singleton-order")
             return _OMEGA_CHAIN
@@ -698,11 +693,10 @@ def _rules(notes: list[str], e: WqoExpr):
         return o, _lift(hstar, bh), o if why is None else InvariantResult.unsupported(why)
 
     if isinstance(e, Pf):
-        return _pf_table_parts((yield (e.arg,))[0], notes)
+        return _pf_table_parts(kids[0], notes)
 
     if isinstance(e, PfPlus):
-        notes.append("nonempty-powerset: derived from Pf minus its bottom")
-        return _pf_plus_parts((yield (_elim_root(Pf(e.arg)),))[0])
+        return _pf_plus_parts(kids[0])
 
     raise TypeError(f"unknown expression node {type(e).__name__}")
 

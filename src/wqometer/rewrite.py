@@ -320,7 +320,8 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
 def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
     """The parts A1, ..., An of the chain A1|...|An or A1++...++An at `e`,
     left to right: the nodes off its left spine, down to the first node of
-    another kind (or an elementary union)."""
+    another kind (or an elementary union).  `eliminate_pf` and the
+    engine's fold both take a chain as one step over these parts."""
     node = type(e)
     parts = []
     while isinstance(e, node) and e.fragment != "elementary":
@@ -332,9 +333,10 @@ def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
 
 
 def _elim_parts(e: WqoExpr) -> list[WqoExpr] | tuple[WqoExpr, ...]:
-    """The nodes `_elim` reads at `e`: the parts of a chain that is not
-    elementary, else the children (an elementary union is its own only
-    part, so it takes its children)."""
+    """The nodes `_elim` reads at `e`, and the engine's rule at any node
+    but a fact or Pf+: the parts of a chain that is not elementary, else
+    the children (an elementary union is its own only part, so it takes
+    its children)."""
     t = type(e)
     if (t is DisjUnion or t is LexSum) and e.fragment != "elementary":
         return _chain_parts(e)

@@ -892,14 +892,15 @@ def test_union_fold_matches_pairwise_reference(monkeypatch):
         got = _components(invariants(e))
         with monkeypatch.context() as m:
             # the pairwise fold: each chain node's parts are its two children
-            m.setattr(engine, "_chain_parts", lambda node: node.children())
+            m.setattr(rewrite, "_chain_parts", lambda node: node.children())
             want = _components(invariants(e))
         assert got == want, print_expr(e)
 
 
 def test_union_chains_are_associative_at_the_print_limit():
-    # max(N, 1) = N is refused as too large to print in a pairwise fold,
-    # but the maximum of the whole chain is w
+    # N prints, so each bracketing gives h = w, the maximum of the whole
+    # chain, beside an o too large to print; the n-ary step is pinned by
+    # the count of lifts below
     n = "9" * 4300
     for text in (f"o({n})|1|w", f"o({n})|(1|w)"):
         r = rep(text)
@@ -915,3 +916,17 @@ def test_lex_sum_chains_are_associative_at_the_print_limit():
         r = rep(text)
         assert exact(r.mot) == exact(r.height) == OMEGA
         assert exact(r.width) == o("1")
+
+
+def test_a_union_chain_is_lifted_once_per_component(monkeypatch):
+    # one n-ary step for the 1,200-part chain, not 1,199 pairwise ones
+    calls = []
+
+    def lift(*args):
+        calls.append(args[0])
+        return _lift(*args)
+
+    monkeypatch.setattr(engine, "_lift", lift)
+    r = rep("|".join(["G(2)", "w", "Phi(w+1)"] * 400))
+    assert len(calls) == 3
+    assert exact(r.height) == OMEGA

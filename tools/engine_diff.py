@@ -8,9 +8,13 @@ term, what `invariants`, `pf_bounds` and `weak_mot` give there and in the
 working tree's `src/wqometer`: a report's JSON, a printed ordinal, or the
 type and text of a refusal (parse errors included).  The terms are the
 first 300 texts of each engine corpus of the benchmark for the seeds 101
-and 7, and 6,000 printed `random_any_expr` terms (`tests/genlib.py`,
-seed 34).  It prints the counts and the first difference, and exits 1 on
-any difference.  Standard library only; it reads nothing over a network.
+and 7, 6,000 printed `random_any_expr` terms (`tests/genlib.py`,
+seed 34), and the 10 terms of `refusals()`, which reach refusals no
+other term does: a part whose values are too large to print, a Sim
+index that fails its hypothesis, a binomial too large, and chains at
+the print limit.  It prints the counts and the first difference, and
+exits 1 on any difference.  Standard library only; it reads nothing
+over a network.
 """
 
 from __future__ import annotations
@@ -85,7 +89,33 @@ def terms(corpus_ops: int = CORPUS_OPS, random_terms: int = RANDOM_TERMS) -> lis
             out += [item.text for item in items[:corpus_ops]]
     rng = random.Random(34)
     out += [print_expr(random_any_expr(rng, rng.randint(0, 4))) for _ in range(random_terms)]
-    return out
+    return out + refusals()
+
+
+def refusals() -> list[str]:
+    """Terms on which `invariants` or `pf_bounds` meets a refused value
+    or hypothesis, which the corpora and the random terms never do."""
+    # 15 factors of two leaves: every call refuses its natural product
+    p = "*".join(f"(o(w^(w^{2 * i + 1}))|o(w^(w^{2 * i + 2})))" for i in range(15))
+    # o <= h (x) w is checked from the leading terms, as h (x) w is refused
+    n = 129
+    sanity = (
+        "(" + "|".join(f"Phi(w^{k})" for k in range(1, n + 1)) + ")++"
+        + "++".join(f"Phi(w^{k})" for k in range(n - 1, 0, -1))
+    )
+    big = "9" * 4300  # the longest literal that prints at the default digit limit
+    return [
+        p,
+        f"({p})++G(2)",
+        f"M({p})|G(2)",
+        sanity,
+        "Sim(3)|G(2)",
+        "Pf(Sim(3))",
+        "SimExt(w^2,2)",
+        "Pf(G(14281))",  # w is C(k, k // 2), refused past k = 14,280 there
+        f"o({big})|1|w",
+        f"o({big})++o({big})++w",
+    ]
 
 
 def _extract(ref: str, into: Path) -> Path:
