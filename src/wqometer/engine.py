@@ -25,10 +25,9 @@ compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  A node with no
 subexpression (an ordinal, G(k) or a family member) is a fact about its
-value, and so is the powerset of a family member, whose rule reads only
-the member's index: `_leaf_facts` keeps the triple and notes that
-`_fact` gives the most recently met such values for all calls.  The
-strategies:
+value, and so is a Pf, M or ^<w directly over one, whose rule reads only
+the leaf's triple: `_leaf_facts` keeps the triple and notes of the most
+recently met such values for all calls.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
@@ -518,13 +517,14 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     `eliminate_pf` would rewrite it.  Any other is one `fold(e, up, down)`
     in which `down` names the nodes a node reads: none at a fact, Pf(X)
     at Pf+(X), and else the nodes `eliminate_pf` reads there, a chain's
-    parts or the children.  `up` takes a fact's triple from `_fact`,
-    through the memo `_leaf_facts` for a leaf or the powerset of a family
-    member, and any other node's from `_rule`, given the triples read.  A
-    rule appends its notes where it fires (Pf+'s before those of the
-    Pf(X) it reads), and a memoised node's notes are appended where its
-    rule would fire, so they come in the order of a recursive walk.  A
-    node met again adds no notes, as its notes are in the list already."""
+    parts or the children.  `up` takes a fact's triple from the memo
+    `_leaf_facts` for a leaf or a Pf, M or ^<w directly over one, else
+    from `_fact`, and any other node's from `_rule`, given the triples
+    read.  A rule appends its notes where it fires (Pf+'s before those of
+    the Pf(X) it reads), and a memoised node's notes, its leaf's first,
+    are appended where its rule would fire, so they come in the order of
+    a recursive walk.  A node met again adds no notes, as its notes are
+    in the list already."""
     if e.fragment != "elementary":
 
         def down(x):
@@ -535,13 +535,14 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
             if t is PfPlus:
                 notes.append("nonempty-powerset: derived from Pf minus its bottom")
                 return (_elim_root(Pf(x.arg)),)
-            # a leaf has no parts, and a family member's powerset is a fact
-            return () if t is Pf and type(x.arg) in _FAMILIES else _elim_parts(x)
+            # a leaf has no parts, and a constructor over a leaf is a fact
+            return () if t in _OVER_LEAF and type(x.arg) in _LEAF_KINDS else _elim_parts(x)
 
         def up(x, kids):
             if kids:
                 return _rule(notes, x, kids)
-            if type(x) in _LEAF_KINDS or type(x) is Pf and type(x.arg) in _FAMILIES:
+            t = type(x)
+            if t in _LEAF_KINDS or t in _OVER_LEAF and type(x.arg) in _LEAF_KINDS:
                 triple, leaf_notes = _leaf_facts(x)
                 notes.extend(leaf_notes)
                 return triple
@@ -559,23 +560,30 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
 
 
 # the nodes with no subexpression, whose triples and notes are facts
-# about their values alone, and the family members among them, whose
-# powersets are such facts too, as their rules read only the index
+# about their values alone, the family members among them, whose
+# powersets `_fact` reads off the index, and the constructors whose rules
+# read only their argument's triple, so that over a leaf they are facts
 _FAMILIES = frozenset((Phi, Sim, SimExt))
 _LEAF_KINDS = _FAMILIES | {Ord, Gamma}
+_OVER_LEAF = frozenset((Pf, Multisets, Words))
 _LEAF_FACTS_SIZE = 256
 
 
 @lru_cache(maxsize=_LEAF_FACTS_SIZE)
 def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
-    """`_fact` of the leaf `x`, or of the powerset `x` of a family member,
-    and the notes it appends, kept for the most recently used values: a
-    family member, or its powerset, is desugared and its term evaluated
-    once while it stays kept.  A refusal, such as a Sim index that fails
-    the hypothesis or a binomial too large, is raised each time, never
-    kept."""
+    """The triple of the leaf `x`, or of `x` a Pf, M or ^<w directly over
+    a leaf, and the notes it appends, kept for the most recently used
+    values: a family member, or a constructor over one, is desugared and
+    its term evaluated once while it stays kept.  A leaf, an elementary
+    node or the powerset of a family member is `_fact`'s; any other is
+    `_rule`'s over `_fact` of the leaf.  A refusal, such as a Sim index
+    that fails the hypothesis or a binomial too large, is raised each
+    time, never kept."""
     notes: list[str] = []
-    return _fact(notes, x), tuple(notes)
+    t = type(x)
+    if t in _LEAF_KINDS or x.fragment == "elementary" or t is Pf and type(x.arg) in _FAMILIES:
+        return _fact(notes, x), tuple(notes)
+    return _rule(notes, x, [_fact(notes, x.arg)]), tuple(notes)
 
 
 def _fact(notes: list[str], x: WqoExpr) -> _Triple:

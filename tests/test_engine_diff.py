@@ -21,7 +21,7 @@ def test_engine_diff_finds_a_mutated_chain_rule(tmp_path):
     a, b = packages
     try:
         texts = engine_diff.terms(corpus_ops=30, random_terms=300)
-        assert len(texts) == 4 * 30 + 300 + 10
+        assert len(texts) == 4 * 30 + 300 + 10 + 80
         count, diffs = engine_diff.compare(a, b, texts)
         assert (count, diffs) == (3 * len(texts), [])
         # a lexicographic sum's width as the least, not the largest, of

@@ -1,8 +1,8 @@
 """Shared subterms: a parse makes equal subterms one object, and the
 engine evaluates each distinct one once per call; leaves, and the triples
-of leaves and of family powersets, are shared across calls in tables of
-bounded size.  None of
-this changes any report, note or error."""
+of leaves and of Pf, M and ^<w directly over a leaf, are shared across
+calls in tables of bounded size.  None of this changes any report, note
+or error."""
 
 import json
 import pickle
@@ -151,18 +151,19 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
 
 
 def test_the_caches_stay_within_their_sizes():
-    # more distinct leaves, and more distinct family powersets, than
-    # either cache holds, one text each and then all in one text, twice
-    # over: each cache stays in its size, every report is the one the
-    # leaf gave first, and a leaf met twice in one text is one object even
-    # when the leaf table was emptied between the two
+    # more distinct leaves, family powersets and multiset orders of a
+    # leaf than either cache holds, one text each and then all in one
+    # text, twice over: each cache stays in its size, every report is the
+    # one the text gave first, and a leaf met twice in one text is one
+    # object even when the leaf table was emptied between the two
     n = max(expr._LEAF_TABLE_SIZE, engine._LEAF_FACTS_SIZE) + 100
     texts = [f"Phi({k})" if k % 2 else f"G({k})" for k in range(1, n + 1)]
-    powersets = [f"Pf(Phi({k}))" for k in range(1, n + 1)]
+    over_leaves = [f"Pf(Phi({k}))" for k in range(1, n + 1)]
+    over_leaves += [f"M(G({k}))" for k in range(1, n + 1)]
     _clear_caches()
-    first = [_reports(parse_expr(t)) for t in texts + powersets]
+    first = [_reports(parse_expr(t)) for t in texts + over_leaves]
     for _ in range(2):
-        assert [_reports(parse_expr(t)) for t in texts + powersets] == first
+        assert [_reports(parse_expr(t)) for t in texts + over_leaves] == first
         assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
         assert engine._leaf_facts.cache_info().currsize <= engine._LEAF_FACTS_SIZE
     e = parse_expr("|".join(texts * 2))
@@ -174,6 +175,34 @@ def test_the_caches_stay_within_their_sizes():
     assert [print_expr(x) for x in parts] == texts * 2
     assert all(x is y for x, y in zip(parts, parts[n:]))
     assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
+
+
+@pytest.mark.parametrize("text", ["M(G(3))", "G(3)^<w", "Pf(G(3))"])
+def test_a_constructor_over_a_leaf_reaches_its_rule_once(monkeypatch, text):
+    # its triple is kept with its value, alone or as a part, across calls
+    # on fresh parses
+    calls = []
+    rule = engine._rule
+
+    def counted(notes, e, kids):
+        calls.append(e)
+        return rule(notes, e, kids)
+
+    monkeypatch.setattr(engine, "_rule", counted)
+    _clear_caches()
+    node = parse_expr(text)
+    reports = [invariants(parse_expr(t)) for t in (text, f"G(2)|{text}", text)]
+    assert [e for e in calls if e == node] == [node]
+    assert reports[0] == reports[2]
+
+
+@pytest.mark.parametrize("text", ["M(o(w^w))++G(2)", "o(w^w)^<w++1"])
+def test_an_elementary_constructor_over_a_leaf_is_read_off_exactly(text):
+    # kept like any constructor over a leaf, but read off by the fold of
+    # `_summary`: the general rule would add its width note
+    _clear_caches()
+    for _ in range(2):
+        assert invariants(parse_expr(text)).notes == ("elementary-exact",)
 
 
 def test_a_warm_leaf_replays_its_notes():
@@ -204,11 +233,12 @@ def test_a_warm_leaf_replays_its_notes():
         "G(2)|G(2",
         "Sim(w)|Sim(3)",
         "Pf(Sim(w))|Pf(Sim(3))",
+        "M(Sim(3))",
     ],
 )
 def test_a_bad_leaf_fails_the_same_cold_and_warm(text):
     # the good leaf before it is kept, the bad one never is; a refusal of
-    # the engine is raised on every call
+    # the engine is raised on every call, and the memo does not grow
     def failure():
         try:
             invariants(parse_expr(text))
@@ -217,7 +247,10 @@ def test_a_bad_leaf_fails_the_same_cold_and_warm(text):
         raise AssertionError(f"{text} did not fail")
 
     _clear_caches()
-    assert failure() == failure() == failure()
+    first = failure()
+    kept = engine._leaf_facts.cache_info().currsize
+    assert failure() == failure() == first
+    assert engine._leaf_facts.cache_info().currsize == kept
 
 
 @pytest.mark.parametrize(

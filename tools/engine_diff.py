@@ -9,12 +9,13 @@ working tree's `src/wqometer`: a report's JSON, a printed ordinal, or the
 type and text of a refusal (parse errors included).  The terms are the
 first 300 texts of each engine corpus of the benchmark for the seeds 101
 and 7, 6,000 printed `random_any_expr` terms (`tests/genlib.py`,
-seed 34), and the 10 terms of `refusals()`, which reach refusals no
-other term does: a part whose values are too large to print, a Sim
-index that fails its hypothesis, a binomial too large, and chains at
-the print limit.  It prints the counts and the first difference, and
-exits 1 on any difference.  Standard library only; it reads nothing
-over a network.
+seed 34), the 10 terms of `refusals()`, which reach refusals no other
+term does: a part whose values are too large to print, a Sim index that
+fails its hypothesis, a binomial too large, and chains at the print
+limit, and the 80 terms of `over_leaves()`, a Pf, M, ^<w or Pf+ directly
+over each kind of leaf, elementary ones included, alone and as a part.
+It prints the counts and the first difference, and exits 1 on any
+difference.  Standard library only; it reads nothing over a network.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def terms(corpus_ops: int = CORPUS_OPS, random_terms: int = RANDOM_TERMS) -> lis
             out += [item.text for item in items[:corpus_ops]]
     rng = random.Random(34)
     out += [print_expr(random_any_expr(rng, rng.randint(0, 4))) for _ in range(random_terms)]
-    return out + refusals()
+    return out + refusals() + over_leaves()
 
 
 def refusals() -> list[str]:
@@ -116,6 +117,19 @@ def refusals() -> list[str]:
         f"o({big})|1|w",
         f"o({big})++o({big})++w",
     ]
+
+
+def over_leaves() -> list[str]:
+    """Each constructor that the engine keeps over a leaf, and Pf+, over
+    each kind of leaf, alone and followed by ``++G(2)``: a leaf below w,
+    w, one not elementary, an elementary one, an antichain and each
+    family, one member failing its hypothesis."""
+    leaves = (
+        "3", "w", "o(w+1)", "o(w^w)", "G(3)",
+        "Phi(w)", "Sim(w)", "Sim(w^w)", "SimExt(w^w,2)", "Sim(3)",
+    )
+    forms = ("Pf({})", "M({})", "({})^<w", "Pf+({})")
+    return [form.format(x) + tail for x in leaves for form in forms for tail in ("", "++G(2)")]
 
 
 def _extract(ref: str, into: Path) -> Path:
