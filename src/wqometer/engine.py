@@ -25,9 +25,12 @@ compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
 once, with no stack frame per nesting level.  A node with no
 subexpression (an ordinal, G(k) or a family member) is a fact about its
-value, and so is a Pf, M or ^<w directly over one, whose rule reads only
-the leaf's triple: `_leaf_facts` keeps the triple and notes of the most
-recently met such values for all calls.  The strategies:
+value, and so is a Pf, M or ^<w directly over one (`expr._OVER_LEAF`),
+whose rule reads only the leaf's triple: `_leaf_facts` keeps the triple
+and notes of such a node, as of every node whose rule reads no other
+node, in the node's own `facts` slot, for as long as the node lives, and
+`parse_expr` makes one node of each such text for all calls while its
+bounded table keeps it.  The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
@@ -77,7 +80,7 @@ them into plain expressions first.
 from __future__ import annotations
 
 from contextlib import suppress
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 
 from .errors import HypothesisNotMet, UnsupportedComputation
@@ -97,6 +100,8 @@ from .expr import (
     SimExt,
     Words,
     WqoExpr,
+    _LEAF_KINDS,
+    _OVER_LEAF,
     fold,
     print_expr,
 )
@@ -517,14 +522,15 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     `eliminate_pf` would rewrite it.  Any other is one `fold(e, up, down)`
     in which `down` names the nodes a node reads: none at a fact, Pf(X)
     at Pf+(X), and else the nodes `eliminate_pf` reads there, a chain's
-    parts or the children.  `up` takes a fact's triple from the memo
-    `_leaf_facts` for a leaf or a Pf, M or ^<w directly over one, else
-    from `_fact`, and any other node's from `_rule`, given the triples
-    read.  A rule appends its notes where it fires (Pf+'s before those of
-    the Pf(X) it reads), and a memoised node's notes, its leaf's first,
-    are appended where its rule would fire, so they come in the order of
-    a recursive walk.  A node met again adds no notes, as its notes are
-    in the list already."""
+    parts or the children.  `up` takes the triple of a node that reads
+    none from the node's `facts`, which `_leaf_facts` makes on first need
+    (by `_fact`, or for a Pf, M or ^<w over a leaf by `_rule` over the
+    leaf's `_fact`), and any other node's from `_rule`, given the triples
+    read.  A rule appends its notes where it fires (Pf+'s before those
+    of the Pf(X) it reads), and a node's kept notes, its leaf's first, are
+    appended where its rule would fire, so they come in the order of a
+    recursive walk.  A node met again adds no notes, as its notes are in
+    the list already."""
     if e.fragment != "elementary":
 
         def down(x):
@@ -541,12 +547,9 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
         def up(x, kids):
             if kids:
                 return _rule(notes, x, kids)
-            t = type(x)
-            if t in _LEAF_KINDS or t in _OVER_LEAF and type(x.arg) in _LEAF_KINDS:
-                triple, leaf_notes = _leaf_facts(x)
-                notes.extend(leaf_notes)
-                return triple
-            return _fact(notes, x)
+            triple, fact_notes = getattr(x, "facts", None) or _leaf_facts(x)
+            notes.extend(fact_notes)
+            return triple
 
         return fold(e, up, down), None
     leaves, rest, h, s = fold(e, partial(_summary, notes))
@@ -559,31 +562,30 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
     return (o, InvariantResult.exact(h), w), _weak(leaves, s)
 
 
-# the nodes with no subexpression, whose triples and notes are facts
-# about their values alone, the family members among them, whose
-# powersets `_fact` reads off the index, and the constructors whose rules
-# read only their argument's triple, so that over a leaf they are facts
+# the family members, whose powersets `_fact` reads off the index
 _FAMILIES = frozenset((Phi, Sim, SimExt))
-_LEAF_KINDS = _FAMILIES | {Ord, Gamma}
-_OVER_LEAF = frozenset((Pf, Multisets, Words))
-_LEAF_FACTS_SIZE = 256
 
 
-@lru_cache(maxsize=_LEAF_FACTS_SIZE)
 def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
-    """The triple of the leaf `x`, or of `x` a Pf, M or ^<w directly over
-    a leaf, and the notes it appends, kept for the most recently used
-    values: a family member, or a constructor over one, is desugared and
-    its term evaluated once while it stays kept.  A leaf, an elementary
-    node or the powerset of a family member is `_fact`'s; any other is
-    `_rule`'s over `_fact` of the leaf.  A refusal, such as a Sim index
-    that fails the hypothesis or a binomial too large, is raised each
-    time, never kept."""
+    """The triple of `x`, a leaf of the engine's fold (a node with no
+    subexpression, a Pf, M or ^<w directly over one, an elementary subterm
+    or a fixed-size multiset order), and the notes it appends, kept in the
+    node's `facts` slot, to be read there while the node lives: a family
+    member, or a constructor over one, is desugared and its term evaluated
+    once per node, and `parse_expr` makes one node of each such text while
+    `_LEAVES` keeps it.  A Pf, M or ^<w over a leaf that is not
+    elementary, nor the powerset of a family member, is `_rule`'s over
+    `_fact` of the leaf; any other is `_fact`'s.  A refusal, such as a Sim
+    index that fails the hypothesis or a binomial too large, is raised
+    each time, never kept."""
     notes: list[str] = []
     t = type(x)
-    if t in _LEAF_KINDS or x.fragment == "elementary" or t is Pf and type(x.arg) in _FAMILIES:
-        return _fact(notes, x), tuple(notes)
-    return _rule(notes, x, [_fact(notes, x.arg)]), tuple(notes)
+    fact = (
+        t not in _OVER_LEAF or x.fragment == "elementary" or t is Pf and type(x.arg) in _FAMILIES
+    )
+    triple = _fact(notes, x) if fact else _rule(notes, x, [_fact(notes, x.arg)])
+    object.__setattr__(x, "facts", (triple, tuple(notes)))  # past the guard
+    return x.facts
 
 
 def _fact(notes: list[str], x: WqoExpr) -> _Triple:

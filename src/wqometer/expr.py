@@ -31,12 +31,13 @@ The tokens, precedences and constructor names live in one table
 ``parse_expr`` and ``print_expr`` read; the two round-trip.  The parser
 runs over the token list that one regular-expression `findall` makes of
 the text, in which a whole leaf (``w^(w^2)``, ``Sim(w^w)``, ``3``) is one
-token; it keeps its stacks on the heap, so expression nesting costs it no
-Python frames, and it makes equal subterms of one text one object: a term
-that repeats a part many times holds it once.  A leaf is one object across
-texts too: one met before, in this text or an earlier one, is looked up by
-its text in a bounded table, not read again.  Equality, hashing and
-pickling are as for unshared terms.
+token, and so is a Pf, M or ^<w directly over one (``M(G(3))``,
+``o(w+1)^<w``); it keeps its stacks on the heap, so expression nesting
+costs it no Python frames, and it makes equal subterms of one text one
+object: a term that repeats a part many times holds it once.  Such a
+token is one node across texts too: one met before, in this text or an
+earlier one, is looked up by its text in a bounded table, not read
+again.  Equality, hashing and pickling are as for unshared terms.
 
 Every walk over a term in the package, here and in the layers above,
 is one `fold`: a bottom-up pass over an explicit stack that treats each
@@ -44,7 +45,9 @@ distinct node object once, so neither depth nor repetition costs frames.
 
 Each node's `fragment` (elementary, omega-elementary or neither) is set by
 its constructor from its children's, so classifying a term takes no walk
-over it and no frame per nesting level.
+over it and no frame per nesting level; so is an elementary node's
+`nf_shape`, the size of its normal form and whether a rewrite rule can
+fire at or below it.
 """
 
 from __future__ import annotations
@@ -88,13 +91,18 @@ class WqoExpr(Record):
     powersets over multiplicatively indecomposable ordinal leaves >= w^w
     (the fragment the rewrite system fully normalises); ``"omega"`` when
     it uses the same constructors over the single leaf w (every such wqo
-    has height exactly w); None otherwise.  It is not one of the node's
-    fields, so equality, hashing, repr and `children()` ignore it.  A
-    class that is never in a fragment says so once, with a class
-    attribute that hides the slot.
+    has height exactly w); None otherwise.  `nf_shape`, which the
+    constructor of an elementary node sets too, is the shape of its normal
+    form (see `_shape`); no other node has one.  `facts` is the engine's:
+    the triple and notes of a node it evaluates without reading another
+    node's triple, such as a leaf or a constructor in `_OVER_LEAF`
+    directly over one, set when it is first evaluated.  None of these is
+    one of the node's fields, so equality, hashing, repr, `children()`,
+    pickling and copying ignore them.  A class that is never in a
+    fragment says so once, with a class attribute that hides the slot.
     """
 
-    __slots__ = ("fragment",)
+    __slots__ = ("fragment", "nf_shape", "facts", "__weakref__")
 
     def children(self) -> tuple[WqoExpr, ...]:
         return ()
@@ -115,6 +123,8 @@ class _Unary(WqoExpr):
     def __init__(self, arg: WqoExpr):
         _set_arg(self, arg)
         _set_fragment(self, arg.fragment)
+        if self.fragment == "elementary":
+            _set_nf_shape(self, _shape(self))
 
     def children(self) -> tuple[WqoExpr, ...]:
         return (self.arg,)
@@ -130,6 +140,8 @@ class _Binary(WqoExpr):
         _set_right(self, right)
         f = left.fragment
         _set_fragment(self, f if f == right.fragment else None)
+        if self.fragment == "elementary":
+            _set_nf_shape(self, _shape(self))
 
     def children(self) -> tuple[WqoExpr, ...]:
         return self.left, self.right
@@ -142,10 +154,11 @@ class Ord(WqoExpr):
         _set_value(self, value)
         # the multiplicatively indecomposable w^(w^g) are w (g = 0) and
         # those >= w^w
-        if value.is_multiplicatively_indecomposable:
-            _set_fragment(self, "omega" if value == OMEGA else "elementary")
+        if value.is_multiplicatively_indecomposable and value != OMEGA:
+            _set_fragment(self, "elementary")
+            _set_nf_shape(self, (1, 1, 1, 1, False))  # its own normal form
         else:
-            _set_fragment(self, None)
+            _set_fragment(self, "omega" if value == OMEGA else None)
 
 
 class Gamma(WqoExpr):
@@ -253,9 +266,47 @@ class SimExt(WqoExpr):
 
 
 # the slot setters of the hot constructors, which write past the guard
-_set_fragment, _set_value = WqoExpr.fragment.__set__, Ord.value.__set__
-_set_arg = _Unary.arg.__set__
+_set_fragment, _set_nf_shape = WqoExpr.fragment.__set__, WqoExpr.nf_shape.__set__
+_set_value, _set_arg = Ord.value.__set__, _Unary.arg.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+# the nodes with no subexpression, and the constructors that the parser
+# reads directly over one as one token (see `_TOKEN`), and whose triples
+# over one the engine keeps on the node, as it does those of a leaf
+_LEAF_KINDS = frozenset((Ord, Gamma, Phi, Sim, SimExt))
+_OVER_LEAF = frozenset((Pf, Multisets, Words))
+
+# the redexes of the rewrite rules: a node of one of these classes over a
+# child of a class it names, either child of a product; `_shape` finds
+# them, and `rewrite._raw_match` reads its rules off them
+_REDEXES = {Pf: (Ord, DisjUnion), Multisets: (DisjUnion,), CartProd: (DisjUnion,)}
+
+
+def _shape(e: WqoExpr) -> tuple[int, int, int, int, bool]:
+    """The `nf_shape` of the inner elementary node `e`, from its
+    children's: the number of components of its normal form, a union of
+    union-free components, the bare leaves among them, and their nodes in
+    all; the number of nodes in `e`; and whether a redex lies at or below
+    `e`.  So the size of the normal form is known without building it."""
+    kinds = _REDEXES.get(type(e), ())
+    if type(e) is DisjUnion or type(e) is CartProd:
+        (n, leaves, size, t1, redex), (n2, l2, s2, t2, r2) = e.left.nf_shape, e.right.nf_shape
+        redex = redex or r2 or type(e.left) in kinds or type(e.right) in kinds
+        if type(e) is DisjUnion:
+            return n + n2, leaves + l2, size + s2, t1 + t2 + 1, redex
+        # one product component per pair of components
+        return n * n2, 0, n * n2 + n2 * size + n * s2, t1 + t2 + 1, redex
+    n, leaves, size, t, redex = e.arg.nf_shape
+    redex = redex or type(e.arg) in kinds
+    if type(e) is Words:
+        # no rule splits words: the one component Words(nf)
+        return 1, 0, n + size, t + 1, redex
+    if type(e) is Multisets:
+        leaves = 0  # the product of M(C) over the components C
+    elif n == leaves == 1:
+        return 1, 1, 1, t + 1, redex  # Pf of a leaf is the leaf
+    # the product of Pf(C) over the components C, with Pf(a) = a
+    return 1, 0, 2 * n - 1 + size - leaves, t + 1, redex
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +487,22 @@ _TIGHTEST = _WORDS_PREC + 1
 # ---------------------------------------------------------------------------
 
 # The tokens, which one `findall` lists for the whole text, so that each
-# token starts where the one before it ends: a run of blanks; a whole leaf;
-# the opening of a call with an expression argument, through its '(';
-# each multi-character token that is not all letters; a run of letters;
-# any other character.  A whole leaf is a leaf call (one whose arguments
-# are all ordinals and naturals) with its arguments, a bare w with its
-# exponent, or a natural number, each spelled as far as reading it goes
-# (an ordinal or natural reader also takes the blanks after it, a call
-# stops at its ')'), so that a leaf met before is looked up by its text,
-# not read again.  The arguments and the exponent are ordinal text
-# balanced in parentheses, matched here up to two deep; a leaf nested
-# deeper comes as its call name alone, or as "w^", and is read in place.
+# token starts where the one before it ends: a run of blanks; 'Pf(' or
+# 'M(' directly followed by a whole leaf or a bare w and then ')'; a whole
+# leaf, with the '^<w' directly after it if there is one, or a bare w
+# with it; the opening of a call with an expression argument, through its
+# '('; each multi-character token that is not all letters; a run of
+# letters; any other character.  A whole leaf is a leaf call (one whose
+# arguments are all ordinals and naturals) with its arguments, a bare w
+# with its exponent, or a natural number, each spelled as far as reading
+# it goes (an ordinal or natural reader also takes the blanks after it, a
+# call stops at its ')'), so that a leaf, or a constructor in `_OVER_LEAF`
+# directly over one, met before is looked up by its text, not read again.
+# The arguments and the exponent are ordinal text balanced in
+# parentheses, matched here up to two deep; a leaf nested deeper comes as
+# its call name alone, or as "w^", and is read in place.  Any other
+# spelling of a constructor over a leaf (``Pf( 3)``, ``M((3))``,
+# ``w ^<w``) comes as its separate tokens.
 _BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
 
 
@@ -454,21 +510,24 @@ def _either(names) -> str:
     return "|".join(re.escape(t) for t in sorted(names, key=len, reverse=True))
 
 
+# the names of the calls whose arguments are all leaves, of those with an
+# expression argument and of those in `_OVER_LEAF`, and the multi-character
+# tokens that are not all letters
+_LEAF_CALLS = _either(n for n, (_cls, kinds) in _CALLS.items() if "e" not in kinds)
+_OPENERS = _either(n for n, (_cls, kinds) in _CALLS.items() if "e" in kinds)
+_OVER_LEAF_CALLS = _either(n for n, (cls, _kinds) in _CALLS.items() if cls in _OVER_LEAF)
+_MULTI = _either(t for t in (*_INFIX, _WORDS, *_CALLS) if len(t) > 1 and not t.isalpha())
+_WHOLE_LEAF = (
+    rf"w\^(?!<)(?:[ \t]*+(?:[0-9]++|w|{_BALANCED})[ \t]*+)?"
+    rf"|(?:{_LEAF_CALLS})[ \t]*+{_BALANCED}"
+    r"|[0-9]++[ \t]*+"
+)
 _TOKEN = re.compile(
     r"[ \t]++"
-    r"|w\^(?!<)(?:[ \t]*+(?:[0-9]++|w|%(balanced)s)[ \t]*+)?"
-    r"|(?:%(leaf_calls)s)[ \t]*+%(balanced)s"
-    r"|[0-9]++[ \t]*+"
-    r"|(?:%(openers)s)[ \t]*+\("
-    r"|%(multi)s|[^\W\d_]++|."
-    % {
-        "balanced": _BALANCED,
-        "leaf_calls": _either(n for n, (_cls, kinds) in _CALLS.items() if "e" not in kinds),
-        "openers": _either(n for n, (_cls, kinds) in _CALLS.items() if "e" in kinds),
-        "multi": _either(
-            t for t in (*_INFIX, _WORDS, *_CALLS) if len(t) > 1 and not t.isalpha()
-        ),
-    },
+    rf"|(?:{_OVER_LEAF_CALLS})\((?:{_WHOLE_LEAF}|w)\)"
+    rf"|(?:{_WHOLE_LEAF})(?:\^<w)?|w\^<w"
+    rf"|(?:{_OPENERS})[ \t]*+\("
+    rf"|{_MULTI}|[^\W\d_]++|.",
     re.DOTALL,
 )
 # "(" and each call opening spelled without blanks, with its group's name
@@ -480,8 +539,9 @@ _OPERAND = "a constructor (%s), '(', 'w' or a natural number" % ", ".join(
     name for name in _CALLS if name.isalpha()
 )
 _LEAF = {"a": ord_mod.parse_ordinal_prefix, "n": ord_mod._parse_nat}
-# every text's whole-leaf tokens read so far, each with its node, for all
-# calls; emptied when it holds this many
+# every text's whole-leaf tokens, and tokens of a constructor over a whole
+# leaf, read so far, each with its node, for all calls; emptied when it
+# holds this many
 _LEAF_TABLE_SIZE = 256
 _LEAVES: dict[str, WqoExpr] = {}
 
@@ -507,11 +567,14 @@ def parse_expr(text: str) -> WqoExpr:
     only when it is not there.  Those subexpressions are shared already,
     so the sharing grows bottom-up, and every node in `out` stays in
     `shared`, so no id is reused.  `shared` lives for one call; a leaf
-    that is one token is also looked up in `_LEAVES`, which every call
-    shares and which holds at most `_LEAF_TABLE_SIZE` leaves, and entered
-    there once it is read.  So a leaf whose text was seen before is not
-    read again.  A failed read enters nothing, so an error comes with its
-    text and position every time.
+    that is one token, or a constructor in `_OVER_LEAF` over a leaf that is
+    one, is also looked up in `_LEAVES`, which every call shares and which
+    holds at most `_LEAF_TABLE_SIZE` nodes, and entered there once it is
+    read.  So a node whose text was seen before is not read again, and
+    the engine finds the facts it keeps on it.  Such a constructor is
+    then entered in `shared` over the leaf of its text there, as one node
+    with any other spelling of it.  A failed read enters nothing, so an
+    error comes with its text and position every time.
     """
     out: list[WqoExpr] = []
     groups: list[tuple[str | None, list]] = [(None, [])]
@@ -535,11 +598,15 @@ def parse_expr(text: str) -> WqoExpr:
                 continue
             node, end = _LEAVES.get(tok), pos
             if node is None:
-                node, end = _leaf(text, p, tok)
+                node, end = _read(text, p, tok)
                 if end == pos:  # the leaf is the whole token
-                    if len(_LEAVES) >= _LEAF_TABLE_SIZE:
-                        _LEAVES.clear()
-                    _LEAVES[tok] = node
+                    _keep(tok, node)
+            cls = type(node)
+            if cls in _OVER_LEAF:
+                # over the leaf this call holds for the leaf's text, and
+                # one node with any other spelling of it, such as Pf((3))
+                x = shared.setdefault(_leaf_text(tok), node.arg)
+                node = shared.setdefault((cls, id(x)), node if x is node.arg else cls(x))
             node = shared.setdefault(text[p:end], node)
             i, pos = _resume(toks, i, pos, end)
         out.append(node)
@@ -598,6 +665,39 @@ def _resume(toks: list[str], i: int, pos: int, end: int) -> tuple[int, int]:
         i += 1
     assert pos == end, "a leaf reader stopped inside a token"
     return i, pos
+
+
+def _keep(tok: str, node: WqoExpr) -> None:
+    """Enter `node`, read from the whole token `tok`, in `_LEAVES`."""
+    if len(_LEAVES) >= _LEAF_TABLE_SIZE:
+        _LEAVES.clear()
+    _LEAVES[tok] = node
+
+
+def _leaf_text(tok: str) -> str:
+    """The whole leaf in `tok`, a constructor in `_OVER_LEAF` directly over
+    one, as its own token would spell it."""
+    return tok[: -len(_WORDS)] if tok.endswith(_WORDS) else tok[tok.index("(") + 1 : -1]
+
+
+def _read(text: str, pos: int, tok: str) -> tuple[WqoExpr, int]:
+    """Read the node that starts at `pos` with token `tok`: a leaf, as
+    `_leaf` does, or, when `tok` is a constructor in `_OVER_LEAF` directly
+    over a whole leaf, that constructor over the node `_LEAVES` keeps for
+    the leaf's text, which is read and entered there if it is not there.
+    Returns the node and the position after it."""
+    words = tok.endswith(_WORDS) and tok != _WORDS
+    cls = Words if words else tok.endswith(")") and _CALLS.get(tok.partition("(")[0], (None,))[0]
+    if cls not in _OVER_LEAF:
+        return _leaf(text, pos, tok)
+    key = _leaf_text(tok)
+    leaf = _LEAVES.get(key)
+    if leaf is None:
+        start = pos if words else pos + tok.index("(") + 1
+        leaf, end = _leaf(text, start, key)
+        assert end == start + len(key), "a leaf reader stopped inside a token"
+        _keep(key, leaf)
+    return cls(leaf), pos + len(tok)
 
 
 def _leaf(text: str, pos: int, tok: str) -> tuple[WqoExpr, int]:

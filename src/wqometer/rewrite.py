@@ -5,9 +5,13 @@ multiplicatively indecomposable ordinal leaves >= w^w) is confluent and
 terminating under the rules below; `normalize_elementary` reduces to the
 unique normal form, in which no union sits under a product, multiset or
 powerset constructor and no powerset wraps a bare ordinal.  That form can
-be exponentially larger than the term, so `normalize_elementary` counts
-its nodes from the term first and refuses it past `NF_SIZE_LIMIT`; the
-engine reads its values off the term and never builds it.
+be exponentially larger than the term, so `normalize_elementary` reads
+its size off the term first and refuses it past `NF_SIZE_LIMIT`; the
+engine reads its values off the term and never builds it.  Each
+elementary node's constructor sets its `nf_shape` from its children's:
+the size of its normal form, and whether a redex lies at or below it, a
+redex being a node of the shapes `expr._REDEXES` lists, which
+`_raw_match` reads too.
 
 `eliminate_pf`, used by the invariant engine, is one `fold` with its own
 rules: it pushes every finite-powerset constructor down through unions
@@ -18,7 +22,7 @@ only empty term it leaves is the leaf 0.  None of 0, 1 and G(1) is
 elementary, so no law fires inside an elementary term.  `step`,
 `is_normal` and `normalize_elementary` all read one rewriting pass,
 `_pass`, which keeps its stack on the heap, so nesting costs it no
-Python frames.
+Python frames, and enters no elementary subterm without a redex.
 """
 
 from __future__ import annotations
@@ -40,15 +44,17 @@ from .expr import (
     PfPlus,
     Words,
     WqoExpr,
+    _REDEXES,
     fold,
     print_expr,
 )
 from .ordinal import ONE, ZERO, Ordinal, _printable, add, mul
 from .record import Record
 
-# The largest normal form, in nodes, that `normalize_elementary` builds.
-# The normal form of a product of k unions has 2^k components, and a
-# printed trace shows the whole term at every step.  With P_k the product
+# The largest normal form, in nodes, that `normalize_elementary` builds;
+# the size is read off the term's `nf_shape`, before any step.  The normal
+# form of a product of k unions has 2^k components, and a printed trace
+# shows the whole term at every step.  With P_k the product
 # of k two-leaf unions, the normal form of Pf(M(P_k)) has 1,920 nodes at
 # k = 7, 4,352 at k = 8 and 9,728 at k = 9, and `normalize --trace` prints
 # 4 MB, 18 MB and 83 MB for them, in 1.3 s, 4.4 s and 25 s (2-vCPU Xeon,
@@ -130,29 +136,24 @@ def _replace_at(e: WqoExpr, path: tuple[int, ...], new: WqoExpr) -> WqoExpr:
 
 
 def _raw_match(e: WqoExpr):
-    """Return (rule name, reduct) when a rule pattern matches the root."""
-    if isinstance(e, Pf) and isinstance(e.arg, Ord):
+    """Return (rule name, reduct) when a rule pattern matches the root: a
+    redex of `_REDEXES`, read at its left child first."""
+    kinds = _REDEXES.get(type(e), ())
+    for u in e.children():
+        if type(u) in kinds:
+            break
+    else:
+        return None
+    if type(u) is Ord:
         # over an additively indecomposable infinite ordinal, 1 + a = a
-        return "powerset-of-ordinal", e.arg
-    if isinstance(e, CartProd) and isinstance(e.left, DisjUnion):
-        u = e.left
-        return (
-            "product-over-union-left",
-            DisjUnion(CartProd(u.left, e.right), CartProd(u.right, e.right)),
-        )
-    if isinstance(e, CartProd) and isinstance(e.right, DisjUnion):
-        u = e.right
-        return (
-            "product-over-union-right",
-            DisjUnion(CartProd(e.left, u.left), CartProd(e.left, u.right)),
-        )
-    if isinstance(e, Multisets) and isinstance(e.arg, DisjUnion):
-        u = e.arg
-        return "multisets-over-union", CartProd(Multisets(u.left), Multisets(u.right))
-    if isinstance(e, Pf) and isinstance(e.arg, DisjUnion):
-        u = e.arg
-        return "powerset-over-union", CartProd(Pf(u.left), Pf(u.right))
-    return None
+        return "powerset-of-ordinal", u
+    if type(e) is not CartProd:
+        rule = "multisets-over-union" if type(e) is Multisets else "powerset-over-union"
+        return rule, CartProd(type(e)(u.left), type(e)(u.right))
+    a, b = e.left, e.right
+    if u is a:
+        return "product-over-union-left", DisjUnion(CartProd(u.left, b), CartProd(u.right, b))
+    return "product-over-union-right", DisjUnion(CartProd(a, u.left), CartProd(a, u.right))
 
 
 def _check_strategy(strategy: str) -> None:
@@ -209,34 +210,10 @@ def normalize_elementary(e: WqoExpr, strategy: str = "innermost"):
 
 def _nf_size(e: WqoExpr) -> tuple[int, int]:
     """The numbers of nodes in the normal form of the elementary `e`,
-    counted from its structure without rewriting, and in `e` itself."""
-    components, _, size, nodes = fold(e, _nf_shape)
+    which its constructor counted from its children's without rewriting
+    (see `expr._shape`), and in `e` itself."""
+    components, _, size, nodes, _ = e.nf_shape
     return components - 1 + size, nodes
-
-
-def _nf_shape(e: WqoExpr, kids: list[tuple[int, ...]]) -> tuple[int, int, int, int]:
-    """(components, bare leaves among them, nodes in all of them) of the
-    normal form of the elementary `e`, a union of union-free components,
-    and the number of nodes in `e`, from those of its children."""
-    if isinstance(e, Ord):
-        return 1, 1, 1, 1
-    if isinstance(e, (DisjUnion, CartProd)):
-        (n1, l1, s1, t1), (n2, l2, s2, t2) = kids
-        if isinstance(e, DisjUnion):
-            return n1 + n2, l1 + l2, s1 + s2, t1 + t2 + 1
-        # one product component per pair of components
-        return n1 * n2, 0, n1 * n2 + n2 * s1 + n1 * s2, t1 + t2 + 1
-    ((n, leaves, size, t),) = kids
-    if isinstance(e, Words):
-        # no rule splits words: the one component Words(nf)
-        return 1, 0, n + size, t + 1
-    if isinstance(e, Multisets):
-        # the product of M(C) over the components C
-        return 1, 0, 2 * n - 1 + size, t + 1
-    if n == leaves == 1:
-        return 1, 1, 1, t + 1  # Pf of a leaf is the leaf
-    # the product of Pf(C) over the components C, with Pf(a) = a
-    return 1, 0, 2 * n - 1 + size - leaves, t + 1
 
 
 def _pass(e: WqoExpr):
@@ -253,12 +230,14 @@ def _pass(e: WqoExpr):
     guard leaves the normal forms unchanged.  It also means no allowed
     redex lies below another, so the leftmost-innermost and the leftmost-
     outermost redex are the same one, and both strategy names take these
-    steps.  A node finished without a match is
-    normal, and `normal` holds it by id, so no id is reused: met again, in
-    a shared subterm or in a copy a rule made, it is a leaf, and only the
-    nodes a rule builds are walked again.  A frame on the stack is (node,
-    children, normal forms of the children so far), so a step's path is
-    read off the stack when it is yielded.
+    steps.  An elementary node whose `nf_shape` says no redex lies at or
+    below it is normal, and so is a node finished without a match, which
+    `normal` holds by id, so no id is reused: met again, in a shared
+    subterm or in a copy a rule made, either is a leaf, and only the nodes
+    with a redex, and outside the fragment those a rule builds, are walked
+    again.  A frame on the stack is (node, children, normal forms of the
+    children so far), so a step's path is read off the stack when it is
+    yielded.
     """
     stack = []
     normal = {}
@@ -266,7 +245,7 @@ def _pass(e: WqoExpr):
     while True:
         if id(x) not in normal:
             kids = x.children()
-            if kids:
+            if kids and (x.fragment != "elementary" or x.nf_shape[4]):
                 stack.append((x, kids, []))
                 x = kids[0]
                 continue

@@ -96,6 +96,17 @@ def random_elementary(rng: random.Random, size: int):
     return Pf(inner)
 
 
+def random_union_product(rng: random.Random, factors: int):
+    """A random elementary product of `factors` unions of two random small
+    elementary terms: its normal form has at least 2^factors components,
+    so from about 8 factors it is past `NF_SIZE_LIMIT`."""
+    acc = None
+    for _ in range(factors):
+        u = DisjUnion(random_elementary(rng, rng.randint(1, 3)), random_elementary(rng, 1))
+        acc = u if acc is None else CartProd(acc, u)
+    return acc
+
+
 def random_finite_expr(rng: random.Random, depth: int = 3, size_cap: int = 400):
     """A random expression denoting a finite quasi-order, small enough for
     the brute-force oracle."""

@@ -1,5 +1,5 @@
 """`tools/engine_diff.py`: two copies of one source agree, and a copy
-with a mutated rule does not."""
+with a mutated rule, or a lower normal-form limit, does not."""
 
 import importlib.util
 import shutil
@@ -20,10 +20,21 @@ def test_engine_diff_finds_a_mutated_chain_rule(tmp_path):
         packages.append(engine_diff.load(tmp_path / name, name))
     a, b = packages
     try:
-        texts = engine_diff.terms(corpus_ops=30, random_terms=300)
-        assert len(texts) == 4 * 30 + 300 + 10 + 80
+        texts = engine_diff.terms(corpus_ops=30, random_terms=300, elementary=60)
+        assert len(texts) == 4 * 30 + 300 + 60 + 10 + 80
+        elementary = [t for t in texts if a.parse_expr(t).fragment == "elementary"]
+        # the engine-elementary corpora, the elementary terms, and a few
+        # random and over-leaf ones
+        assert 2 * 30 + 60 < len(elementary) < 2 * 30 + 60 + 40
         count, diffs = engine_diff.compare(a, b, texts)
-        assert (count, diffs) == (3 * len(texts), [])
+        assert (count, diffs) == (3 * len(texts) + 2 * len(elementary), [])
+        limit = b.rewrite.NF_SIZE_LIMIT
+        assert any(b.rewrite._nf_size(b.parse_expr(t))[0] > limit for t in elementary)
+        # the rewrite layer: a lower limit refuses more normal forms
+        b.rewrite.NF_SIZE_LIMIT = 50
+        count, diffs = engine_diff.compare(a, b, texts)
+        assert diffs and {call for call, *_ in diffs} == {"normalize_elementary"}
+        b.rewrite.NF_SIZE_LIMIT = limit
         # a lexicographic sum's width as the least, not the largest, of
         # its parts' widths
         fns = b.engine._CHAIN_FNS

@@ -1,5 +1,8 @@
-"""Rewrite system: rule fixtures, strategies, traces, Pf elimination."""
+"""Rewrite system: rule fixtures, strategies, traces, Pf elimination,
+and the normal-form shape each elementary node keeps."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -34,7 +37,7 @@ from wqometer import engine, rewrite
 from wqometer.expr import WqoExpr, _Binary, _Unary, expr_size, fold
 from wqometer.rewrite import NF_SIZE_LIMIT, _nf_size, _raw_match
 
-from genlib import random_any_expr, random_elementary
+from genlib import one_of_each, random_any_expr, random_elementary
 
 o = parse_ordinal
 
@@ -288,6 +291,136 @@ def test_normal_form_size_is_predicted_without_rewriting():
     for i in range(450):
         e = Multisets(e) if i % 2 == 0 else Pf(e)
     assert _nf_size(e)[0] == expr_size(normalize_elementary(e)[0]) == 454 <= NF_SIZE_LIMIT
+
+
+# The fold that counted the normal form from the term before each
+# constructor kept the count, and a walk that looks for a redex with
+# `_raw_match`: together the reference for `nf_shape`.
+def _ref_nf_shape(e, kids):
+    if isinstance(e, Ord):
+        return 1, 1, 1, 1
+    if isinstance(e, (DisjUnion, CartProd)):
+        (n1, l1, s1, t1), (n2, l2, s2, t2) = kids
+        if isinstance(e, DisjUnion):
+            return n1 + n2, l1 + l2, s1 + s2, t1 + t2 + 1
+        return n1 * n2, 0, n1 * n2 + n2 * s1 + n1 * s2, t1 + t2 + 1
+    ((n, leaves, size, t),) = kids
+    if isinstance(e, Words):
+        return 1, 0, n + size, t + 1
+    if isinstance(e, Multisets):
+        return 1, 0, 2 * n - 1 + size, t + 1
+    if n == leaves == 1:
+        return 1, 1, 1, t + 1
+    return 1, 0, 2 * n - 1 + size - leaves, t + 1
+
+
+def _check_shapes(e):
+    """Every node of `e` keeps the reference shape, and a node outside
+    the elementary fragment none; returns how many were elementary."""
+    count = []
+
+    def up(x, kids):
+        if x.fragment != "elementary":
+            assert not hasattr(x, "nf_shape"), print_expr(x)
+            return None
+        redex = _raw_match(x) is not None or any(k[4] for k in kids)
+        ref = (*_ref_nf_shape(x, [k[:4] for k in kids]), redex)
+        assert x.nf_shape == ref, print_expr(x)
+        count.append(x)
+        return ref
+
+    fold(e, up)
+    return len(count)
+
+
+def _steps(e, pass_=None):
+    """The steps of a rewriting pass over `e`, as (rule, path, printed
+    reduct), and its printed normal form."""
+    steps, gen = [], (pass_ or rewrite._pass)(e)
+    try:
+        while True:
+            rule, path, reduct = next(gen)
+            steps.append((rule, path, print_expr(reduct)))
+    except StopIteration as done:
+        return steps, print_expr(done.value)
+
+
+def test_every_node_keeps_its_normal_form_shape():
+    # built by the constructors, the parser, the rewriting pass and its
+    # steps, `_replace_at`, `with_children`, copying and pickling
+    rng = random.Random(38)
+    checked = 0
+    for _ in range(300):
+        e = random_elementary(rng, rng.randint(1, 25))
+        built = [e, parse_expr(print_expr(e)), e.with_children(e.children())]
+        built += [copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))]
+        path, x = (), e
+        while x.children():
+            i = rng.randrange(len(x.children()))
+            path, x = path + (i,), x.children()[i]
+        built.append(rewrite._replace_at(e, path, random_elementary(rng, rng.randint(1, 5))))
+        gen = rewrite._pass(e)
+        try:
+            while True:
+                built.append(next(gen)[2])
+        except StopIteration as done:
+            nf = done.value
+        built.append(nf)
+        assert nf.nf_shape[4] is False and is_normal(nf)
+        assert e.nf_shape[4] is not is_normal(e)
+        got = step(e)
+        if got is not None:
+            built.append(got[2])
+        checked += sum(_check_shapes(x) for x in built)
+    assert checked > 20_000
+    # outside the fragment no node has a shape
+    rng = random.Random(39)
+    for _ in range(300):
+        _check_shapes(random_any_expr(rng, rng.randint(0, 4)))
+    assert all(_check_shapes(x) == (x.fragment == "elementary") for x in one_of_each())
+
+
+def _pass_entering_every_node(e):
+    """`rewrite._pass` as it was before it skipped a subterm with no
+    redex: the specification of its steps."""
+    stack = []
+    normal = {}
+    x = e
+    while True:
+        if id(x) not in normal:
+            kids = x.children()
+            if kids:
+                stack.append((x, kids, []))
+                x = kids[0]
+                continue
+        while stack:
+            node, kids, nfs = stack[-1]
+            nfs.append(x)
+            if len(nfs) < len(kids):
+                x = kids[len(nfs)]
+                break
+            stack.pop()
+            if x is not kids[-1] or nfs[0] is not kids[0]:
+                node = node.with_children(tuple(nfs))
+            m = _raw_match(node)
+            if m is not None:
+                rule, x = m
+                yield rule, tuple([len(f[2]) for f in stack]), x
+                break
+            x = normal[id(node)] = node
+        else:
+            return x
+
+
+def test_the_pass_that_skips_normal_subterms_takes_the_same_steps():
+    rng = random.Random(40)
+    rewritten = 0
+    for i in range(400):
+        e = random_elementary(rng, rng.randint(1, 30)) if i % 2 else random_any_expr(rng, 4)
+        got = _steps(e)
+        assert got == _steps(e, _pass_entering_every_node), print_expr(e)
+        rewritten += e.fragment == "elementary" and bool(got[0])
+    assert rewritten > 100
 
 
 def test_oversized_normal_forms_are_refused_before_rewriting(monkeypatch):

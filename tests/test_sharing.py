@@ -1,12 +1,15 @@
 """Shared subterms: a parse makes equal subterms one object, and the
-engine evaluates each distinct one once per call; leaves, and the triples
-of leaves and of Pf, M and ^<w directly over a leaf, are shared across
-calls in tables of bounded size.  None of this changes any report, note
-or error."""
+engine evaluates each distinct one once per call; leaves, and Pf, M and
+^<w directly over a leaf, are one node across calls while the parser's
+table of bounded size keeps them, and each such node keeps its triple in
+its own slot, for as long as it lives.  None of this changes any report,
+note or error."""
 
+import gc
 import json
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -14,6 +17,7 @@ from wqometer import (
     HypothesisNotMet,
     Ordinal,
     ParseError,
+    UnsupportedComputation,
     WqoExpr,
     engine,
     expr,
@@ -57,9 +61,10 @@ def _nodes(e: WqoExpr) -> list[WqoExpr]:
     return out
 
 
-def _clear_caches() -> None:
+def _clear_leaves() -> None:
+    """Empty the parser's table, so the next parses make new nodes, with
+    no facts kept."""
     expr._LEAVES.clear()
-    engine._leaf_facts.cache_clear()
 
 
 def _report(fn, e) -> str:
@@ -88,13 +93,13 @@ def _random_chain_text(rng: random.Random) -> str:
 
 
 def test_sharing_changes_no_report():
-    # each text cold (both caches emptied first), warm, and as a copy
+    # each text cold (the leaf table emptied first), warm, and as a copy
     # with no node shared
     rng = random.Random(16)
     shared_terms = 0
     for _ in range(300):
         text = _random_chain_text(rng)
-        _clear_caches()
+        _clear_leaves()
         cold = _reports(parse_expr(text))
         e = parse_expr(text)
         copy = _unshared(e)
@@ -113,10 +118,19 @@ def test_equal_subterms_of_one_parse_are_one_object():
     # a subterm was parenthesised
     e = parse_expr("(M(o(w+1)^<w)*Mn(G(2),1))|M(o(w+1)^<w)*(Mn(G(2),1))")
     assert e.left is e.right
-    # a leaf is one object across calls; any other node only within one
+    # a leaf, and a Pf, M or ^<w directly over one, is one object across
+    # calls, and over the leaf of the same text; any other node is one
+    # only within a call
     assert parse_expr("Sim(w)") is parse_expr("Sim(w)")
-    e, f = parse_expr("Pf(Sim(w))"), parse_expr("Pf(Sim(w))")
-    assert e is not f and e.arg is f.arg
+    assert parse_expr("Pf(Sim(w))") is parse_expr("Pf(Sim(w))")
+    assert parse_expr("G(2)|M(3)").right is parse_expr("M(3)^<w").arg
+    e = parse_expr("Pf(Sim(w))|Sim(w)|Pf(Sim(w))^<w")
+    assert e.left.left.arg is e.left.right is e.right.arg.arg
+    e, f = parse_expr("Pf(Sim(w)|G(2))"), parse_expr("Pf(Sim(w)|G(2))")
+    assert e is not f and e.arg.left is f.arg.left
+    # within a call, the one node of any other spelling of it
+    e = parse_expr("Pf((Sim(w)))|Pf(Sim(w))|Pf( Sim(w))")
+    assert e.left.left is e.left.right is e.right
 
 
 def test_shared_terms_pickle_to_equal_terms():
@@ -130,9 +144,10 @@ def test_shared_terms_pickle_to_equal_terms():
 def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
     # the part is rewritten by powerset elimination, so it is one object
     # only if both the parse and the elimination share it.  On a cold
-    # call each distinct Sim node is desugared once; on a warm one no Sim
-    # is desugared again: the triple of a bare Sim is kept with its value,
-    # and so is that of the Pf(Sim(w^w)) that elimination leaves
+    # call each distinct Sim node is desugared once.  On a warm one a bare
+    # Sim is not desugared again, as its node, which the parser shares,
+    # keeps its triple; the Pf(Sim(w^w)) that elimination builds is a new
+    # node on each call, which keeps its triple while it lives
     calls = []
     desugar = engine._desugar
 
@@ -141,9 +156,9 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
         return desugar(e)
 
     monkeypatch.setattr(engine, "_desugar", counted)
-    for part in (f"Pf(Sim(w^w){op}G(2))", "Sim(w^w)"):
-        _clear_caches()
-        for expected in (1, 0):
+    for part, warm in ((f"Pf(Sim(w^w){op}G(2))", 1), ("Sim(w^w)", 0)):
+        _clear_leaves()
+        for expected in (1, warm):
             calls.clear()
             r = invariants(parse_expr(op.join([part] * 2000)))
             assert len(calls) == expected, (part, len(calls))
@@ -152,20 +167,22 @@ def test_a_repeated_part_is_evaluated_once(monkeypatch, op):
 
 def test_the_caches_stay_within_their_sizes():
     # more distinct leaves, family powersets and multiset orders of a
-    # leaf than either cache holds, one text each and then all in one
-    # text, twice over: each cache stays in its size, every report is the
-    # one the text gave first, and a leaf met twice in one text is one
+    # leaf than the table holds, one text each and then all in one text,
+    # twice over: the table stays in its size, every report is the one
+    # the text gave first, each constructor over a leaf that the table
+    # holds keeps its facts, and a leaf met twice in one text is one
     # object even when the leaf table was emptied between the two
-    n = max(expr._LEAF_TABLE_SIZE, engine._LEAF_FACTS_SIZE) + 100
+    n = expr._LEAF_TABLE_SIZE + 100
     texts = [f"Phi({k})" if k % 2 else f"G({k})" for k in range(1, n + 1)]
     over_leaves = [f"Pf(Phi({k}))" for k in range(1, n + 1)]
     over_leaves += [f"M(G({k}))" for k in range(1, n + 1)]
-    _clear_caches()
+    _clear_leaves()
     first = [_reports(parse_expr(t)) for t in texts + over_leaves]
     for _ in range(2):
         assert [_reports(parse_expr(t)) for t in texts + over_leaves] == first
         assert len(expr._LEAVES) <= expr._LEAF_TABLE_SIZE
-        assert engine._leaf_facts.cache_info().currsize <= engine._LEAF_FACTS_SIZE
+        kept = [expr._LEAVES[t] for t in over_leaves if t in expr._LEAVES]
+        assert kept and all(hasattr(x, "facts") for x in kept)
     e = parse_expr("|".join(texts * 2))
     parts = []
     while isinstance(e, expr.DisjUnion):
@@ -179,8 +196,8 @@ def test_the_caches_stay_within_their_sizes():
 
 @pytest.mark.parametrize("text", ["M(G(3))", "G(3)^<w", "Pf(G(3))"])
 def test_a_constructor_over_a_leaf_reaches_its_rule_once(monkeypatch, text):
-    # its triple is kept with its value, alone or as a part, across calls
-    # on fresh parses
+    # the parser makes it one node across calls, alone or as a part, and
+    # the node keeps its triple
     calls = []
     rule = engine._rule
 
@@ -189,8 +206,9 @@ def test_a_constructor_over_a_leaf_reaches_its_rule_once(monkeypatch, text):
         return rule(notes, e, kids)
 
     monkeypatch.setattr(engine, "_rule", counted)
-    _clear_caches()
+    _clear_leaves()
     node = parse_expr(text)
+    assert parse_expr(f"G(2)|{text}").right is node
     reports = [invariants(parse_expr(t)) for t in (text, f"G(2)|{text}", text)]
     assert [e for e in calls if e == node] == [node]
     assert reports[0] == reports[2]
@@ -200,7 +218,7 @@ def test_a_constructor_over_a_leaf_reaches_its_rule_once(monkeypatch, text):
 def test_an_elementary_constructor_over_a_leaf_is_read_off_exactly(text):
     # kept like any constructor over a leaf, but read off by the fold of
     # `_summary`: the general rule would add its width note
-    _clear_caches()
+    _clear_leaves()
     for _ in range(2):
         assert invariants(parse_expr(text)).notes == ("elementary-exact",)
 
@@ -216,7 +234,7 @@ def test_a_warm_leaf_replays_its_notes():
         ("Pf(Sim(w))|G(2)", "family:sim-powerset"),
         ("Pf(SimExt(w^w,2))", "family:sim-extended-powerset"),
     ):
-        _clear_caches()
+        _clear_leaves()
         cold = invariants(parse_expr(text))
         warm = invariants(parse_expr(text))
         assert note in cold.notes
@@ -238,7 +256,8 @@ def test_a_warm_leaf_replays_its_notes():
 )
 def test_a_bad_leaf_fails_the_same_cold_and_warm(text):
     # the good leaf before it is kept, the bad one never is; a refusal of
-    # the engine is raised on every call, and the memo does not grow
+    # the engine is raised on every call, and the refused node keeps no
+    # facts
     def failure():
         try:
             invariants(parse_expr(text))
@@ -246,11 +265,45 @@ def test_a_bad_leaf_fails_the_same_cold_and_warm(text):
             return type(exc), str(exc)
         raise AssertionError(f"{text} did not fail")
 
-    _clear_caches()
+    _clear_leaves()
     first = failure()
-    kept = engine._leaf_facts.cache_info().currsize
     assert failure() == failure() == first
-    assert engine._leaf_facts.cache_info().currsize == kept
+    bad = expr._LEAVES.get(text.rpartition("|")[2])
+    assert bad is None or not hasattr(bad, "facts")
+
+
+@pytest.mark.parametrize("text", ["M(Sim(3))", "Pf(Phi(14281))", "Pf(Sim(3))|G(2)"])
+def test_a_refused_node_keeps_no_facts(text):
+    # the refusal is raised on every call; a report with an unsupported
+    # component is not a refusal, and its node keeps it
+    _clear_leaves()
+    e = parse_expr(text)
+    node = e.left if isinstance(e, expr.DisjUnion) else e
+    for _ in range(2):
+        with pytest.raises((HypothesisNotMet, UnsupportedComputation)):
+            invariants(e)
+        assert not hasattr(node, "facts")
+    e = parse_expr("Pf(G(14281))")
+    assert invariants(e).width.reason == "binomial-too-large"
+    assert e.facts[0][2].reason == "binomial-too-large"
+
+
+def test_a_node_dropped_from_the_leaf_table_is_freed():
+    # the facts live on the node, and no other table keeps it alive
+    _clear_leaves()
+    node = parse_expr("M(Sim(w^w))")
+    first = invariants(node)
+    assert hasattr(node, "facts") and expr._LEAVES["M(Sim(w^w))"] is node
+    refs = [weakref.ref(node), weakref.ref(node.arg)]
+    del node
+    gc.collect()
+    assert all(r() is not None for r in refs)
+    _clear_leaves()
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    # a fresh node over the same text, with no facts, gives the same report
+    node = parse_expr("M(Sim(w^w))")
+    assert not hasattr(node, "facts") and invariants(node) == first
 
 
 @pytest.mark.parametrize(

@@ -6,16 +6,21 @@ It extracts REF's `src/wqometer` with `git archive` into a temporary
 directory, imports it as the package `wqometer_ref`, and compares, term by
 term, what `invariants`, `pf_bounds` and `weak_mot` give there and in the
 working tree's `src/wqometer`: a report's JSON, a printed ordinal, or the
-type and text of a refusal (parse errors included).  The terms are the
-first 300 texts of each engine corpus of the benchmark for the seeds 101
-and 7, 6,000 printed `random_any_expr` terms (`tests/genlib.py`,
-seed 34), the 10 terms of `refusals()`, which reach refusals no other
-term does: a part whose values are too large to print, a Sim index that
-fails its hypothesis, a binomial too large, and chains at the print
-limit, and the 80 terms of `over_leaves()`, a Pf, M, ^<w or Pf+ directly
-over each kind of leaf, elementary ones included, alone and as a part.
-It prints the counts and the first difference, and exits 1 on any
-difference.  Standard library only; it reads nothing over a network.
+type and text of a refusal (parse errors included).  On an elementary
+term it also compares the rewrite layer: `normalize_elementary`, as the
+printed normal form and the number of steps, or the refusal, and
+`is_normal`.  The terms are the first 300 texts of each engine corpus of
+the benchmark for the seeds 101 and 7, 6,000 printed `random_any_expr`
+terms (`tests/genlib.py`, seed 34), 600 printed elementary terms of
+`elementary_terms()`, of which 60 are products of unions, some with
+normal forms past `NF_SIZE_LIMIT`, the 10 terms of `refusals()`, which
+reach refusals no other term does: a part whose values are too large to
+print, a Sim index that fails its hypothesis, a binomial too large, and
+chains at the print limit, and the 80 terms of `over_leaves()`, a Pf, M,
+^<w or Pf+ directly over each kind of leaf, elementary ones included,
+alone and as a part.  It prints the counts and the first difference, and
+exits 1 on any difference.  Standard library only; it reads nothing over
+a network.
 """
 
 from __future__ import annotations
@@ -32,9 +37,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("invariants", "pf_bounds", "weak_mot")
+# compared on the elementary terms only
+REWRITE_CALLS = ("normalize_elementary", "is_normal")
 SEEDS = (101, 7)
 CORPUS_OPS = 300
 RANDOM_TERMS = 6000
+ELEMENTARY_TERMS = 600
 
 
 def load(package_dir: Path, name: str):
@@ -54,7 +62,17 @@ def _report(package, call: str, text: str) -> str:
         out = getattr(package, call)(package.parse_expr(text))
     except Exception as exc:  # a refusal is compared by its type and text
         return f"{type(exc).__name__}: {exc}"
+    if call == "normalize_elementary":
+        nf, trace = out
+        return f"{package.print_expr(nf)} in {len(trace)} steps"
     return json.dumps(out.to_json()) if hasattr(out, "to_json") else str(out)
+
+
+def _elementary(package, text: str) -> bool:
+    try:
+        return package.parse_expr(text).fragment == "elementary"
+    except Exception:  # a parse error, compared by the other calls
+        return False
 
 
 def compare(old, new, texts) -> tuple[int, list[tuple[str, str, str, str]]]:
@@ -63,7 +81,7 @@ def compare(old, new, texts) -> tuple[int, list[tuple[str, str, str, str]]]:
     diffs = []
     count = 0
     for text in texts:
-        for call in CALLS:
+        for call in CALLS + REWRITE_CALLS * _elementary(new, text):
             count += 1
             a, b = _report(old, call, text), _report(new, call, text)
             if a != b:
@@ -71,13 +89,17 @@ def compare(old, new, texts) -> tuple[int, list[tuple[str, str, str, str]]]:
     return count, diffs
 
 
-def terms(corpus_ops: int = CORPUS_OPS, random_terms: int = RANDOM_TERMS) -> list[str]:
+def terms(
+    corpus_ops: int = CORPUS_OPS,
+    random_terms: int = RANDOM_TERMS,
+    elementary: int = ELEMENTARY_TERMS,
+) -> list[str]:
     """The benchmark's engine texts for `SEEDS`, then the random terms."""
     for path in (ROOT / "bench", ROOT / "tests"):
         if str(path) not in sys.path:
             sys.path.append(str(path))
     import corpora
-    from genlib import random_any_expr
+    from genlib import random_any_expr, random_elementary, random_union_product
     from wqometer import print_expr
 
     out = []
@@ -90,6 +112,13 @@ def terms(corpus_ops: int = CORPUS_OPS, random_terms: int = RANDOM_TERMS) -> lis
             out += [item.text for item in items[:corpus_ops]]
     rng = random.Random(34)
     out += [print_expr(random_any_expr(rng, rng.randint(0, 4))) for _ in range(random_terms)]
+    rng = random.Random(38)
+    for i in range(elementary):
+        if i % 10:
+            e = random_elementary(rng, rng.randint(1, 40))
+        else:
+            e = random_union_product(rng, rng.randint(3, 9))
+        out.append(print_expr(e))
     return out + refusals() + over_leaves()
 
 
