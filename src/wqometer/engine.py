@@ -30,7 +30,10 @@ whose rule reads only the leaf's triple: `_leaf_facts` keeps the triple
 and notes of such a node, as of every node whose rule reads no other
 node, in the node's own `facts` slot, for as long as the node lives, and
 `parse_expr` makes one node of each such text for all calls while its
-bounded table keeps it.  The strategies:
+bounded table keeps it.  A node that elimination builds from such a
+constructor, as the 6 of Pf(5) or the M(1) of M(G(1)), is kept on the
+constructor's node too, so its facts are made once per node as well.
+The strategies:
 
 1. *elementary* subtrees (union / product / words / multisets / powerset
    over multiplicatively indecomposable ordinal leaves >= w^w) are leaves
@@ -57,10 +60,13 @@ A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so its
 parts are the nodes `_chain_parts` names off its left spine, down to the
 first node that is not a union or is elementary, and each component is
-lifted once with an n-ary natural sum or maximum.  A chain of
-lexicographic sums A1++...++An is folded the same way: ``o`` and ``h``
-are n-ary ordinal sums and ``w`` a maximum.  A maximum compares each
-distinct value object once, as a chain's repeated parts share theirs.
+lifted once with an n-ary natural sum or maximum.  Both are commutative
+too, so each is lifted over the distinct part triples only, a part that
+occurs n times adding n times its coefficients to a sum.  A chain of
+lexicographic sums A1++...++An is folded the same way, in order: ``o``
+and ``h`` are n-ary ordinal sums and ``w`` a maximum.  A maximum
+compares each distinct value object once, as a chain's repeated parts
+share theirs.
 
 No rule decides emptiness or a unit: `eliminate_pf` applies the unit
 and zero laws first, so the leaf 0 is the only empty term a rule meets,
@@ -79,6 +85,7 @@ them into plain expressions first.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import suppress
 from functools import partial
 from math import comb
@@ -100,8 +107,7 @@ from .expr import (
     SimExt,
     Words,
     WqoExpr,
-    _LEAF_KINDS,
-    _OVER_LEAF,
+    _over_leaf,
     fold,
     print_expr,
 )
@@ -111,6 +117,7 @@ from .ordinal import (
     OMEGA,
     ZERO,
     Ordinal,
+    _nat_sum_copies,
     _printable,
     add,
     cmp,
@@ -290,12 +297,6 @@ def _max(*xs: Ordinal) -> Ordinal:
     """The first largest of `xs`, comparing each distinct object once: a
     chain's parts repeat, and so do their values."""
     return max(dict(zip(map(id, xs), xs)).values())
-
-
-# (o, h, w) of a chain from those of its parts: a union has natural sums
-# for o and w and a maximum for h, a lexicographic sum ordinal sums for o
-# and h and a maximum for w
-_CHAIN_FNS = {DisjUnion: (nat_sum, _max, nat_sum), LexSum: (add, add, _max)}
 
 
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:
@@ -541,8 +542,8 @@ def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
             if t is PfPlus:
                 notes.append("nonempty-powerset: derived from Pf minus its bottom")
                 return (_elim_root(Pf(x.arg)),)
-            # a leaf has no parts, and a constructor over a leaf is a fact
-            return () if t in _OVER_LEAF and type(x.arg) in _LEAF_KINDS else _elim_parts(x)
+            # none at a leaf or at a constructor directly over one
+            return _elim_parts(x)
 
         def up(x, kids):
             if kids:
@@ -573,15 +574,17 @@ def _leaf_facts(x: WqoExpr) -> tuple[_Triple, tuple[str, ...]]:
     node's `facts` slot, to be read there while the node lives: a family
     member, or a constructor over one, is desugared and its term evaluated
     once per node, and `parse_expr` makes one node of each such text while
-    `_LEAVES` keeps it.  A Pf, M or ^<w over a leaf that is not
-    elementary, nor the powerset of a family member, is `_rule`'s over
-    `_fact` of the leaf; any other is `_fact`'s.  A refusal, such as a Sim
-    index that fails the hypothesis or a binomial too large, is raised
-    each time, never kept."""
+    `_LEAVES` keeps it, and `eliminate_pf` one eliminated form of each
+    such constructor over a leaf while the constructor lives.  A Pf, M
+    or ^<w over a leaf that is not elementary, nor the powerset of a
+    family member, is `_rule`'s over `_fact` of the leaf; any other is
+    `_fact`'s.  A refusal, such as a Sim index that fails the hypothesis
+    or a binomial too large, is raised each time, never kept."""
     notes: list[str] = []
-    t = type(x)
     fact = (
-        t not in _OVER_LEAF or x.fragment == "elementary" or t is Pf and type(x.arg) in _FAMILIES
+        not _over_leaf(x)
+        or x.fragment == "elementary"
+        or type(x) is Pf and type(x.arg) in _FAMILIES
     )
     triple = _fact(notes, x) if fact else _rule(notes, x, [_fact(notes, x.arg)])
     object.__setattr__(x, "facts", (triple, tuple(notes)))  # past the guard
@@ -654,10 +657,23 @@ def _fact(notes: list[str], x: WqoExpr) -> _Triple:
 def _rule(notes: list[str], e: WqoExpr, kids: list[_Triple]) -> _Triple:
     """The triple of `e`, a node whose triple is made from the triples
     `kids` of the nodes it reads, appending the notes that fire."""
-    if isinstance(e, (DisjUnion, LexSum)):
+    if isinstance(e, DisjUnion):
+        # natural sums for o and w and a maximum for h, each lifted once
+        # over the distinct part triples in first-occurrence order, so the
+        # first reason still wins; a part that repeats is summed once per
+        # copy
+        parts = {id(t): t for t in kids}
+        mots, heights, widths = zip(*parts.values())
+        total = nat_sum
+        if len(parts) < len(kids):
+            counts = tuple(Counter(map(id, kids)).values())
+            total = lambda *xs: _nat_sum_copies(xs, counts)
+        return _lift(total, *mots), _lift(_max, *heights), _lift(total, *widths)
+
+    if isinstance(e, LexSum):
+        # ordinal sums for o and h, and a maximum for w
         mots, heights, widths = zip(*kids)
-        fo, fh, fw = _CHAIN_FNS[type(e)]
-        return _lift(fo, *mots), _lift(fh, *heights), _lift(fw, *widths)
+        return _lift(add, *mots), _lift(add, *heights), _lift(_max, *widths)
 
     if isinstance(e, CartProd):
         left, right = kids

@@ -96,13 +96,17 @@ class WqoExpr(Record):
     form (see `_shape`); no other node has one.  `facts` is the engine's:
     the triple and notes of a node it evaluates without reading another
     node's triple, such as a leaf or a constructor in `_OVER_LEAF`
-    directly over one, set when it is first evaluated.  None of these is
+    directly over one, set when it is first evaluated.  `eliminated` is
+    `rewrite.eliminate_pf`'s: the eliminated form of such a constructor
+    over a leaf, set when it is first eliminated, or a marker when that
+    form is the node itself, so that no node refers to itself and a
+    dropped node is freed without a collection.  None of these is
     one of the node's fields, so equality, hashing, repr, `children()`,
     pickling and copying ignore them.  A class that is never in a
     fragment says so once, with a class attribute that hides the slot.
     """
 
-    __slots__ = ("fragment", "nf_shape", "facts", "__weakref__")
+    __slots__ = ("fragment", "nf_shape", "facts", "eliminated", "__weakref__")
 
     def children(self) -> tuple[WqoExpr, ...]:
         return ()
@@ -272,9 +276,16 @@ _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 # the nodes with no subexpression, and the constructors that the parser
 # reads directly over one as one token (see `_TOKEN`), and whose triples
-# over one the engine keeps on the node, as it does those of a leaf
+# and eliminated forms over one the layers above keep on the node, as
+# they do a leaf's triple
 _LEAF_KINDS = frozenset((Ord, Gamma, Phi, Sim, SimExt))
 _OVER_LEAF = frozenset((Pf, Multisets, Words))
+
+
+def _over_leaf(e: WqoExpr) -> bool:
+    """Whether `e` is a constructor in `_OVER_LEAF` directly over a leaf."""
+    return type(e) in _OVER_LEAF and type(e.arg) in _LEAF_KINDS
+
 
 # the redexes of the rewrite rules: a node of one of these classes over a
 # child of a class it names, either child of a product; `_shape` finds

@@ -421,18 +421,11 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
     normal forms.  Commutative, associative, strictly monotone.
 
     Two arguments are merged in one linear pass over both normal forms,
-    unless one is 0 and the sum is the other.
-    More arguments (a union chain A1|...|An sums all its parts at once)
-    add up the coefficients of each exponent and sort the distinct
-    exponents once, instead of n-1 merges into a growing accumulator.
+    unless one is 0 and the sum is the other.  More arguments are summed
+    by `_nat_sum_copies`, one copy of each.
     """
     if more:
-        acc: dict[Ordinal, int] = {}
-        for x in (a, b, *more):
-            for e, c in x.terms:
-                acc[e] = acc.get(e, 0) + c
-        exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
-        return _cnf(tuple((e, acc[e]) for e in exps))
+        return _nat_sum_copies((a, b, *more), (1,) * (len(more) + 2))
     ta, tb = a.terms, b.terms
     if not tb:
         return a
@@ -455,6 +448,20 @@ def nat_sum(a: Ordinal, b: Ordinal, *more: Ordinal) -> Ordinal:
     out.extend(ta[i:])
     out.extend(tb[j:])
     return _cnf(tuple(out))
+
+
+def _nat_sum_copies(xs: tuple[Ordinal, ...], counts: tuple[int, ...]) -> Ordinal:
+    """The natural sum of `counts[i]` copies of each `xs[i]`: n copies of
+    an ordinal add n times each of its coefficients.  It adds up the
+    coefficients of each exponent and sorts the distinct exponents once,
+    instead of merging into a growing accumulator, so a union chain
+    A1|...|An sums all its parts at once, and each distinct one once."""
+    acc: dict[Ordinal, int] = {}
+    for x, n in zip(xs, counts):
+        for e, c in x.terms:
+            acc[e] = acc.get(e, 0) + c * n
+    exps = sorted(acc, key=cmp_to_key(cmp), reverse=True)
+    return _cnf(tuple((e, acc[e]) for e in exps))
 
 
 def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -18,7 +18,9 @@ rules: it pushes every finite-powerset constructor down through unions
 and lexicographic sums until it either disappears into an ordinal leaf
 or gets stuck on a constructor with no elimination rule.  The same rules,
 in `_elim_root`, state the unit and zero laws once for the engine, so the
-only empty term it leaves is the leaf 0.  None of 0, 1 and G(1) is
+only empty term it leaves is the leaf 0.  A Pf, M or ^<w directly over a
+leaf keeps its eliminated form in its `eliminated` slot, so that form is
+built once per node, not once per call.  None of 0, 1 and G(1) is
 elementary, so no law fires inside an elementary term.  `step`,
 `is_normal` and `normalize_elementary` all read one rewriting pass,
 `_pass`, which keeps its stack on the heap, so nesting costs it no
@@ -45,6 +47,7 @@ from .expr import (
     Words,
     WqoExpr,
     _REDEXES,
+    _over_leaf,
     fold,
     print_expr,
 )
@@ -291,7 +294,11 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     subterm comes out shared, and depth costs no frames; it returns `e`
     itself when no rule fires.  A spine node that also stands alone, as
     A|B does in (A|B)|C beside Pf(A|B), is eliminated in the chain and on
-    its own, so it may come out as two equal objects.
+    its own, so it may come out as two equal objects.  The fold does not
+    enter a Pf, M or ^<w directly over a leaf: such a node keeps its
+    eliminated form on itself, so the form of such a node that the parser
+    shares, as the 6 of Pf(5) or the M(1) of M(G(1)), is one object
+    across calls while the node lives.
     """
     return fold(e, _elim, _elim_parts)
 
@@ -313,21 +320,28 @@ def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
 
 def _elim_parts(e: WqoExpr) -> list[WqoExpr] | tuple[WqoExpr, ...]:
     """The nodes `_elim` reads at `e`, and the engine's rule at any node
-    but a fact or Pf+: the parts of a chain that is not elementary, else
-    the children (an elementary union is its own only part, so it takes
-    its children)."""
+    but an elementary one, Mn or Pf+: the parts of a chain that is not
+    elementary, none at a Pf, M or ^<w directly over a leaf, which keeps
+    its own eliminated form and triple, else the children (an elementary
+    union is its own only part, so it takes its children)."""
     t = type(e)
     if (t is DisjUnion or t is LexSum) and e.fragment != "elementary":
         return _chain_parts(e)
+    if _over_leaf(e):
+        return ()
     return e.children()
 
 
 def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
     """`e` over its eliminated children, or at a chain over its eliminated
     parts `kids`, with the rules applied.  A chain is rebuilt up its left
-    spine with the rules applied at each spine node, so the zero and
-    fusion laws fire where they would node by node, and a spine node
-    whose two sides are unchanged is kept."""
+    spine, and a spine node whose two sides are unchanged is kept.  The
+    zero and fusion laws need a leaf on one side, so they are applied at
+    each spine node with an `Ord` side, where they would fire node by
+    node.  A Pf, M or ^<w directly over a leaf, read with no `kids`, gets
+    its eliminated form from its `eliminated` slot, which its first
+    elimination sets, so the form is one object across calls, with the
+    triple the engine keeps on it."""
     t = type(e)
     if t is DisjUnion or t is LexSum:
         spine = [e]
@@ -337,11 +351,26 @@ def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
         for node, k in zip(reversed(spine), kids[1:]):
             if acc is not node.left or k is not node.right:
                 node = t(acc, k)
-            acc = _elim_root(node)
+            acc = _elim_root(node) if type(acc) is Ord or type(k) is Ord else node
         return acc
-    if any(map(is_not, kids, e.children())):
-        e = e.with_children(tuple(kids))
+    if kids:
+        if any(map(is_not, kids, e.children())):
+            e = e.with_children(tuple(kids))
+    elif _over_leaf(e):
+        kept = getattr(e, "eliminated", None)
+        if kept is None:
+            leaf = _elim_root(e.arg)
+            kept = _elim_root(e if leaf is e.arg else t(leaf))
+            # past the guard, with a marker for the node itself, so that no
+            # node refers to itself
+            object.__setattr__(e, "eliminated", _ITSELF if kept is e else kept)
+        return e if kept is _ITSELF else kept
     return _elim_root(e)
+
+
+# what the `eliminated` slot of a node holds when the node is its own
+# eliminated form
+_ITSELF = object()
 
 
 _ONE = Ord(ONE)

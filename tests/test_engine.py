@@ -918,6 +918,40 @@ def test_lex_sum_chains_are_associative_at_the_print_limit():
         assert exact(r.width) == o("1")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an interval part, a part with an unsupported width and an exact
+        # one, each repeated, the interval part first
+        "Pf(G(3))|G(2)*G(3)|w|Pf(G(3))|w|G(2)*G(3)|Pf(G(3))",
+        # a part with every component unsupported first: its reasons win
+        "Mn(G(2),3)|M(G(3))|Pf(G(2)|G(3))|Mn(G(2),3)|M(G(3))|Pf(G(2)|G(3))",
+        # one part three times, past the print limit only in all
+        "o(" + "9" * 4300 + ")|o(" + "9" * 4300 + ")|o(" + "9" * 4300 + ")",
+    ],
+    ids=["interval-refused-exact", "refused-first", "print-limit"],
+)
+def test_a_union_sums_each_distinct_part_once(monkeypatch, text):
+    # n copies of a part add n times its coefficients, so the report is
+    # that of the pairwise fold, which sums every occurrence
+    got = _components(rep(text))
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_chain_parts", lambda node: node.children())
+        assert got == _components(rep(text))
+    r = rep(text)
+    if text.startswith("Pf"):
+        # o = 3 * [4, 8] (+) 2 * 6 (+) 2 * w, and w passes on the reason
+        # of the product's width
+        assert (r.mot.lower, r.mot.upper) == (o("w*2+24"), o("w*2+36"))
+        assert r.width.reason == "width-of-product-non-functional"
+    elif text.startswith("Mn"):
+        reasons = [x.reason for x in (r.mot, r.height, r.width)]
+        assert reasons == ["fixed-size-multisets-no-rule"] * 3
+    else:
+        assert r.mot.reason == "value-too-large"
+        assert exact(r.width) == o("3")
+
+
 def test_a_union_chain_is_lifted_once_per_component(monkeypatch):
     # one n-ary step for the 1,200-part chain, not 1,199 pairwise ones
     calls = []

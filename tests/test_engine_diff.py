@@ -21,7 +21,7 @@ def test_engine_diff_finds_a_mutated_chain_rule(tmp_path):
     a, b = packages
     try:
         texts = engine_diff.terms(corpus_ops=30, random_terms=300, elementary=60)
-        assert len(texts) == 4 * 30 + 300 + 60 + 10 + 80
+        assert len(texts) == 4 * 30 + 300 + 60 + 10 + 80 + 2 * 7
         elementary = [t for t in texts if a.parse_expr(t).fragment == "elementary"]
         # the engine-elementary corpora, the elementary terms, and a few
         # random and over-leaf ones
@@ -35,10 +35,9 @@ def test_engine_diff_finds_a_mutated_chain_rule(tmp_path):
         count, diffs = engine_diff.compare(a, b, texts)
         assert diffs and {call for call, *_ in diffs} == {"normalize_elementary"}
         b.rewrite.NF_SIZE_LIMIT = limit
-        # a lexicographic sum's width as the least, not the largest, of
-        # its parts' widths
-        fns = b.engine._CHAIN_FNS
-        fns[b.expr.LexSum] = (*fns[b.expr.LexSum][:2], min)
+        # a chain's maximum (a union's height, a lexicographic sum's
+        # width) as the least, not the largest, of its parts' values
+        b.engine._max = min
         count, diffs = engine_diff.compare(a, b, texts)
         assert diffs and {call for call, *_ in diffs} <= {"invariants", "pf_bounds"}
     finally:

@@ -2,8 +2,9 @@
 engine evaluates each distinct one once per call; leaves, and Pf, M and
 ^<w directly over a leaf, are one node across calls while the parser's
 table of bounded size keeps them, and each such node keeps its triple in
-its own slot, for as long as it lives.  None of this changes any report,
-note or error."""
+its own slot, and such a constructor its eliminated form, for as long
+as it lives.  None of this changes any report, note or error, and no
+node refers to itself."""
 
 import gc
 import json
@@ -19,6 +20,7 @@ from wqometer import (
     ParseError,
     UnsupportedComputation,
     WqoExpr,
+    eliminate_pf,
     engine,
     expr,
     invariants,
@@ -304,6 +306,56 @@ def test_a_node_dropped_from_the_leaf_table_is_freed():
     # a fresh node over the same text, with no facts, gives the same report
     node = parse_expr("M(Sim(w^w))")
     assert not hasattr(node, "facts") and invariants(node) == first
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [("Pf(5)", "6"), ("M(G(1))", "M(1)"), ("G(1)^<w", "1^<w"), ("Pf(o(w+1))", "o(w+1)")],
+)
+def test_an_eliminated_constructor_over_a_leaf_is_one_object(text, form):
+    # the node keeps the form its first elimination builds
+    _clear_leaves()
+    first = eliminate_pf(parse_expr(text))
+    assert print_expr(first) == form
+    assert eliminate_pf(parse_expr(text)) is first
+
+
+def test_a_warm_chain_of_eliminated_parts_makes_no_facts(monkeypatch):
+    # each form that elimination builds over a leaf is kept on its node,
+    # and keeps its own facts
+    calls = []
+    leaf_facts = engine._leaf_facts
+    monkeypatch.setattr(engine, "_leaf_facts", lambda x: calls.append(x) or leaf_facts(x))
+    text = "Pf(5)|M(G(1))|G(1)^<w|Pf(o(w+1))|Pf(5)*G(2)|M(Sim(w^w))"
+    _clear_leaves()
+    cold = invariants(parse_expr(text))
+    assert calls
+    calls.clear()
+    assert invariants(parse_expr(text)) == cold
+    assert calls == []
+
+
+def test_a_dropped_node_is_freed_without_a_collection():
+    # neither the facts nor the eliminated form that a node keeps refers
+    # back to it, so dropping it frees it, with the collector off: a node
+    # that is its own eliminated form keeps a marker, not itself
+    texts = ["M(Sim(w^w))", "Pf(5)", "M(G(1))", "Pf(Sim(w))"]
+    _clear_leaves()
+    gc.collect()
+    gc.disable()
+    try:
+        nodes = [parse_expr(t) for t in texts]
+        reports = [invariants(x) for x in nodes]
+        assert all(hasattr(x, "eliminated") for x in nodes)
+        forms = [eliminate_pf(x) for x in nodes]
+        assert [x is y for x, y in zip(forms, nodes)] == [True, False, False, True]
+        refs = [weakref.ref(x) for x in nodes + forms + [x.arg for x in nodes]]
+        del nodes, forms
+        _clear_leaves()
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    assert [invariants(parse_expr(t)) for t in texts] == reports
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,11 @@ reach refusals no other term does: a part whose values are too large to
 print, a Sim index that fails its hypothesis, a binomial too large, and
 chains at the print limit, and the 80 terms of `over_leaves()`, a Pf, M,
 ^<w or Pf+ directly over each kind of leaf, elementary ones included,
-alone and as a part.  It prints the counts and the first difference, and
-exits 1 on any difference.  Standard library only; it reads nothing over
-a network.
+alone and as a part, and the 14 terms of `kept_forms()`, chains of
+constructors over a leaf, each twice in a row, so that its second run
+meets the eliminated forms its first kept.  It prints the counts and
+the first difference, and exits 1 on any difference.  Standard library
+only; it reads nothing over a network.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def terms(
         else:
             e = random_union_product(rng, rng.randint(3, 9))
         out.append(print_expr(e))
-    return out + refusals() + over_leaves()
+    return out + refusals() + over_leaves() + kept_forms()
 
 
 def refusals() -> list[str]:
@@ -159,6 +161,23 @@ def over_leaves() -> list[str]:
     )
     forms = ("Pf({})", "M({})", "({})^<w", "Pf+({})")
     return [form.format(x) + tail for x in leaves for form in forms for tail in ("", "++G(2)")]
+
+
+def kept_forms() -> list[str]:
+    """Chains of Pf, M and ^<w over leaves that elimination rewrites (Pf
+    of a natural, M and ^<w over G(1)) or keeps, with the unit and zero
+    laws and a repeated part, each twice in a row, so that the second run
+    reads the eliminated forms that the first kept on the nodes."""
+    texts = (
+        "Pf(3)++Pf(4)++w",
+        "0|Pf(3)|0|G(2)",
+        "w*Pf(1)",
+        "Pf(1).w",
+        "M(G(1))|G(1)^<w|Pf(0)",
+        "Pf(o(w))|w",
+        "Pf(5)|Pf(5)|Pf(5)*G(2)",
+    )
+    return [text for text in texts for _ in range(2)]
 
 
 def _extract(ref: str, into: Path) -> Path:
