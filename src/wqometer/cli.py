@@ -232,6 +232,7 @@ def _cmd_oracle(args) -> int:
         print("oracle: need exactly one of an expression, --poset FILE or --random N",
               file=sys.stderr)
         return ParseError.exit_code
+    cap = _word_len_cap(args)  # refused on every input, also those without words
     sampled = None
     if args.poset is not None:
         p = _load_poset(args.poset)
@@ -251,7 +252,7 @@ def _cmd_oracle(args) -> int:
         from .expr import parse_expr, print_expr
 
         e = parse_expr(args.expr)
-        p, heading = oracle.build(e, _word_len_cap(args)), print_expr(e)
+        p, heading = oracle.build(e, cap), print_expr(e)
     values = {
         "n": p.n,
         "mot": oracle.mot(p),

@@ -64,9 +64,7 @@ lifted once with an n-ary natural sum or maximum.  Both are commutative
 too, so each is lifted over the distinct part triples only, a part that
 occurs n times adding n times its coefficients to a sum.  A chain of
 lexicographic sums A1++...++An is folded the same way, in order: ``o``
-and ``h`` are n-ary ordinal sums and ``w`` a maximum.  A maximum
-compares each distinct value object once, as a chain's repeated parts
-share theirs.
+and ``h`` are n-ary ordinal sums and ``w`` a maximum.
 
 No rule decides emptiness or a unit: `eliminate_pf` applies the unit
 and zero laws first, so the leaf 0 is the only empty term a rule meets,
@@ -294,9 +292,8 @@ _OMEGA_CHAIN: _Triple = _exact3(OMEGA, OMEGA, ONE)
 
 
 def _max(*xs: Ordinal) -> Ordinal:
-    """The first largest of `xs`, comparing each distinct object once: a
-    chain's parts repeat, and so do their values."""
-    return max(dict(zip(map(id, xs), xs)).values())
+    """The first largest of `xs`, one value or more."""
+    return max(xs)
 
 
 def _lift(fn, *parts: InvariantResult) -> InvariantResult:

@@ -574,10 +574,11 @@ def parse_expr(text: str) -> WqoExpr:
     Equal subterms come out as one object.  `shared` maps the text of each
     leaf (an ordinal literal, or a call whose arguments are all ordinals
     and naturals), and each other node's class with the ids of its
-    subexpressions, to the first node made for it, and a node is made
-    only when it is not there.  Those subexpressions are shared already,
-    so the sharing grows bottom-up, and every node in `out` stays in
-    `shared`, so no id is reused.  `shared` lives for one call; a leaf
+    subexpressions, to the first node made for it: a leaf is read only
+    when its text is not there, and another node made again gives way to
+    the one there.  Those subexpressions are shared already, so the
+    sharing grows bottom-up, and every node in `out` stays in `shared`,
+    so no id is reused.  `shared` lives for one call; a leaf
     that is one token, or a constructor in `_OVER_LEAF` over a leaf that is
     one, is also looked up in `_LEAVES`, which every call shares and which
     holds at most `_LEAF_TABLE_SIZE` nodes, and entered there once it is
@@ -631,7 +632,7 @@ def parse_expr(text: str) -> WqoExpr:
             if infix is None:
                 if tok == _WORDS:
                     x = out[-1]
-                    out[-1] = shared.get(key := (Words, id(x))) or shared.setdefault(key, Words(x))
+                    out[-1] = shared.setdefault((Words, id(x)), Words(x))
                     continue
                 if tok and tok[0] in " \t":
                     continue
@@ -641,8 +642,7 @@ def parse_expr(text: str) -> WqoExpr:
                 cls = ops.pop()[1]
                 right = out.pop()
                 left = out[-1]
-                key = (cls, id(left), id(right))
-                out[-1] = shared.get(key) or shared.setdefault(key, cls(left, right))
+                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
             if infix:
                 ops.append(infix)
                 break
@@ -663,7 +663,7 @@ def parse_expr(text: str) -> WqoExpr:
                 raise ParseError(text, p, "')'")
             if cls is not None:
                 x = out[-1]
-                out[-1] = shared.get(key := (cls, id(x))) or shared.setdefault(key, cls(x))
+                out[-1] = shared.setdefault((cls, id(x)), cls(x))
 
 
 def _resume(toks: list[str], i: int, pos: int, end: int) -> tuple[int, int]:

@@ -145,6 +145,35 @@ def _finite_expr(rng: random.Random, depth: int):
     return MultisetsN(inner, rng.randint(0, 2))
 
 
+# the leaves, and the constructors over one part and over two, that
+# `finite_terms` builds terms from
+FINITE_LEAVES = (
+    Ord(Ordinal.from_nat(0)), Ord(Ordinal.from_nat(1)), Ord(Ordinal.from_nat(2)),
+    Ord(Ordinal.from_nat(3)), Gamma(2), Gamma(3),
+)
+FINITE_UNARY = (Pf, PfPlus, lambda x: MultisetsN(x, 2))
+FINITE_BINARY = (DisjUnion, LexSum, CartProd, LexProd)
+
+
+def finite_terms(nodes: int = 2, size_cap: int = 400) -> list:
+    """Every term of at most `nodes` constructor nodes over FINITE_LEAVES,
+    each once, in a fixed order: by number of constructor nodes, then
+    constructor, then left part, then right part.  A term whose
+    `est_size` is over `size_cap` is left out."""
+    by_nodes = [list(FINITE_LEAVES)]
+    for k in range(1, nodes + 1):
+        level = [u(x) for u in FINITE_UNARY for x in by_nodes[k - 1]]
+        level += [
+            b(x, y)
+            for b in FINITE_BINARY
+            for i in range(k)
+            for x in by_nodes[i]
+            for y in by_nodes[k - 1 - i]
+        ]
+        by_nodes.append(level)
+    return [e for level in by_nodes for e in level if est_size(e) <= size_cap]
+
+
 def random_any_expr(rng: random.Random, depth: int = 3):
     """A random expression over the full grammar (may be infinite or
     unsupported); used for parser/printer round-trips."""

@@ -429,6 +429,8 @@ def test_iso_command(capsys):
     "argv",
     [
         ("oracle", "G(2)^<w"),
+        ("oracle", "--random", "5"),
+        ("oracle", "--poset", "p.json"),
         ("check", "G(2)^<w"),
         ("iso", "G(2)^<w", "G(2)^<w"),
     ],

@@ -23,6 +23,7 @@ from wqometer import (
     iso,
     mot,
     parse_expr,
+    print_expr,
     quotient,
     random_quasi_order,
     width,
@@ -43,6 +44,8 @@ from wqometer.oracle import (
     residual_mot,
     residual_width,
 )
+
+from genlib import finite_terms
 
 
 def p(src):
@@ -384,6 +387,24 @@ def test_check_engine_flags_a_report_the_oracle_refutes(monkeypatch):
     assert not res.ok
     assert [x.status for x in res.entries] == ["mismatch", "match", "match"]
     assert res.entries[0].expected == 2 and res.entries[0].result == three
+
+
+def test_every_small_finite_term_meets_the_oracle():
+    # a bounded-exhaustive gate: each of the 8,414 terms of at most two
+    # constructors within the size cap, and every component the engine
+    # supports, agrees with brute force; the floor pins how many
+    # components are exact, so a rule that turns exact values into bounds
+    # or refusals fails too
+    terms = finite_terms()
+    assert len(terms) == 8_414
+    mismatches, exact = [], 0
+    for e in terms:
+        for entry in check_engine(e).entries:
+            if entry.status == "mismatch":
+                mismatches.append((print_expr(e), entry.invariant))
+            exact += entry.status == "match"
+    assert mismatches == []
+    assert exact >= 19_599
 
 
 def test_check_engine_pf_bounds_contained():
