@@ -176,13 +176,19 @@ class Ordinal(Record):
     # -- operators -------------------------------------------------------
 
     def __eq__(self, other):
-        # unequal at once when the term counts differ; else `cmp`, which
-        # walks the exponents on the heap, so any nesting compares
+        # unequal at once when the term counts or the cached hashes differ;
+        # else the term tuples compare in C, which takes a frame per level
+        # of exponents that are not one object, so exponents nested deeper
+        # than the frames left are compared by `cmp`, on the heap
         if self is other:
             return True
         if not isinstance(other, Ordinal) or len(self.terms) != len(other.terms):
             return False
-        return cmp(self, other) == 0
+        h, k = self._hash, other._hash
+        try:
+            return (h is None or k is None or h == k) and self.terms == other.terms
+        except RecursionError:
+            return cmp(self, other) == 0
 
     def __lt__(self, other):
         return cmp(self, other) < 0

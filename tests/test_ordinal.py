@@ -449,9 +449,9 @@ def test_comparison_hash_and_text_match_recursive_references(a, b):
 
 
 def test_equality_agrees_with_cmp_whichever_hashes_are_cached():
-    # `==` rejects on the term count, then compares by `cmp`, whatever
-    # hashes are cached; pairs of equal and unequal length, equal ones as
-    # distinct objects, each fresh and then with either side's hash cached
+    # `==` rejects on the term count and on two cached hashes before it
+    # compares; pairs of equal and unequal length, equal ones as distinct
+    # objects, each fresh and then with either side's hash cached
     rng = random.Random(33)
     seen = set()
     for _ in range(1500):

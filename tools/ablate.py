@@ -2,7 +2,7 @@
 mechanisms taken out, against the program as it is.
 
     python3 tools/ablate.py                      # every ablation
-    python3 tools/ablate.py max-dedup facts-slot --pairs 10
+    python3 tools/ablate.py ordinal-eq --pairs 40
     python3 tools/ablate.py --list
 
 Each ablation is data: a name, a module of `src/wqometer`, edits to it
@@ -13,9 +13,10 @@ mechanism that was deleted, so that its row can be measured again.
 
 For each ablation the tool copies `src/wqometer` unchanged to
 `.bench_out/ablate/base/` and with the edits to `.bench_out/ablate/<name>/`,
-and, per workload, runs process pairs, alternating which side runs
-first.  Each process imports one copy, with `bench/corpora.py` and
-`bench/workloads.py`, builds the workload's seed-101 corpus, runs one
+and, per workload, runs process pairs (20 unless `--pairs` says
+otherwise), alternating which side runs first.  Each process imports
+one copy, with `bench/corpora.py` and `bench/workloads.py`, builds the
+workload's seed-101 corpus, runs one
 pass over it to warm, then times ROUNDS passes with each op's own
 in-process call (`traced_op` for cli-oneshot) and reports the best total
 and the best median op time, and the digest of what the ops printed.
@@ -174,17 +175,16 @@ ABLATIONS = (
         "ordinal.py",
         (
             (
-                "        return cmp(self, other) == 0\n",
                 "        h, k = self._hash, other._hash\n"
                 "        try:\n"
                 "            return (h is None or k is None or h == k) and self.terms == other.terms\n"
                 "        except RecursionError:\n"
                 "            return cmp(self, other) == 0\n",
+                "        return cmp(self, other) == 0\n",
             ),
         ),
         ALL,
-        "`Ordinal.__eq__` rejects by cached hash, then compares term tuples in C (deleted)",
-        restores=True,
+        "`Ordinal.__eq__` rejects by cached hash, then compares term tuples in C",
     ),
     Ablation(
         "hash-cache",
@@ -279,7 +279,7 @@ def _copy(name: str, ab: Ablation | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def child(copy: Path, workload: str, ops: int, rounds: int) -> dict:
+def child(copy: Path, workload: str, ops: int) -> dict:
     sys.path[:0] = [str(copy), str(BENCH)]
     import corpora
     import workloads
@@ -292,7 +292,7 @@ def child(copy: Path, workload: str, ops: int, rounds: int) -> dict:
     digest = hashlib.sha256()
     clock = time.perf_counter
     totals, p50s = [], []
-    for r in range(rounds + 1):  # the first pass warms and digests
+    for r in range(ROUNDS + 1):  # the first pass warms and digests
         gc.collect()
         lat = []
         for item in items:
@@ -315,8 +315,8 @@ def child(copy: Path, workload: str, ops: int, rounds: int) -> dict:
     return {"total_s": min(totals), "p50_s": min(p50s), "digest": digest.hexdigest()[:16]}
 
 
-def _run_child(copy: Path, workload: str, rounds: int) -> dict:
-    argv = [sys.executable, __file__, "--child", str(copy), workload, "--rounds", str(rounds)]
+def _run_child(copy: Path, workload: str) -> dict:
+    argv = [sys.executable, __file__, "--child", str(copy), workload]
     out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -326,12 +326,12 @@ def _run_child(copy: Path, workload: str, rounds: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def measure(ab: Ablation, base: Path, workload: str, pairs: int, rounds: int) -> dict:
+def measure(ab: Ablation, base: Path, workload: str, pairs: int) -> dict:
     edited = _copy(ab.name, ab)
     runs = []
     for i in range(pairs):
         sides = (base, edited) if i % 2 == 0 else (edited, base)
-        got = {side: _run_child(side, workload, rounds) for side in sides}
+        got = {side: _run_child(side, workload) for side in sides}
         runs.append((got[base], got[edited]))
     total = [e["total_s"] / b["total_s"] for b, e in runs]
     p50 = [e["p50_s"] / b["p50_s"] for b, e in runs]
@@ -362,14 +362,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", help="ablations to run (default: all)")
     ap.add_argument("--workload", action="append", choices=OPS, help="only these workloads")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--rounds", type=int, default=ROUNDS)
+    ap.add_argument("--pairs", type=int, default=20)
     ap.add_argument("--list", action="store_true", help="list the ablations and exit")
     ap.add_argument("--child", nargs=2, metavar=("COPY", "WORKLOAD"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         copy, workload = args.child
-        print(json.dumps(child(Path(copy), workload, OPS[workload], args.rounds)))
+        print(json.dumps(child(Path(copy), workload, OPS[workload])))
         return 0
     if args.list:
         for ab in ABLATIONS:
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
         for workload in ab.workloads:
             if args.workload and workload not in args.workload:
                 continue
-            r = measure(ab, base, workload, args.pairs, args.rounds)
+            r = measure(ab, base, workload, args.pairs)
             results.append(r)
             print(_row(r), flush=True)
     (OUT / "results.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
