@@ -14,12 +14,16 @@ expression a component comes out
 
 `invariants` and `weak_mot` evaluate `eliminate_pf` of a term that is
 not elementary, and an elementary term as it is, so each term is walked
-once per layer.  `_evaluate` is one `fold` over the expression with one
-rule per node kind, and a rule appends its notes where it fires.  A rule
-that reads no other node's triple is a branch of the plain function
-`_fact`; every other rule is a branch of the plain function `_rule`,
-which makes a node's triple from those of the nodes it reads, and the
-fold names those nodes as `eliminate_pf` does, by `_elim_parts`.
+once per layer.  They read an eliminated chain at the root as its parts:
+`_elim_as_parts` gives the list of its eliminated parts, and the fold
+reads that list at the root, so no spine is built over it, except in the
+rare shapes where the parts read off the spine would differ.  `_evaluate`
+is one `fold` over the expression with one rule per node kind, and a
+rule appends its notes where it fires.  A rule that reads no other
+node's triple is a branch of the plain function `_fact`; every other
+rule is a branch of the plain function `_rule`, which makes a node's
+triple from those of the nodes it reads, and the fold names those nodes
+as `eliminate_pf` does, by `_elim_parts`.
 `_evaluate` picks one of two strategies per subtree.  The rules are
 compositional, so a node's value depends on the node alone; `parse_expr`
 makes equal subterms one object, and a fold treats each distinct object
@@ -59,10 +63,12 @@ needs o(A) > 1, which every supported o(A) but the exact 1 satisfies.
 A chain of unions A1|...|An is one step of the fold: ``o`` and ``w`` of a
 union are natural sums and ``h`` a maximum, both associative, so its
 parts are the nodes `_chain_parts` names off its left spine, down to the
-first node that is not a union or is elementary, and each component is
-lifted once with an n-ary natural sum or maximum.  Both are commutative
-too, so each is lifted over the distinct part triples only, a part that
-occurs n times adding n times its coefficients to a sum.  A chain of
+first node that is not a union or is elementary, or at the root the
+eliminated parts that `_elim_as_parts` lists, which are the same nodes
+with no spine built over them, and each component is lifted once with an
+n-ary natural sum or maximum.  Both are commutative too, so each is
+lifted over the distinct part triples only, a part that occurs n times
+adding n times its coefficients to a sum.  A chain of
 lexicographic sums A1++...++An is folded the same way, in order: ``o``
 and ``h`` are n-ary ordinal sums and ``w`` a maximum.
 
@@ -131,7 +137,7 @@ from .ordinal import (
     two_pow,
 )
 from .record import Record
-from .rewrite import _elim_parts, _elim_root, eliminate_pf
+from .rewrite import _elim_as_parts, _elim_parts, _elim_root
 
 _TWO = Ordinal.from_nat(2)
 # w*2, whose square w*2 x w*2 has the one product width known exactly
@@ -365,7 +371,7 @@ def _weak(leaves: Ordinal, s: Ordinal) -> Ordinal:
 def weak_mot(e: WqoExpr) -> Ordinal:
     """The weakened maximal order type that `invariants` reports (it equals
     the powerset height), for expressions that simplify to elementary ones."""
-    e2 = _simplified(e, [])
+    e2, _ = _simplified(e, [])
     if e2.fragment != "elementary":
         raise UnsupportedComputation("weak-mot-requires-elementary", print_expr(e))
     return _evaluate(e2, [])[1]
@@ -476,25 +482,30 @@ def invariants(e: WqoExpr) -> InvariantReport:
     """Compute (o, h, w) of ``e``, together with the weakened order type
     when ``e`` simplifies to an elementary expression."""
     notes: list[str] = []
-    e2 = _simplified(e, notes)
-    (o, h, w), wm = _evaluate(e2, notes)
-    if e2.fragment == "omega":
+    e2, parts = _simplified(e, notes)
+    (o, h, w), wm = _evaluate(e2, notes, parts)
+    # a `|` chain read as its parts lies in the fragment they all share,
+    # and a `++` chain in none
+    if type(e2) is not LexSum and all(x.fragment == "omega" for x in parts or (e2,)):
         assert h == InvariantResult.exact(OMEGA), "omega-elementary height is not w"
     _sanity(o, h, w)
     return InvariantReport(o, h, w, wm, tuple(dict.fromkeys(notes)))
 
 
-def _simplified(e: WqoExpr, notes: list[str]) -> WqoExpr:
-    """The term to evaluate for `e`: `e` itself when it is elementary, as
+def _simplified(e: WqoExpr, notes: list[str]) -> tuple[WqoExpr, list | None]:
+    """The term to evaluate for `e`, and the parts to read at its root
+    (None to read the term's own): `e` itself when it is elementary, as
     the fold of `_summary` gives it the values of its elimination and
-    notes where elimination fires; else `eliminate_pf(e)`, noting
-    ``simplification-applied`` if that is not `e`."""
+    notes where elimination fires; else what `_elim_as_parts` gives, a
+    chain with the list of its eliminated parts, read without the spine
+    that `eliminate_pf` builds over them, or the term `eliminate_pf(e)`,
+    noting ``simplification-applied`` if a rule fired."""
     if e.fragment == "elementary":
-        return e
-    e2 = eliminate_pf(e)
-    if e2 is not e:
+        return e, None
+    e2, parts = _elim_as_parts(e)
+    if e2 is not e or parts is not None:
         notes.append("simplification-applied")
-    return e2
+    return e2, parts
 
 
 def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
@@ -513,26 +524,30 @@ def _sanity(o: InvariantResult, h: InvariantResult, w: InvariantResult) -> None:
         )
 
 
-def _evaluate(e: WqoExpr, notes: list[str]) -> tuple[_Triple, Ordinal | None]:
+def _evaluate(e: WqoExpr, notes: list[str], parts=None) -> tuple[_Triple, Ordinal | None]:
     """The triple of `e` and, when `e` is elementary, its weakened o.
 
     An elementary term is one fold of `_summary`, which also notes where
     `eliminate_pf` would rewrite it.  Any other is one `fold(e, up, down)`
-    in which `down` names the nodes a node reads: none at a fact, Pf(X)
-    at Pf+(X), and else the nodes `eliminate_pf` reads there, a chain's
-    parts or the children.  `up` takes the triple of a node that reads
-    none from the node's `facts`, which `_leaf_facts` makes on first need
-    (by `_fact`, or for a Pf, M or ^<w over a leaf by `_rule` over the
-    leaf's `_fact`), and any other node's from `_rule`, given the triples
-    read.  A rule appends its notes where it fires (Pf+'s before those
-    of the Pf(X) it reads), and a node's kept notes, its leaf's first, are
-    appended where its rule would fire, so they come in the order of a
-    recursive walk.  A node met again adds no notes, as its notes are in
-    the list already."""
+    in which `down` names the nodes a node reads: `parts`, if given, at
+    `e`, a chain whose eliminated parts they are, so that the fold reads
+    them as the parts of the spine that `eliminate_pf` would build over
+    them; none at a fact, Pf(X) at Pf+(X), and else the nodes
+    `eliminate_pf` reads there, a chain's parts or the children.  `up`
+    takes the triple of a node that reads none from the node's `facts`,
+    which `_leaf_facts` makes on first need (by `_fact`, or for a Pf, M
+    or ^<w over a leaf by `_rule` over the leaf's `_fact`), and any other
+    node's from `_rule`, given the triples read.  A rule appends its notes
+    where it fires (Pf+'s before those of the Pf(X) it reads), and a
+    node's kept notes, its leaf's first, are appended where its rule would
+    fire, so they come in the order of a recursive walk.  A node met again
+    adds no notes, as its notes are in the list already."""
     if e.fragment != "elementary":
 
         def down(x):
             # the nodes whose triples make that of `x`: none at a fact
+            if x is e and parts is not None:
+                return parts
             t = type(x)
             if x.fragment == "elementary" or t is MultisetsN:
                 return ()

@@ -18,19 +18,24 @@ rules: it pushes every finite-powerset constructor down through unions
 and lexicographic sums until it either disappears into an ordinal leaf
 or gets stuck on a constructor with no elimination rule.  The same rules,
 in `_elim_root`, state the unit and zero laws once for the engine, so the
-only empty term it leaves is the leaf 0.  A Pf, M or ^<w directly over a
-leaf keeps its eliminated form in its `eliminated` slot, so that form is
-built once per node, not once per call.  None of 0, 1 and G(1) is
-elementary, so no law fires inside an elementary term.  `step`,
-`is_normal` and `normalize_elementary` all read one rewriting pass,
-`_pass`, which keeps its stack on the heap, so nesting costs it no
-Python frames, and enters no elementary subterm without a redex.
+only empty term it leaves is the leaf 0; at a chain, `_chain_laws` states
+the zero and fusion laws once, on the list of its eliminated parts, and
+`_spine` builds the chain over what is left.  The engine reads the
+eliminated chain at a term's root as that list, which `_elim_as_parts`
+gives, so `eliminate_pf` builds a spine only for callers that want the
+term.  A Pf, M or ^<w directly over a leaf keeps its eliminated form
+in its `eliminated` slot, so that form is built once per node, not once
+per call.  None of 0, 1 and G(1) is elementary, so no law fires inside
+an elementary term.  `step`, `is_normal` and `normalize_elementary` all
+read one rewriting pass, `_pass`, which keeps its stack on the heap, so
+nesting costs it no Python frames, and enters no elementary subterm
+without a redex.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import is_not
+from operator import is_, is_not
 
 from .errors import TooLargeError, UnsupportedComputation
 from .expr import (
@@ -303,6 +308,35 @@ def eliminate_pf(e: WqoExpr) -> WqoExpr:
     return fold(e, _elim, _elim_parts)
 
 
+def _elim_as_parts(e: WqoExpr) -> tuple[WqoExpr, list[WqoExpr] | None]:
+    """`eliminate_pf(e)` as the engine reads it, in one fold: (e, parts)
+    for a chain that is not elementary and in which some rule fired, to
+    be read as the list `parts` of its eliminated parts, with no spine
+    built over them; else (term, None) for the term `eliminate_pf(e)`.
+    `parts` is the list `_chain_parts` would read off the spine, so the
+    spine is built in the three shapes where the two differ: fewer than
+    two parts left, a first part that is itself a chain of the same kind
+    and not elementary, and a `|` chain whose first two parts, and so
+    their union, are elementary."""
+    t = type(e)
+    if (t is not DisjUnion and t is not LexSum) or e.fragment == "elementary":
+        return eliminate_pf(e), None
+    own = _chain_parts(e)
+    # one fold that names the parts `own` at `e`, and there gives the list
+    # of their eliminated forms
+    up = lambda x, values: values if x is e else _elim(x, values)
+    kids = fold(e, up, lambda x: own if x is e else _elim_parts(x))
+    parts = _chain_laws(t, kids)
+    if (
+        len(parts) == len(own) and all(map(is_, parts, own))
+        or len(parts) < 2
+        or type(parts[0]) is t and parts[0].fragment != "elementary"
+        or t is DisjUnion and parts[0].fragment == parts[1].fragment == "elementary"
+    ):
+        return _spine(e, len(kids), parts), None
+    return e, parts
+
+
 def _chain_parts(e: DisjUnion | LexSum) -> list[WqoExpr]:
     """The parts A1, ..., An of the chain A1|...|An or A1++...++An at `e`,
     left to right: the nodes off its left spine, down to the first node of
@@ -334,25 +368,17 @@ def _elim_parts(e: WqoExpr) -> list[WqoExpr] | tuple[WqoExpr, ...]:
 
 def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
     """`e` over its eliminated children, or at a chain over its eliminated
-    parts `kids`, with the rules applied.  A chain is rebuilt up its left
-    spine, and a spine node whose two sides are unchanged is kept.  The
-    zero and fusion laws need a leaf on one side, so they are applied at
-    each spine node with an `Ord` side, where they would fire node by
-    node.  A Pf, M or ^<w directly over a leaf, read with no `kids`, gets
-    its eliminated form from its `eliminated` slot, which its first
+    parts `kids`, with the rules applied: a chain is `_spine` over the
+    parts `_chain_laws` leaves, which `eliminate_pf` builds for callers
+    that want the term, while at the root of the engine's elimination,
+    `_elim_as_parts`, the engine reads those parts without a spine.  A
+    Pf, M or ^<w directly over a leaf, read with no `kids`, gets its
+    eliminated form from its `eliminated` slot, which its first
     elimination sets, so the form is one object across calls, with the
     triple the engine keeps on it."""
     t = type(e)
     if t is DisjUnion or t is LexSum:
-        spine = [e]
-        while len(spine) < len(kids) - 1:
-            spine.append(spine[-1].left)
-        acc = kids[0]
-        for node, k in zip(reversed(spine), kids[1:]):
-            if acc is not node.left or k is not node.right:
-                node = t(acc, k)
-            acc = _elim_root(node) if type(acc) is Ord or type(k) is Ord else node
-        return acc
+        return _spine(e, len(kids), _chain_laws(t, kids))
     if kids:
         if any(map(is_not, kids, e.children())):
             e = e.with_children(tuple(kids))
@@ -366,6 +392,37 @@ def _elim(e: WqoExpr, kids: list[WqoExpr]) -> WqoExpr:
             object.__setattr__(e, "eliminated", _ITSELF if kept is e else kept)
         return e if kept is _ITSELF else kept
     return _elim_root(e)
+
+
+def _chain_laws(t: type, kids: list[WqoExpr]) -> list[WqoExpr]:
+    """The parts of a chain of kind `t` over the parts `kids`, with the
+    zero and fusion laws applied: the 0 parts drop out, all but the last
+    of a chain of zeros, and in a `++` chain an ordinal first part absorbs
+    each ordinal after it while their sum prints.  Each law needs a leaf
+    on one side, so they are stated here once, for the whole chain, and
+    not at each of its spine nodes."""
+    parts = [k for k in kids if type(k) is not Ord or not k.value.is_zero] or [kids[-1]]
+    while t is LexSum and len(parts) > 1 and type(parts[0]) is type(parts[1]) is Ord:
+        v = add(parts[0].value, parts[1].value)
+        if not _printable(v):
+            break
+        parts[:2] = [Ord(v)]
+    return parts
+
+
+def _spine(e: DisjUnion | LexSum, n: int, parts: list[WqoExpr]) -> WqoExpr:
+    """The chain of `e`'s kind over `parts`, built up its left spine from
+    `e`'s own spine over its `n` parts: a spine node of `e` whose two
+    sides are those of the node to build is kept, so `e` comes back when
+    `parts` are its own, and so does each of its nodes below the first
+    part that changed or dropped out."""
+    nodes = [e]
+    while len(nodes) < n - 1:
+        nodes.append(nodes[-1].left)
+    acc = parts[0]
+    for node, k in zip(reversed(nodes), parts[1:]):
+        acc = node if acc is node.left and k is node.right else type(e)(acc, k)
+    return acc
 
 
 # what the `eliminated` slot of a node holds when the node is its own
@@ -392,13 +449,7 @@ def _elim_root(e: WqoExpr) -> WqoExpr:
         if type(x) is LexSum or (t is Pf and type(x) is DisjUnion):
             return fold(e, _pf_rule, _pf_parts)
     elif t is DisjUnion or t is LexSum:
-        a, b = e.left, e.right
-        if _is_leaf(a, ZERO):
-            return b
-        if _is_leaf(b, ZERO):
-            return a
-        if t is LexSum and type(a) is Ord and type(b) is Ord:
-            return _fused(e, add(a.value, b.value))
+        return _spine(e, 2, _chain_laws(t, e.children()))
     elif t is CartProd or t is LexProd:
         a, b = e.left, e.right
         if _is_leaf(a, ZERO) or _is_leaf(b, ONE):

@@ -21,13 +21,13 @@ def test_engine_diff_finds_a_mutated_chain_rule(tmp_path):
     a, b = packages
     try:
         texts = engine_diff.terms(corpus_ops=30, random_terms=300, elementary=60)
-        assert len(texts) == 4 * 30 + 300 + 60 + 10 + 80 + 2 * 7
+        assert len(texts) == 4 * 30 + 300 + 60 + 10 + 80 + 2 * 7 + 12
         elementary = [t for t in texts if a.parse_expr(t).fragment == "elementary"]
         # the engine-elementary corpora, the elementary terms, and a few
         # random and over-leaf ones
         assert 2 * 30 + 60 < len(elementary) < 2 * 30 + 60 + 40
         count, diffs = engine_diff.compare(a, b, texts)
-        assert (count, diffs) == (3 * len(texts) + 2 * len(elementary), [])
+        assert (count, diffs) == (4 * len(texts) + 2 * len(elementary), [])
         limit = b.rewrite.NF_SIZE_LIMIT
         assert any(b.rewrite._nf_size(b.parse_expr(t))[0] > limit for t in elementary)
         # the rewrite layer: a lower limit refuses more normal forms

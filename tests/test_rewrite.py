@@ -690,7 +690,8 @@ def test_chain_elimination_matches_the_per_node_fold(monkeypatch):
         changed += got is not e
         report = _report(e)
         with monkeypatch.context() as m:
-            m.setattr(engine, "eliminate_pf", _per_node_eliminate_pf)
+            # the engine evaluates the per-node fold's term, read as itself
+            m.setattr(engine, "_elim_as_parts", lambda x: (_per_node_eliminate_pf(x), None))
             assert _report(e) == report, text
     assert changed >= 1000, changed
 
@@ -705,3 +706,85 @@ def test_a_chain_is_one_elimination_step(monkeypatch):
     e = parse_expr("|".join(leaves[i % 3] for i in range(10_000)))
     assert eliminate_pf(e) is e
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("op", ["|", "++"])
+def test_an_unchanged_chain_is_its_own_elimination(op):
+    e = parse_expr(op.join(["G(2)", "w", "Phi(3)", "M(G(2))"] * 5))
+    assert eliminate_pf(e) is e
+    assert rewrite._elim_as_parts(e) == (e, None)
+
+
+@pytest.mark.parametrize("op", ["|", "++"])
+def test_a_chain_changed_in_its_last_part_keeps_its_spine(op):
+    e = parse_expr(op.join(["G(2)", "w", "Phi(3)"] * 5 + ["Pf(3)"]))
+    got = eliminate_pf(e)
+    assert got.left is e.left
+    assert got.right == Ord(parse_ordinal("4"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # zero parts, first, inside and last, and all of them
+        "0|G(2)|w",
+        "G(2)|0|w",
+        "G(2)|w|0",
+        "0++0++w",
+        "0|0|0",
+        # `++` fusion, printable and at the print limit, and a 0 between
+        "1++2++w",
+        "w++1++2",
+        "2++0++3++G(2)",
+        f"o({'9' * 4300})++o({'9' * 4300})++w",
+        # the shapes the engine reads off a built spine
+        "((G(2)|w)*1)|G(3)",
+        "(o(w^w)*1)|o(w^(w^2))|G(2)",
+        "(o(w^w)*1)|o(w^(w^2))",
+        "(G(2)*1)|w",
+        "G(1)|w",
+        # omega-elementary parts
+        "(w|w)++(w|w)++0",
+        "(w*1)|w|w",
+    ],
+)
+def test_a_chain_read_as_its_parts_is_the_spine_read(text):
+    e = parse_expr(text)
+    full = eliminate_pf(e)
+    term, parts = rewrite._elim_as_parts(e)
+    if parts is None:
+        assert term == full and (term is e) == (full is e)
+    else:
+        assert term is e is not full
+        assert parts == rewrite._chain_parts(full)
+    invariants(e)  # the omega-elementary height is checked where it applies
+
+
+def test_a_random_chain_read_as_its_parts_is_the_spine_read():
+    rng = random.Random(42)
+    read = 0
+    for _ in range(1000):
+        e = parse_expr(_random_chain(rng))
+        if e.fragment == "elementary":
+            continue
+        full = eliminate_pf(e)
+        term, parts = rewrite._elim_as_parts(e)
+        if parts is None:
+            assert term == full and (term is e) == (full is e)
+            continue
+        read += 1
+        want = rewrite._chain_parts(full)
+        assert term is e and parts == want
+        # the same parts are one object where the spine's are
+        assert [[x is y for y in parts] for x in parts] == [[x is y for y in want] for x in want]
+    assert read >= 300, read
+
+
+def test_omega_elementary_chains_keep_height_w():
+    # a `++` chain is in no fragment, so its height w*2 is not checked
+    # against w; a `|` chain of omega-elementary parts is
+    for text in ("(w|w)++(w|w)", "(w|w)++(w|w)++0"):
+        r = invariants(parse_expr(text))
+        assert [str(x) for x in (r.mot, r.height, r.width)] == ["w*4", "w*2", "2"]
+    r = invariants(parse_expr("(w*1)|w|w"))
+    assert r.height.value == OMEGA

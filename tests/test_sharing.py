@@ -335,6 +335,23 @@ def test_a_warm_chain_of_eliminated_parts_makes_no_facts(monkeypatch):
     assert calls == []
 
 
+def test_a_warm_chain_read_as_its_parts_builds_no_spine(monkeypatch):
+    # the first part changes under elimination, so a rebuilt spine would
+    # be 299 new unions; the engine reads the eliminated parts instead
+    text = "|".join(["Pf(3)"] + ["G(2)", "w", "Phi(3)"] * 100)[:-len("|Phi(3)")]
+    e = parse_expr(text)
+    assert text.count("|") == 299
+    cold = invariants(e)
+    built = []
+    init = expr.DisjUnion.__init__
+    monkeypatch.setattr(
+        expr.DisjUnion, "__init__", lambda self, *kids: built.append(self) or init(self, *kids)
+    )
+    assert invariants(e) == cold
+    assert built == []
+    assert "simplification-applied" in cold.notes
+
+
 def test_a_dropped_node_is_freed_without_a_collection():
     # neither the facts nor the eliminated form that a node keeps refers
     # back to it, so dropping it frees it, with the collector off: a node
@@ -368,14 +385,15 @@ def test_a_dropped_node_is_freed_without_a_collection():
     ids=["pf-plus-tower", "pf-sim-chain", "mixed-chain"],
 )
 def test_eliminate_pf_runs_once_per_invariants_call(monkeypatch, text):
+    # the engine eliminates through `_elim_as_parts`, one fold per call
     calls = []
-    eliminate_pf = engine.eliminate_pf
+    elim_as_parts = engine._elim_as_parts
 
     def counted(e):
         calls.append(e)
-        return eliminate_pf(e)
+        return elim_as_parts(e)
 
-    monkeypatch.setattr(engine, "eliminate_pf", counted)
+    monkeypatch.setattr(engine, "_elim_as_parts", counted)
     e = parse_expr(text)
     invariants(e)
     assert len(calls) == 1
@@ -387,8 +405,8 @@ def test_invariants_reads_an_elementary_term_without_eliminating(monkeypatch):
     # elimination would rewrite the first two (a powerset of a union, of a
     # leaf), whose reports still say so
     calls = []
-    eliminate_pf = engine.eliminate_pf
-    monkeypatch.setattr(engine, "eliminate_pf", lambda e: calls.append(e) or eliminate_pf(e))
+    elim_as_parts = engine._elim_as_parts
+    monkeypatch.setattr(engine, "_elim_as_parts", lambda e: calls.append(e) or elim_as_parts(e))
     for text, simplified in (
         ("Pf(o(w^w)|o(w^(w^2)))", True),
         ("M(Pf(o(w^w)))*Pf(o(w^w))^<w", True),

@@ -24,7 +24,9 @@ The row gives, over the pairs, the median ratio edited/as-is of the
 total and of the median op time (+x% means the edited copy was slower),
 the pairs the edited copy won, and whether every output digest was the
 same.  A ratio within one pair is steadier than raw times, which drift
-by tens of percent within an hour on a shared machine.
+by tens of percent within an hour on a shared machine.  The rows go to
+`.bench_out/ablate/results.json`, merged into those of earlier runs by
+(ablation, workload), the newest row for each.
 
 Standard library only; it writes under `.bench_out/ablate/` and nowhere
 else, and reads `bench/` without changing it.
@@ -224,6 +226,20 @@ ABLATIONS = (
         "n-ary `add` skips a summand whose leading exponent was found below",
     ),
     Ablation(
+        "chain-spine",
+        "rewrite.py",
+        (
+            (
+                '    if (t is not DisjUnion and t is not LexSum) or e.fragment == "elementary":\n'
+                "        return eliminate_pf(e), None\n",
+                "    if True:\n        return eliminate_pf(e), None\n",
+            ),
+        ),
+        ENGINE,
+        "the engine reads the spine `eliminate_pf` builds over a chain's parts (deleted)",
+        restores=True,
+    ),
+    Ablation(
         "ascending-cache",
         "oracle.py",
         (("    order = q._asc\n", "    order = None\n"),),
@@ -392,8 +408,19 @@ def main(argv=None) -> int:
             r = measure(ab, base, workload, args.pairs)
             results.append(r)
             print(_row(r), flush=True)
-    (OUT / "results.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    path = OUT / "results.json"
+    earlier = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    path.write_text(json.dumps(merge(earlier, results), indent=1) + "\n", encoding="utf-8")
     return 0
+
+
+def merge(earlier: list[dict], rows: list[dict]) -> list[dict]:
+    """The rows of an earlier run and of this one, one per (ablation,
+    workload): a row of this run replaces the earlier one in its place,
+    and the others follow in their order."""
+    out = {(r["ablation"], r["workload"]): r for r in earlier}
+    out.update(((r["ablation"], r["workload"]), r) for r in rows)
+    return list(out.values())
 
 
 if __name__ == "__main__":

@@ -4,12 +4,12 @@
 
 It extracts REF's `src/wqometer` with `git archive` into a temporary
 directory, imports it as the package `wqometer_ref`, and compares, term by
-term, what `invariants`, `pf_bounds` and `weak_mot` give there and in the
-working tree's `src/wqometer`: a report's JSON, a printed ordinal, or the
-type and text of a refusal (parse errors included).  On an elementary
-term it also compares the rewrite layer: `normalize_elementary`, as the
-printed normal form and the number of steps, or the refusal, and
-`is_normal`.  The terms are the first 300 texts of each engine corpus of
+term, what `invariants`, `pf_bounds`, `weak_mot` and `eliminate_pf` give
+there and in the working tree's `src/wqometer`: a report's JSON, a printed
+ordinal or term, or the type and text of a refusal (parse errors
+included).  On an elementary term it also compares the rewrite layer:
+`normalize_elementary`, as the printed normal form and the number of
+steps, or the refusal, and `is_normal`.  The terms are the first 300 texts of each engine corpus of
 the benchmark for the seeds 101 and 7, 6,000 printed `random_any_expr`
 terms (`tests/genlib.py`, seed 34), 600 printed elementary terms of
 `elementary_terms()`, of which 60 are products of unions, some with
@@ -20,8 +20,10 @@ chains at the print limit, and the 80 terms of `over_leaves()`, a Pf, M,
 ^<w or Pf+ directly over each kind of leaf, elementary ones included,
 alone and as a part, and the 14 terms of `kept_forms()`, chains of
 constructors over a leaf, each twice in a row, so that its second run
-meets the eliminated forms its first kept.  It prints the counts and
-the first difference, and exits 1 on any difference.  Standard library
+meets the eliminated forms its first kept, and the 12 terms of
+`chain_laws()`, one for each law at the root of a chain and for each
+shape of chain that the engine reads off its built spine.  It prints
+the counts and the first difference, and exits 1 on any difference.  Standard library
 only; it reads nothing over a network.
 """
 
@@ -38,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("invariants", "pf_bounds", "weak_mot")
+CALLS = ("invariants", "pf_bounds", "weak_mot", "eliminate_pf")
 # compared on the elementary terms only
 REWRITE_CALLS = ("normalize_elementary", "is_normal")
 SEEDS = (101, 7)
@@ -121,7 +123,7 @@ def terms(
         else:
             e = random_union_product(rng, rng.randint(3, 9))
         out.append(print_expr(e))
-    return out + refusals() + over_leaves() + kept_forms()
+    return out + refusals() + over_leaves() + kept_forms() + chain_laws()
 
 
 def refusals() -> list[str]:
@@ -178,6 +180,29 @@ def kept_forms() -> list[str]:
         "Pf(5)|Pf(5)|Pf(5)*G(2)",
     )
     return [text for text in texts for _ in range(2)]
+
+
+def chain_laws() -> list[str]:
+    """One chain for each law at its root: a 0 part first, inside and
+    last; `++` fusion, printable and at the print limit; a first part that
+    elimination turns into a chain of the same kind, a `|` chain whose
+    first two parts turn elementary, and one whose parts all do; and
+    chains whose parts are omega-elementary."""
+    big = "9" * 4300
+    return [
+        "0|G(2)|w",
+        "G(2)|0|w",
+        "G(2)|w|0",
+        "0++0++w",
+        "1++2++w",
+        "w++1++2",
+        f"o({big})++o({big})++w",
+        "((G(2)|w)*1)|G(3)",
+        "(o(w^w)*1)|o(w^(w^2))|G(2)",
+        "(o(w^w)*1)|o(w^(w^2))",
+        "(w|w)++(w|w)",
+        "w|w|w",
+    ]
 
 
 def _extract(ref: str, into: Path) -> Path:
