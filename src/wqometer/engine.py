@@ -25,9 +25,9 @@ rule is a branch of the plain function `_rule`, which makes a node's
 triple from those of the nodes it reads, and the fold names those nodes
 as `eliminate_pf` does, by `_elim_parts`.
 `_evaluate` picks one of two strategies per subtree.  The rules are
-compositional, so a node's value depends on the node alone; `parse_expr`
-makes equal subterms one object, and a fold treats each distinct object
-once, with no stack frame per nesting level.  A node with no
+compositional, so a node's value depends on the node alone, and a fold
+treats each distinct node object once, with no stack frame per nesting
+level.  A node with no
 subexpression (an ordinal, G(k) or a family member) is a fact about its
 value, and so is a Pf, M or ^<w directly over one (`expr._OVER_LEAF`),
 whose rule reads only the leaf's triple: `_leaf_facts` keeps the triple

@@ -33,11 +33,10 @@ runs over the token list that one regular-expression `findall` makes of
 the text, in which a whole leaf (``w^(w^2)``, ``Sim(w^w)``, ``3``) is one
 token, and so is a Pf, M or ^<w directly over one (``M(G(3))``,
 ``o(w+1)^<w``); it keeps its stacks on the heap, so expression nesting
-costs it no Python frames, and it makes equal subterms of one text one
-object: a term that repeats a part many times holds it once.  Such a
-token is one node across texts too: one met before, in this text or an
-earlier one, is looked up by its text in a bounded table, not read
-again.  Equality, hashing and pickling are as for unshared terms.
+costs it no Python frames.  Such a token is one node across texts: one
+met before, in this text or an earlier one, is looked up by its text in
+a bounded table, not read again.  Every other node is built as it is
+read.
 
 Every walk over a term in the package, here and in the layers above,
 is one `fold`: a bottom-up pass over an explicit stack that treats each
@@ -333,8 +332,8 @@ def fold(e: WqoExpr, up, down=None):
     node, when the walk first reaches it; the nodes it names are then
     folded left to right, each completely, and `up` runs after the last,
     in the order of a recursive walk, so side effects of `down` and `up`
-    come in that order too.  A node met again (`parse_expr` shares equal
-    subterms, and `down` may name one twice) is looked up by identity.
+    come in that order too.  A node met again (a shared leaf, or one
+    `down` names twice) is looked up by identity.
     The stack lives on the heap, so nesting costs no Python frames, and
     every node stays referenced until the fold returns, so no id is
     reused, also for nodes that `down` builds.
@@ -571,26 +570,16 @@ def parse_expr(text: str) -> WqoExpr:
     the loop then goes on at the token that starts where the reader
     stopped.
 
-    Equal subterms come out as one object.  `shared` maps the text of each
-    leaf (an ordinal literal, or a call whose arguments are all ordinals
-    and naturals), and each other node's class with the ids of its
-    subexpressions, to the first node made for it: a leaf is read only
-    when its text is not there, and another node made again gives way to
-    the one there.  Those subexpressions are shared already, so the
-    sharing grows bottom-up, and every node in `out` stays in `shared`,
-    so no id is reused.  `shared` lives for one call; a leaf
-    that is one token, or a constructor in `_OVER_LEAF` over a leaf that is
-    one, is also looked up in `_LEAVES`, which every call shares and which
-    holds at most `_LEAF_TABLE_SIZE` nodes, and entered there once it is
-    read.  So a node whose text was seen before is not read again, and
-    the engine finds the facts it keeps on it.  Such a constructor is
-    then entered in `shared` over the leaf of its text there, as one node
-    with any other spelling of it.  A failed read enters nothing, so an
-    error comes with its text and position every time.
+    A leaf that is one token, or a constructor in `_OVER_LEAF` over a
+    leaf that is one, is looked up by its text in `_LEAVES`, which every
+    call shares and which holds at most `_LEAF_TABLE_SIZE` nodes, and
+    entered there once it is read, so the engine finds the facts it keeps
+    on it.  Every other node is built as it is read.  A failed read
+    enters nothing, so an error comes with its text and position every
+    time.
     """
     out: list[WqoExpr] = []
     groups: list[tuple[str | None, list]] = [(None, [])]
-    shared: dict = {}
     toks = _TOKEN.findall(text)
     toks.append("")  # the end of the text
     i = pos = 0  # the next token, and where it starts
@@ -600,26 +589,17 @@ def parse_expr(text: str) -> WqoExpr:
         p = pos
         i += 1
         pos += len(tok)
-        node = shared.get(tok)
+        name = _OPENS.get(tok)
+        if name is not None or tok.endswith("("):
+            groups.append((name or tok[:-1].rstrip(" \t"), []))
+            continue
+        if tok and tok[0] in " \t":
+            continue
+        node, end = _LEAVES.get(tok), pos
         if node is None:
-            name = _OPENS.get(tok)
-            if name is not None or tok.endswith("("):
-                groups.append((name or tok[:-1].rstrip(" \t"), []))
-                continue
-            if tok and tok[0] in " \t":
-                continue
-            node, end = _LEAVES.get(tok), pos
-            if node is None:
-                node, end = _read(text, p, tok)
-                if end == pos:  # the leaf is the whole token
-                    _keep(tok, node)
-            cls = type(node)
-            if cls in _OVER_LEAF:
-                # over the leaf this call holds for the leaf's text, and
-                # one node with any other spelling of it, such as Pf((3))
-                x = shared.setdefault(_leaf_text(tok), node.arg)
-                node = shared.setdefault((cls, id(x)), node if x is node.arg else cls(x))
-            node = shared.setdefault(text[p:end], node)
+            node, end = _read(text, p, tok)
+            if end == pos:  # the leaf is the whole token
+                _keep(tok, node)
             i, pos = _resume(toks, i, pos, end)
         out.append(node)
         # the operators after it; any other token ends the innermost group
@@ -631,8 +611,7 @@ def parse_expr(text: str) -> WqoExpr:
             infix = _INFIX.get(tok)
             if infix is None:
                 if tok == _WORDS:
-                    x = out[-1]
-                    out[-1] = shared.setdefault((Words, id(x)), Words(x))
+                    out[-1] = Words(out[-1])
                     continue
                 if tok and tok[0] in " \t":
                     continue
@@ -641,8 +620,7 @@ def parse_expr(text: str) -> WqoExpr:
             while ops and ops[-1][0] >= prec:
                 cls = ops.pop()[1]
                 right = out.pop()
-                left = out[-1]
-                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
+                out[-1] = cls(out[-1], right)
             if infix:
                 ops.append(infix)
                 break
@@ -654,16 +632,14 @@ def parse_expr(text: str) -> WqoExpr:
             cls, kinds = _CALLS.get(name, (None, ""))  # a '(' group has none
             if len(kinds) > 1:
                 # Mn(e, n): the ',', the natural and the ')' are read on
-                args = [out.pop()]
-                node, end = _call(text, p, name, args)
-                out.append(shared.setdefault((cls, id(args[0]), *args[1:]), node))
+                node, end = _call(text, p, name, [out.pop()])
+                out.append(node)
                 i, pos = _resume(toks, i, pos, end)
                 continue
             if tok != ")":
                 raise ParseError(text, p, "')'")
             if cls is not None:
-                x = out[-1]
-                out[-1] = shared.setdefault((cls, id(x)), cls(x))
+                out[-1] = cls(out[-1])
 
 
 def _resume(toks: list[str], i: int, pos: int, end: int) -> tuple[int, int]:

@@ -594,6 +594,20 @@ def test_conditional_rules_name_why_they_cannot_read_a_part(text, reasons):
     assert [x.reason for x in (r.mot, r.height, r.width)] == reasons
 
 
+@pytest.mark.parametrize(
+    "result",
+    [
+        engine.InvariantResult.interval(ONE, OMEGA),
+        engine.InvariantResult.lower_only(ONE),
+        engine.InvariantResult.unsupported("no-rule"),
+    ],
+    ids=["interval", "lower", "unsupported"],
+)
+def test_only_an_exact_result_has_a_value(result):
+    with pytest.raises(ValueError, match=f"no exact value for a {result.kind} result"):
+        result.value
+
+
 def test_report_json_schema():
     data = rep("Pf(G(2))").to_json()
     assert set(data) == {"mot", "height", "width", "weak_mot", "notes"}

@@ -419,10 +419,8 @@ def test_expr_size():
 # --- the token-list parser against the former per-position one ---------------
 
 # The parser as it was before it read one token list: it matched one
-# token after blanks at each position, looked a leaf up by the text that
-# `_REF_LEAF_ARGS` or `_REF_EXPONENT` matched there, and read every call
-# through `_ref_call`.  Kept as the reference for results, sharing and
-# errors.
+# token after blanks at each position and read every call through
+# `_ref_call`.  Kept as the reference for results and errors.
 _REF_TOKEN = re.compile(
     "[ \t]*(%s|[^\\W\\d_]+|.?)"
     % "|".join(
@@ -432,16 +430,12 @@ _REF_TOKEN = re.compile(
     ),
     re.DOTALL,
 )
-_REF_BALANCED = r"\((?:[^()]++|\([^()]*+\))*+\)"
 _REF_LEAF_CALLS = {name for name, (_cls, kinds) in _CALLS.items() if "e" not in kinds}
-_REF_LEAF_ARGS = re.compile(r"[ \t]*+" + _REF_BALANCED)
-_REF_EXPONENT = re.compile(r"\^(?!<)[ \t]*+(?:[0-9]++|w|%s)[ \t]*+|(?!\^(?!<))" % _REF_BALANCED)
 
 
 def _ref_parse_expr(text):
     out = []
     groups = [(None, [], [])]
-    shared = {}
     pos = 0
     while True:
         m = _REF_TOKEN.match(text, pos)
@@ -451,22 +445,13 @@ def _ref_parse_expr(text):
         if tok == "(":
             groups.append((tok, [], []))
             continue
-        if tok in _REF_LEAF_CALLS or tok == "w":
-            m = (_REF_EXPONENT if tok == "w" else _REF_LEAF_ARGS).match(text, pos)
-            node = shared.get(text[p : m.end()]) if m else None
-            if node is not None:
-                pos = m.end()
-            else:
-                if tok != "w":
-                    node, pos = _ref_call(text, pos, tok, [])
-                else:
-                    exponent = ord_mod.ONE
-                    if text.startswith("^", pos) and not text.startswith("^<", pos):
-                        exponent, pos = ord_mod._parse_atom(
-                            text, ord_mod._skip_ws(text, pos + 1)
-                        )
-                    node = Ord(omega_pow(exponent))
-                node = shared.setdefault(text[p:pos], node)
+        if tok in _REF_LEAF_CALLS:
+            node, pos = _ref_call(text, pos, tok, [])
+        elif tok == "w":
+            exponent = ord_mod.ONE
+            if text.startswith("^", pos) and not text.startswith("^<", pos):
+                exponent, pos = ord_mod._parse_atom(text, ord_mod._skip_ws(text, pos + 1))
+            node = Ord(omega_pow(exponent))
         elif tok in _CALLS:
             args = []
             pos = _ref_call(text, pos, tok, args)[1]
@@ -474,10 +459,7 @@ def _ref_parse_expr(text):
             continue
         elif tok in "0123456789":
             n, pos = ord_mod._parse_nat(text, p)
-            key = text[p:pos]
-            node = shared.get(key)
-            if node is None:
-                node = shared[key] = Ord(Ordinal.from_nat(n))
+            node = Ord(Ordinal.from_nat(n))
         else:
             raise ParseError(text, p, _OPERAND)
         out.append(node)
@@ -485,8 +467,7 @@ def _ref_parse_expr(text):
             m = _REF_TOKEN.match(text, pos)
             tok, p = m[1], m.start(1)
             if tok == _WORDS:
-                x = out[-1]
-                out[-1] = shared.setdefault((Words, id(x)), Words(x))
+                out[-1] = Words(out[-1])
                 pos = m.end()
                 continue
             name, args, ops = groups[-1]
@@ -495,8 +476,7 @@ def _ref_parse_expr(text):
             while ops and ops[-1][0] >= prec:
                 cls = ops.pop()[1]
                 right = out.pop()
-                left = out[-1]
-                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))
+                out[-1] = cls(out[-1], right)
             if infix:
                 ops.append(infix)
                 pos = m.end()
@@ -513,7 +493,7 @@ def _ref_parse_expr(text):
                 continue
             args.append(out.pop())
             node, pos = _ref_call(text, p, name, args)
-            out.append(shared.setdefault((type(node), id(args[0]), *args[1:]), node))
+            out.append(node)
 
 
 def _ref_call(text, pos, name, args):
@@ -538,23 +518,11 @@ def _ref_call(text, pos, name, args):
         args.append(value)
 
 
-def _node_count(e):
-    """The number of distinct node objects in `e`."""
-    seen, todo = set(), [e]
-    while todo:
-        x = todo.pop()
-        if id(x) not in seen:
-            seen.add(id(x))
-            todo += x.children()
-    return len(seen)
-
-
 def _outcome(parse, text):
     try:
-        e = parse(text)
+        return parse(text), None
     except ParseError as exc:
         return None, (exc.pos, exc.expected, exc.found)
-    return e, _node_count(e)
 
 
 def _check_like_the_reference(text):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wqometer import (
+    CartProd,
     FinitePoset,
     InvariantReport,
     InvariantResult,
+    LexSum,
     Ordinal,
     TooLargeError,
     UnsupportedComputation,
@@ -23,6 +25,7 @@ from wqometer import (
     iso,
     mot,
     parse_expr,
+    pf_poset,
     print_expr,
     quotient,
     random_quasi_order,
@@ -151,7 +154,8 @@ def test_build_builds_each_distinct_subterm_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(oracle, "_build", counted)
-    p = build(parse_expr("Pf(G(3)|G(3))*Pf(G(3)|G(3))++Pf(G(3)|G(3))"))
+    part = parse_expr("Pf(G(3)|G(3))")
+    p = build(LexSum(CartProd(part, part), part))
     # G(3), G(3)|G(3), its powerset of 64 elements, the product and the sum
     assert len(calls) == 5
     assert p.n == 64 * 64 + 64
@@ -201,6 +205,22 @@ def test_size_limit_guards_before_enumeration():
         build(parse_expr("Pf(Pf(G(4)))"))  # estimated 2^16 elements
     with pytest.raises(TooLargeError):
         build(parse_expr("o(500)*o(500)"))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: FinitePoset(2, (0b01,)), ValueError, "need one row per element"),
+        (lambda: FinitePoset(2, (0b01, 0b01)), ValueError, "not reflexive at 1"),
+        (lambda: FinitePoset(2, (0b101, 0b10)), ValueError, "row 0 has bits beyond n"),
+        (lambda: pf_poset(_chain(13)), TooLargeError, "needs 8192 elements"),
+    ],
+    ids=["row-count", "not-reflexive", "bits-past-n", "pf-poset-of-13"],
+)
+def test_a_library_caller_s_bad_poset_is_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+    assert pf_poset(_chain(12)).n == 13  # at the cap: the down-sets of the chain
 
 
 def test_residual_caps():

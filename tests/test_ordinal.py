@@ -84,6 +84,21 @@ def test_successor_limit():
     assert o("w^2+5").is_successor
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Ordinal.from_nat(-1), "not negative"),
+        (lambda: OMEGA.nat, "w is infinite"),
+        (lambda: ZERO.leading_exponent, "0 has no leading exponent"),
+        (lambda: o("w*2").pred(), r"w\*2 is not a successor"),
+    ],
+    ids=["from-nat", "nat", "leading-exponent", "pred"],
+)
+def test_a_partial_view_refuses_outside_its_domain(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # --- ordinary arithmetic ----------------------------------------------------
 
 

@@ -73,32 +73,73 @@ class Ablation(NamedTuple):
 
 ABLATIONS = (
     Ablation(
-        "shared-get-first",
+        "parse-sharing",
         "expr.py",
         (
             (
-                "shared.setdefault((Words, id(x)), Words(x))",
-                "shared.get(key := (Words, id(x))) or shared.setdefault(key, Words(x))",
+                "    groups: list[tuple[str | None, list]] = [(None, [])]\n",
+                "    groups: list[tuple[str | None, list]] = [(None, [])]\n    shared: dict = {}\n",
             ),
             (
-                "shared.setdefault((cls, id(left), id(right)), cls(left, right))",
-                "shared.get(key := (cls, id(left), id(right))) or shared.setdefault(key, cls(left, right))",
+                "        name = _OPENS.get(tok)\n"
+                '        if name is not None or tok.endswith("("):\n'
+                '            groups.append((name or tok[:-1].rstrip(" \\t"), []))\n'
+                "            continue\n"
+                '        if tok and tok[0] in " \\t":\n'
+                "            continue\n"
+                "        node, end = _LEAVES.get(tok), pos\n"
+                "        if node is None:\n"
+                "            node, end = _read(text, p, tok)\n"
+                "            if end == pos:  # the leaf is the whole token\n"
+                "                _keep(tok, node)\n"
+                "            i, pos = _resume(toks, i, pos, end)\n"
+                "        out.append(node)\n",
+                "        node = shared.get(tok)\n"
+                "        if node is None:\n"
+                "            name = _OPENS.get(tok)\n"
+                '            if name is not None or tok.endswith("("):\n'
+                '                groups.append((name or tok[:-1].rstrip(" \\t"), []))\n'
+                "                continue\n"
+                '            if tok and tok[0] in " \\t":\n'
+                "                continue\n"
+                "            node, end = _LEAVES.get(tok), pos\n"
+                "            if node is None:\n"
+                "                node, end = _read(text, p, tok)\n"
+                "                if end == pos:  # the leaf is the whole token\n"
+                "                    _keep(tok, node)\n"
+                "            cls = type(node)\n"
+                "            if cls in _OVER_LEAF:\n"
+                "                x = shared.setdefault(_leaf_text(tok), node.arg)\n"
+                "                node = shared.setdefault((cls, id(x)), node if x is node.arg else cls(x))\n"
+                "            node = shared.setdefault(text[p:end], node)\n"
+                "            i, pos = _resume(toks, i, pos, end)\n"
+                "        out.append(node)\n",
             ),
             (
-                "shared.setdefault((cls, id(x)), cls(x))",
-                "shared.get(key := (cls, id(x))) or shared.setdefault(key, cls(x))",
+                "                    out[-1] = Words(out[-1])\n",
+                "                    x = out[-1]\n"
+                "                    out[-1] = shared.setdefault((Words, id(x)), Words(x))\n",
+            ),
+            (
+                "                out[-1] = cls(out[-1], right)\n",
+                "                left = out[-1]\n"
+                "                out[-1] = shared.setdefault((cls, id(left), id(right)), cls(left, right))\n",
+            ),
+            (
+                "node, end = _call(text, p, name, [out.pop()])\n                out.append(node)\n",
+                "args = [out.pop()]\n"
+                "                node, end = _call(text, p, name, args)\n"
+                "                out.append(shared.setdefault((cls, id(args[0]), *args[1:]), node))\n",
+            ),
+            (
+                "                out[-1] = cls(out[-1])\n",
+                "                x = out[-1]\n"
+                "                out[-1] = shared.setdefault((cls, id(x)), cls(x))\n",
             ),
         ),
         ALL,
-        "the parser looks a node up in `shared` before it builds one (deleted)",
+        "the parser makes equal subterms of one text one object, through a per-call table (deleted)",
         restores=True,
-    ),
-    Ablation(
-        "shared-token",
-        "expr.py",
-        (("        node = shared.get(tok)\n", "        node = None\n"),),
-        ALL,
-        "the parser looks each operand token up in `shared` first",
     ),
     Ablation(
         "leaf-table",
@@ -276,9 +317,9 @@ def unmatched() -> list[str]:
     return out
 
 
-def _copy(name: str, ab: Ablation | None) -> Path:
-    """A copy of `src/wqometer` under OUT/name, with the edits of `ab`."""
-    dest = OUT / name
+def make_copy(dest: Path, ab: Ablation | None) -> Path:
+    """A copy of `src/wqometer` as `dest/wqometer`, with the edits of `ab`;
+    returns `dest`."""
     shutil.rmtree(dest, ignore_errors=True)
     shutil.copytree(SRC, dest / "wqometer", ignore=shutil.ignore_patterns("__pycache__"))
     if ab is not None:
@@ -343,7 +384,7 @@ def _run_child(copy: Path, workload: str) -> dict:
 
 
 def measure(ab: Ablation, base: Path, workload: str, pairs: int) -> dict:
-    edited = _copy(ab.name, ab)
+    edited = make_copy(OUT / ab.name, ab)
     runs = []
     for i in range(pairs):
         sides = (base, edited) if i % 2 == 0 else (edited, base)
@@ -399,7 +440,7 @@ def main(argv=None) -> int:
     if unknown:
         print(f"ablate: unknown ablation {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    base = _copy("base", None)
+    base = make_copy(OUT / "base", None)
     results = []
     for ab in chosen:
         for workload in ab.workloads:
